@@ -1,0 +1,295 @@
+"""Command-line front end: JSON reports over arc-diagram files."""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from .arcdiag import (
+    ArcDiagramError,
+    InvalidDiagramError,
+    ParseError,
+    interior_steps,
+    parse_arc_diagram,
+    steps,
+    surgery_circle,
+    to_quad_surface,
+)
+from .algebra import (
+    enumerate_basis,
+    end,
+    generator_json,
+    generator_maslov2,
+    hom_grading,
+    start,
+)
+from .contact import all_dividing_sets, ca_table, structure_json
+from .homology import (
+    build_summand,
+    crossingless_generators,
+    homology_dims,
+    summand_nonzero,
+)
+from .isoverify import corpus, sfh_table, verify
+
+OK, FAILURE, USAGE = 0, 1, 2
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return USAGE
+    except InvalidDiagramError as exc:
+        print(f"invalid diagram: {exc}", file=sys.stderr)
+        return FAILURE
+    except ArcDiagramError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="strandcontact",
+        description="strand algebra homology and contact category algebra of arc diagrams",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add(name, handler, needs_file=True):
+        p = sub.add_parser(name)
+        if needs_file:
+            p.add_argument("file")
+        p.add_argument("--pretty", action="store_true")
+        p.set_defaults(handler=handler)
+        return p
+
+    add("validate", cmd_validate)
+    add("info", cmd_info)
+
+    p = add("basis", cmd_basis)
+    p.add_argument("--strands", type=int, default=None)
+
+    p = add("homology", cmd_homology)
+    p.add_argument("--method", choices=["chain", "local"], default="chain")
+    p.add_argument("--summand", default=None, metavar="S;T")
+
+    p = add("contact", cmd_contact)
+    p.add_argument("--from", dest="from_", default=None, metavar="S")
+    p.add_argument("--to", dest="to", default=None, metavar="T")
+
+    add("verify", cmd_verify)
+    add("sfh-table", cmd_sfh)
+
+    p = add("corpus", cmd_corpus, needs_file=False)
+    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-l", type=int, default=3)
+    return parser
+
+
+def load(args):
+    with open(args.file, encoding="utf-8") as fh:
+        return parse_arc_diagram(fh.read())
+
+
+def emit(args, payload: dict, pretty_lines=None) -> None:
+    if args.pretty and pretty_lines is not None:
+        for line in pretty_lines:
+            print(line)
+    else:
+        print(json.dumps(payload))
+
+
+def parse_subset(token: str) -> frozenset[int]:
+    """Comma-separated labels; `-` is the empty set."""
+    if token == "-":
+        return frozenset()
+    try:
+        return frozenset(int(x) for x in token.split(","))
+    except ValueError:
+        raise ArcDiagramError(f"bad subset syntax: {token!r}") from None
+
+
+def cmd_validate(args) -> int:
+    d = load(args)
+    circle = surgery_circle(d)
+    if circle is None:
+        emit(args, {"schema": 1, "valid": True}, ["valid"])
+        return OK
+    emit(
+        args,
+        {"schema": 1, "valid": False, "circle": list(circle)},
+        [f"invalid: circle through places {list(circle)}"],
+    )
+    return FAILURE
+
+
+def cmd_info(args) -> int:
+    d = load(args)
+    surf = to_quad_surface(d)
+    payload = {
+        "schema": 1,
+        "segments": list(d.segment_sizes),
+        "matching": list(d.matching),
+        "k": d.k,
+        "l": d.l,
+        "interior_steps": len(interior_steps(d)),
+        "exterior_steps": len(steps(d)) - len(interior_steps(d)),
+        "squares": surf.index,
+        "gluings": len(surf.gluings),
+        "euler_char": surf.euler_char,
+        "boundary_components": surf.boundary_components,
+        "genus": surf.genus,
+        "marked_points": surf.marked_point_count,
+    }
+    pretty = [f"{key}: {value}" for key, value in payload.items() if key != "schema"]
+    emit(args, payload, pretty)
+    return OK
+
+
+def cmd_basis(args) -> int:
+    d = load(args)
+    counts = [args.strands] if args.strands is not None else range(d.k + 1)
+    gens = []
+    for i in counts:
+        for g in enumerate_basis(d, i):
+            entry = generator_json(d, g)
+            entry["strands"] = g.strand_count
+            entry["maslov2"] = generator_maslov2(d, g)
+            entry["hom"] = list(hom_grading(d, g))
+            gens.append(entry)
+    payload = {"schema": 1, "count": len(gens), "generators": gens}
+    pretty = [f"{len(gens)} generators"] + [
+        f"  s={g['s']} t={g['t']} moving={g['moving']} dotted={g['dotted']} "
+        f"maslov2={g['maslov2']} h={g['hom']}"
+        for g in gens
+    ]
+    emit(args, payload, pretty)
+    return OK
+
+
+def _summand_triples(d, selector):
+    from .isoverify import _algebra_triples
+
+    triples = sorted(
+        _algebra_triples(d),
+        key=lambda trip: (tuple(sorted(trip[0])), tuple(sorted(trip[1])), trip[2]),
+    )
+    if selector is None:
+        return triples
+    s_token, _, t_token = selector.partition(";")
+    if not t_token:
+        raise ArcDiagramError("--summand wants S;T with `-` for the empty set")
+    s, t = parse_subset(s_token), parse_subset(t_token)
+    return [trip for trip in triples if trip[0] == s and trip[1] == t]
+
+
+def cmd_homology(args) -> int:
+    d = load(args)
+    rows = []
+    for s, t, h in _summand_triples(d, args.summand):
+        if args.method == "chain":
+            dims = homology_dims(build_summand(d, s, t, h))
+        else:
+            dims = {}
+            if summand_nonzero(d, s, t, h):
+                witness = crossingless_generators(d, s, t, h)[0]
+                dims = {generator_maslov2(d, witness): 1}
+        if dims:
+            rows.append(
+                {
+                    "s": sorted(s),
+                    "t": sorted(t),
+                    "h": list(h),
+                    "dims": {str(m): dim for m, dim in sorted(dims.items())},
+                }
+            )
+    payload = {"schema": 1, "method": args.method, "summands": rows}
+    pretty = [f"{len(rows)} nonzero summands ({args.method})"] + [
+        f"  s={r['s']} t={r['t']} h={r['h']} dims={r['dims']}" for r in rows
+    ]
+    emit(args, payload, pretty)
+    return OK
+
+
+def cmd_contact(args) -> int:
+    d = load(args)
+    table = ca_table(d)
+    want_from = parse_subset(args.from_) if args.from_ is not None else None
+    want_to = parse_subset(args.to) if args.to is not None else None
+    rows = []
+    for xi in table.basis:
+        if want_from is not None and xi.bottom.on_squares != want_from:
+            continue
+        if want_to is not None and xi.top.on_squares != want_to:
+            continue
+        rows.append(structure_json(d, xi))
+    payload = {"schema": 1, "count": len(rows), "structures": rows}
+    pretty = [f"{len(rows)} tight structures"] + [
+        f"  bottom={r['bottom']} top={r['top']} used={r['used']}" for r in rows
+    ]
+    emit(args, payload, pretty)
+    return OK
+
+
+def cmd_verify(args) -> int:
+    d = load(args)
+    report = verify(d)
+    payload = report.to_json()
+    pretty = [
+        f"dim CA = {report.ca_dim}, dim H = {report.homology_dim}",
+        f"summands checked: {len(report.summands)}",
+        f"products checked: {report.products_checked}",
+        "verified: " + ("yes" if report.success else "NO"),
+    ] + [f"  mismatch: {m}" for m in report.mismatches]
+    emit(args, payload, pretty)
+    return OK if report.success else FAILURE
+
+
+def cmd_sfh(args) -> int:
+    d = load(args)
+    table = sfh_table(d)
+    payload = table.to_json()
+    pretty = ["rows/cols over dividing sets " + str([list(s) for s in table.dividing_sets])]
+    pretty += ["  " + " ".join(str(x) for x in row) for row in table.matrix]
+    emit(args, payload, pretty)
+    return OK
+
+
+def cmd_corpus(args) -> int:
+    diagrams = corpus(args.max_k, args.max_l)
+    results = []
+    all_ok = True
+    for d in diagrams:
+        report = verify(d)
+        all_ok = all_ok and report.success
+        results.append(
+            {
+                "segments": list(d.segment_sizes),
+                "matching": list(d.matching),
+                "ok": report.success,
+                "dim": report.ca_dim,
+                "mismatches": report.mismatches,
+            }
+        )
+    payload = {
+        "schema": 1,
+        "max_k": args.max_k,
+        "max_l": args.max_l,
+        "diagrams": len(diagrams),
+        "all_ok": all_ok,
+        "results": results,
+    }
+    pretty = [f"{len(diagrams)} diagrams, all_ok={all_ok}"] + [
+        f"  {r['segments']} {r['matching']}: dim={r['dim']} ok={r['ok']}"
+        for r in results
+    ]
+    emit(args, payload, pretty)
+    return OK if all_ok else FAILURE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

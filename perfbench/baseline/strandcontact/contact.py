@@ -1,0 +1,329 @@
+"""Cubulated contact structures on a thickened quadrangulated surface.
+
+A basic dividing set turns each square on ("negative") or off; a contact
+structure between two basic sets is determined by which decomposing arcs
+(interior steps) are used.  The structure is tight exactly when each
+cube's data appears in the ten-case table; stacking composes structures
+and collapses overtwisted results to zero.  The optional dividing-curve
+oracle re-derives cube tightness by counting closed curves on the cube
+boundary, calibrated against three anchor cases.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import Optional
+
+from .arcdiag import ArcDiagram, QuadSurface, interior_index, to_quad_surface
+
+
+class CalibrationUnresolved(RuntimeError):
+    """The anchor cases failed to pin down a unique face-state convention."""
+
+
+@dataclass(frozen=True)
+class DividingSetBasic:
+    """A basic dividing set, encoded by the squares carrying the negative
+    ("on") standard dividing set."""
+
+    on_squares: frozenset[int]
+
+    def euler_class(self, k: int) -> int:
+        return k - 2 * len(self.on_squares)
+
+
+@dataclass(frozen=True)
+class CubeData:
+    """On/off state of a cube's top and bottom plus used flags of its sides.
+
+    The cyclic side order around the cube is (after_v, before_w, after_w,
+    before_v); side slots bound to exterior steps are forcibly unused.
+    """
+
+    bottom_on: bool
+    top_on: bool
+    used_before_v: bool
+    used_after_v: bool
+    used_before_w: bool
+    used_after_w: bool
+
+    @property
+    def used_count(self) -> int:
+        return sum(
+            (self.used_before_v, self.used_after_v, self.used_before_w, self.used_after_w)
+        )
+
+    def swap_vw(self) -> "CubeData":
+        return CubeData(
+            self.bottom_on,
+            self.top_on,
+            self.used_before_w,
+            self.used_after_w,
+            self.used_before_v,
+            self.used_after_v,
+        )
+
+
+@dataclass(frozen=True)
+class ContactStructure:
+    """(bottom, top, used arcs) with the tightness verdict of its cubes."""
+
+    bottom: DividingSetBasic
+    top: DividingSetBasic
+    used_arcs: frozenset[int]  # indices into interior_steps(d)
+    tight: bool
+
+
+def cube_data(surface: QuadSurface, xi: ContactStructure, square: int) -> CubeData:
+    """Extract one cube's face data from a contact structure."""
+    d = surface.diagram
+    sq = surface.square(square)
+    idx = interior_index(d)
+
+    def used(step) -> bool:
+        return step.is_interior and idx[step] in xi.used_arcs
+
+    return CubeData(
+        bottom_on=square in xi.bottom.on_squares,
+        top_on=square in xi.top.on_squares,
+        used_before_v=used(sq.before_v),
+        used_after_v=used(sq.after_v),
+        used_before_w=used(sq.before_w),
+        used_after_w=used(sq.after_w),
+    )
+
+
+def cube_tight(c: CubeData) -> bool:
+    """The ten-case table of standard cubes with connected dividing set."""
+    n = c.used_count
+    bottom, top = c.bottom_on, c.top_on
+    after = (c.used_after_v, c.used_after_w)
+    before = (c.used_before_v, c.used_before_w)
+    if n == 0 or n == 4:
+        return bottom == top
+    if n == 1:
+        if any(after):
+            return bottom and not top
+        return top and not bottom
+    if n == 3:
+        if not all(after):  # the single unused side is an after-side
+            return top and not bottom
+        return bottom and not top
+    # n == 2
+    if after == (True, True) or before == (True, True):
+        return False  # opposite sides
+    if (c.used_before_v and c.used_after_v) or (c.used_before_w and c.used_after_w):
+        return not bottom and not top  # before and after one vertex
+    return bottom and top  # before and after distinct vertices
+
+
+def make_structure(
+    surface: QuadSurface,
+    bottom: DividingSetBasic,
+    top: DividingSetBasic,
+    used_arcs: frozenset[int],
+) -> ContactStructure:
+    xi = ContactStructure(bottom, top, used_arcs, tight=False)
+    tight = all(
+        cube_tight(cube_data(surface, xi, sq.label)) for sq in surface.squares
+    )
+    return ContactStructure(bottom, top, used_arcs, tight)
+
+
+def identity_structure(surface: QuadSurface, ds: DividingSetBasic) -> ContactStructure:
+    xi = make_structure(surface, ds, ds, frozenset())
+    if not xi.tight:
+        raise AssertionError("identity structure must be tight")
+    return xi
+
+
+def enumerate_tight(
+    surface: QuadSurface, bottom: DividingSetBasic, top: DividingSetBasic
+) -> tuple[ContactStructure, ...]:
+    """All tight structures between two basic dividing sets.
+
+    Candidates are the subsets of interior steps, in ascending bitmask
+    order, so the output order is deterministic.
+    """
+    n = len(interior_index(surface.diagram))
+    out = []
+    for bits in range(1 << n):
+        used = frozenset(i for i in range(n) if (bits >> i) & 1)
+        xi = make_structure(surface, bottom, top, used)
+        if xi.tight:
+            out.append(xi)
+    return tuple(out)
+
+
+def all_dividing_sets(d: ArcDiagram) -> tuple[DividingSetBasic, ...]:
+    """The 2^k basic dividing sets, ordered by label subsets."""
+    out = []
+    for r in range(d.k + 1):
+        for combo in itertools.combinations(range(1, d.k + 1), r):
+            out.append(DividingSetBasic(frozenset(combo)))
+    return tuple(out)
+
+
+def stack(
+    surface: QuadSurface, x0: ContactStructure, x1: ContactStructure
+) -> Optional[ContactStructure]:
+    """Stack x1 on top of x0; None is the zero (overtwisted) result.
+
+    Zero when the structures do not compose, when they share a used arc,
+    or when the union of used arcs fails the cube table.
+    """
+    if x0.top != x1.bottom:
+        return None
+    if x0.used_arcs & x1.used_arcs:
+        return None
+    xi = make_structure(surface, x0.bottom, x1.top, x0.used_arcs | x1.used_arcs)
+    return xi if xi.tight else None
+
+
+@dataclass(frozen=True)
+class CATable:
+    """The contact category algebra on its basis of tight structures."""
+
+    surface: QuadSurface
+    basis: tuple[ContactStructure, ...]
+    products: dict  # (i, j) -> basis index or None
+    identities: tuple[int, ...]  # indices of the identity structures
+
+    def index(self, xi: ContactStructure) -> int:
+        return self.basis.index(xi)
+
+
+@functools.lru_cache(maxsize=None)
+def ca_table(d: ArcDiagram) -> CATable:
+    """Basis and full multiplication table of the contact category algebra."""
+    surface = to_quad_surface(d)
+    sets = all_dividing_sets(d)
+    basis: list[ContactStructure] = []
+    for bottom in sets:
+        for top in sets:
+            basis.extend(enumerate_tight(surface, bottom, top))
+    position = {xi: i for i, xi in enumerate(basis)}
+    products = {}
+    for i, x0 in enumerate(basis):
+        for j, x1 in enumerate(basis):
+            prod = stack(surface, x0, x1)
+            products[(i, j)] = position[prod] if prod is not None else None
+    identities = tuple(
+        position[identity_structure(surface, ds)] for ds in sets
+    )
+    return CATable(surface, tuple(basis), products, identities)
+
+
+def structure_json(d: ArcDiagram, xi: ContactStructure) -> dict:
+    return {
+        "bottom": sorted(xi.bottom.on_squares),
+        "top": sorted(xi.top.on_squares),
+        "used": sorted(xi.used_arcs),
+        "tight": xi.tight,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Optional oracle: count dividing curves on the rounded cube boundary.
+#
+# The cube has six faces; each carries one of the two non-crossing
+# matchings of its four edge midpoints, selected by the face state.  The
+# matchings glue across shared edges into closed curves.  On the top and
+# bottom faces the matching is forced: an "on" face must leave room for
+# the diagonal joining its two positive corners, so its arcs cut off the
+# negative corners.  The side faces' spiral convention is not readable
+# from text alone and is calibrated from three anchor cases instead.
+
+_EDGES = (
+    "b_av", "b_bw", "b_aw", "b_bv",  # bottom square, cyclic
+    "t_av", "t_bw", "t_aw", "t_bv",  # top square, cyclic
+    "v_v", "v_n1", "v_w", "v_n2",   # vertical edges at v, n1, w, n2
+)
+
+# Faces as cyclic edge lists.  Side faces are listed in the frame
+# (bottom edge, vertical shared with the next side, top edge, vertical
+# shared with the previous side), which the cube's rotational symmetry
+# carries from side to side.
+_BOTTOM = ("b_av", "b_bw", "b_aw", "b_bv")
+_TOP = ("t_av", "t_bw", "t_aw", "t_bv")
+_SIDES = (
+    ("b_av", "v_n1", "t_av", "v_v"),
+    ("b_bw", "v_w", "t_bw", "v_n1"),
+    ("b_aw", "v_n2", "t_aw", "v_w"),
+    ("b_bv", "v_v", "t_bv", "v_n2"),
+)
+
+
+def _matching(face: tuple[str, str, str, str], variant: int):
+    a, b, c, e = face
+    if variant == 0:
+        return ((a, b), (c, e))
+    return ((b, c), (e, a))
+
+
+def _curve_components(c: CubeData, side_variant: int) -> int:
+    # Variant 0 on a horizontal face pairs the edges around each negative
+    # corner, which is the "on" state by the principal-diagonal criterion.
+    arcs = []
+    arcs.extend(_matching(_BOTTOM, 0 if c.bottom_on else 1))
+    arcs.extend(_matching(_TOP, 0 if c.top_on else 1))
+    side_states = (c.used_after_v, c.used_before_w, c.used_after_w, c.used_before_v)
+    for face, used in zip(_SIDES, side_states):
+        arcs.extend(_matching(face, side_variant if used else 1 - side_variant))
+    neighbours: dict[str, list[str]] = {e: [] for e in _EDGES}
+    for a, b in arcs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen: set[str] = set()
+    components = 0
+    for start in _EDGES:
+        if start in seen:
+            continue
+        components += 1
+        stackq = [start]
+        while stackq:
+            cur = stackq.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stackq.extend(neighbours[cur])
+    return components
+
+
+def _all_cube_data() -> tuple[CubeData, ...]:
+    out = []
+    for bits in itertools.product((False, True), repeat=6):
+        out.append(CubeData(*bits))
+    return tuple(out)
+
+
+_ANCHORS = (
+    (CubeData(True, True, False, False, False, False), True),
+    (CubeData(False, True, False, False, False, False), False),
+    (CubeData(True, False, False, True, False, False), True),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _calibrated_side_variant() -> int:
+    """Fix the side-face spiral convention from the three anchors."""
+    survivors = [
+        variant
+        for variant in (0, 1)
+        if all(
+            (_curve_components(anchor, variant) == 1) == verdict
+            for anchor, verdict in _ANCHORS
+        )
+    ]
+    if len(survivors) != 1:
+        raise CalibrationUnresolved(
+            f"anchors admit {len(survivors)} side conventions instead of 1"
+        )
+    return survivors[0]
+
+
+def dividing_curve_components(c: CubeData) -> int:
+    """Closed components of the glued per-face matchings on the cube."""
+    return _curve_components(c, _calibrated_side_variant())

@@ -1,0 +1,444 @@
+"""Mechanical verification that the contact and strand sides agree.
+
+The bijection sends a tight structure from one basic dividing set to
+another to the triple (bottom on-set, top on-set, used-arc indicator);
+verify() checks, for one arc diagram, that this is an isomorphism of
+unital GF(2) algebras three ways: tight-structure counts, the closed-form
+local description, and GF(2) chain homology, including the full
+multiplication table with its zero pattern.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .arcdiag import (
+    ArcDiagram,
+    InvalidDiagramError,
+    interior_steps,
+    require_valid,
+    to_quad_surface,
+)
+from .algebra import (
+    SymGenerator,
+    enumerate_basis,
+    end,
+    generator_maslov2,
+    hom_grading,
+    idempotent,
+    mul_sums,
+    start,
+)
+from .contact import (
+    CATable,
+    ContactStructure,
+    DividingSetBasic,
+    ca_table,
+    cube_data,
+    cube_tight,
+    make_structure,
+    structure_json,
+)
+from .homology import (
+    Triple,
+    build_summand,
+    homology_dims,
+    is_boundary,
+    representative,
+    ring_product,
+    summand_nonzero,
+    total_dim,
+)
+
+
+class NotRealizable(RuntimeError):
+    """A nonzero summand triple failed to produce a tight structure."""
+
+
+def phi(d: ArcDiagram, x: ContactStructure) -> Triple:
+    """Contact structure -> (s, t, h): on-sets and the used-arc indicator."""
+    n = len(interior_steps(d))
+    h = tuple(1 if i in x.used_arcs else 0 for i in range(n))
+    return (x.bottom.on_squares, x.top.on_squares, h)
+
+
+def phi_inv(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> ContactStructure:
+    """Nonzero summand triple -> the tight structure with those used arcs."""
+    if not summand_nonzero(d, s, t, h):
+        raise NotRealizable(f"summand ({sorted(s)}, {sorted(t)}, {h}) is zero")
+    surface = to_quad_surface(d)
+    used = frozenset(i for i, mult in enumerate(h) if mult)
+    xi = make_structure(surface, DividingSetBasic(s), DividingSetBasic(t), used)
+    if not xi.tight:
+        raise NotRealizable(
+            f"structure for ({sorted(s)}, {sorted(t)}, {h}) has a non-tight cube"
+        )
+    return xi
+
+
+@dataclass
+class IsoReport:
+    """Outcome of the three-way check on one diagram."""
+
+    segment_sizes: tuple[int, ...]
+    matching: tuple[int, ...]
+    k: int
+    l: int
+    summands: list[dict]
+    bijection: list[dict]
+    by_euler: list[dict]
+    ca_dim: int
+    homology_dim: int
+    products_checked: int
+    unit_ok: bool
+    mismatches: list[str] = field(default_factory=list)
+    elapsed_s: float = 0.0
+
+    @property
+    def success(self) -> bool:
+        return not self.mismatches
+
+    def to_json(self) -> dict:
+        return {
+            "schema": 1,
+            "segments": list(self.segment_sizes),
+            "matching": list(self.matching),
+            "k": self.k,
+            "l": self.l,
+            "ca_dim": self.ca_dim,
+            "homology_dim": self.homology_dim,
+            "summands": self.summands,
+            "bijection": self.bijection,
+            "by_euler": self.by_euler,
+            "products_checked": self.products_checked,
+            "unit_ok": self.unit_ok,
+            "mismatches": self.mismatches,
+            "success": self.success,
+            "elapsed_s": round(self.elapsed_s, 6),
+        }
+
+
+def _triple_key(trip: Triple):
+    s, t, h = trip
+    return (tuple(sorted(s)), tuple(sorted(t)), h)
+
+
+def _triple_json(trip: Triple) -> dict:
+    s, t, h = trip
+    return {"s": sorted(s), "t": sorted(t), "h": list(h)}
+
+
+def _algebra_triples(d: ArcDiagram) -> dict[Triple, int]:
+    """Every triple realised by a basis generator, with its strand count."""
+    out: dict[Triple, int] = {}
+    for i in range(d.k + 1):
+        for g in enumerate_basis(d, i):
+            out.setdefault((start(d, g), end(d, g), hom_grading(d, g)), i)
+    return out
+
+
+def _chain_class(d: ArcDiagram, product: frozenset[SymGenerator]) -> Optional[Triple]:
+    """Homology class of a chain-level product: None when it dies."""
+    if not product:
+        return None
+    some = next(iter(product))
+    trip = (start(d, some), end(d, some), hom_grading(d, some))
+    summand = build_summand(d, *trip)
+    return None if is_boundary(summand, product) else trip
+
+
+def verify(d: ArcDiagram) -> IsoReport:
+    """Run the full three-way check on one valid arc diagram."""
+    t0 = time.perf_counter()
+    require_valid(d)
+    table = ca_table(d)
+    mismatches: list[str] = []
+
+    # -- basis check: contact count vs local table vs chain dimension
+    contact_triples: dict[Triple, ContactStructure] = {}
+    for xi in table.basis:
+        trip = phi(d, xi)
+        if trip in contact_triples:
+            mismatches.append(f"phi not injective at {_triple_json(trip)}")
+        contact_triples[trip] = xi
+
+    algebra_triples = _algebra_triples(d)
+    every_triple = sorted(
+        set(contact_triples) | set(algebra_triples), key=_triple_key
+    )
+
+    summand_rows = []
+    row_of: dict[Triple, dict] = {}
+    reps: dict[Triple, frozenset[SymGenerator]] = {}
+    for trip in every_triple:
+        s, t, h = trip
+        summand = build_summand(d, s, t, h)
+        dims = homology_dims(summand)
+        chain = sum(dims.values())
+        local = int(summand_nonzero(d, s, t, h))
+        contact = int(trip in contact_triples)
+        row = _triple_json(trip)
+        row["contact"] = contact
+        row["local"] = local
+        row["chain"] = chain
+        row["maslov2"] = next(iter(dims)) if dims else None
+        summand_rows.append(row)
+        row_of[trip] = row
+        if not (contact == local == chain):
+            mismatches.append(
+                f"dimension columns disagree at {_triple_json(trip)}: "
+                f"contact={contact} local={local} chain={chain}"
+            )
+        if len(dims) > 1:
+            mismatches.append(
+                f"homology of {_triple_json(trip)} spread over degrees {sorted(dims)}"
+            )
+        if chain:
+            reps[trip] = representative(summand)
+
+    # -- round trips of the bijection
+    bijection = []
+    for trip, xi in sorted(contact_triples.items(), key=lambda kv: _triple_key(kv[0])):
+        try:
+            back = phi_inv(d, *trip)
+        except NotRealizable as exc:
+            mismatches.append(str(exc))
+            continue
+        if back != xi:
+            mismatches.append(f"phi_inv . phi is not the identity at {_triple_json(trip)}")
+        bijection.append(
+            {"structure": structure_json(d, xi), "generator": _triple_json(trip)}
+        )
+    for trip in reps:
+        try:
+            back = phi(d, phi_inv(d, *trip))
+        except NotRealizable as exc:
+            mismatches.append(str(exc))
+            continue
+        if back != trip:
+            mismatches.append(f"phi . phi_inv is not the identity at {_triple_json(trip)}")
+
+    # -- ring check: stacking vs closed form vs chain-level classes
+    products_checked = 0
+    basis_triples = [phi(d, xi) for xi in table.basis]
+    for i, x0 in enumerate(table.basis):
+        for j, x1 in enumerate(table.basis):
+            products_checked += 1
+            t0j, t1j = basis_triples[i], basis_triples[j]
+            stacked = table.products[(i, j)]
+            contact_side = (
+                basis_triples[stacked] if stacked is not None else None
+            )
+            closed_side = ring_product(d, t0j, t1j)
+            chain_side = _chain_class(d, mul_sums(d, reps[t0j], reps[t1j]))
+            if not (contact_side == closed_side == chain_side):
+                mismatches.append(
+                    "product mismatch at "
+                    f"{_triple_json(t0j)} * {_triple_json(t1j)}: "
+                    f"contact={contact_side and _triple_json(contact_side)} "
+                    f"closed={closed_side and _triple_json(closed_side)} "
+                    f"chain={chain_side and _triple_json(chain_side)}"
+                )
+
+    # -- unit check: identity structures against symmetrised idempotents
+    unit_ok = True
+    identity_triples = {basis_triples[e] for e in table.identities}
+    zero_h = tuple(0 for _ in interior_steps(d))
+    for r in range(d.k + 1):
+        for combo in itertools.combinations(range(1, d.k + 1), r):
+            s = frozenset(combo)
+            trip = (s, s, zero_h)
+            if trip not in identity_triples:
+                unit_ok = False
+                mismatches.append(f"missing identity structure for {sorted(s)}")
+                continue
+            gen = idempotent(d, s)
+            summand = build_summand(d, *trip)
+            if is_boundary(summand, frozenset({gen})):
+                unit_ok = False
+                mismatches.append(f"idempotent of {sorted(s)} is a boundary")
+    for e in table.identities:
+        for i, xi in enumerate(table.basis):
+            left = table.products[(e, i)]
+            right = table.products[(i, e)]
+            if (left not in (None, i)) or (right not in (None, i)):
+                unit_ok = False
+                mismatches.append("identity structures do not act as a unit")
+
+    # -- grading check: Euler class against strand count, per summand block
+    by_i: dict[int, dict[str, int]] = {}
+    for trip in every_triple:
+        s, t, h = trip
+        row = row_of[trip]
+        if row["contact"] and len(s) != len(t):
+            mismatches.append(f"tight structure with |s| != |t| at {_triple_json(trip)}")
+        if len(s) == len(t):
+            block = by_i.setdefault(len(s), {"ca_dim": 0, "h_dim": 0})
+            block["ca_dim"] += row["contact"]
+            block["h_dim"] += row["chain"]
+    by_euler = []
+    for i in sorted(by_i):
+        block = by_i[i]
+        e = d.k - 2 * i
+        for xi in table.basis:
+            if len(xi.bottom.on_squares) == i and xi.bottom.euler_class(d.k) != e:
+                mismatches.append("euler class formula violated")
+        if block["ca_dim"] != block["h_dim"]:
+            mismatches.append(
+                f"euler-class block e={e} disagrees: CA {block['ca_dim']} vs H {block['h_dim']}"
+            )
+        by_euler.append(
+            {"i": i, "e": e, "ca_dim": block["ca_dim"], "h_dim": block["h_dim"]}
+        )
+
+    ca_dim = len(table.basis)
+    homology_dim = sum(row["chain"] for row in summand_rows)
+    if ca_dim != homology_dim:
+        mismatches.append(f"total dimensions disagree: CA {ca_dim} vs H {homology_dim}")
+
+    return IsoReport(
+        segment_sizes=d.segment_sizes,
+        matching=d.matching,
+        k=d.k,
+        l=d.l,
+        summands=summand_rows,
+        bijection=bijection,
+        by_euler=by_euler,
+        ca_dim=ca_dim,
+        homology_dim=homology_dim,
+        products_checked=products_checked,
+        unit_ok=unit_ok,
+        mismatches=mismatches,
+        elapsed_s=time.perf_counter() - t0,
+    )
+
+
+@dataclass(frozen=True)
+class SfhTable:
+    """Tight-structure counts over pairs of basic dividing sets.
+
+    Entry (i, j) reports the dimension attributed to the thickened surface
+    with dividing sets (row i, column j); equal, by the isomorphism, to
+    the matching homology summand dimension.
+    """
+
+    dividing_sets: tuple[tuple[int, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
+
+    def to_json(self) -> dict:
+        return {
+            "schema": 1,
+            "dividing_sets": [list(s) for s in self.dividing_sets],
+            "matrix": [list(row) for row in self.matrix],
+        }
+
+
+def sfh_table(d: ArcDiagram) -> SfhTable:
+    """Dimension matrix over (bottom, top) pairs, cross-checked both ways."""
+    require_valid(d)
+    table = ca_table(d)
+    subsets = [
+        frozenset(c)
+        for r in range(d.k + 1)
+        for c in itertools.combinations(range(1, d.k + 1), r)
+    ]
+    counts: dict[tuple[frozenset, frozenset], int] = {
+        (a, b): 0 for a in subsets for b in subsets
+    }
+    for xi in table.basis:
+        counts[(xi.bottom.on_squares, xi.top.on_squares)] += 1
+
+    homology_counts = {key: 0 for key in counts}
+    for trip in _algebra_triples(d):
+        s, t, h = trip
+        homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
+    for key in counts:
+        if counts[key] != homology_counts[key]:
+            raise AssertionError(
+                f"sfh table disagrees with homology at {key}: "
+                f"{counts[key]} vs {homology_counts[key]}"
+            )
+    matrix = tuple(
+        tuple(counts[(a, b)] for b in subsets) for a in subsets
+    )
+    return SfhTable(
+        dividing_sets=tuple(tuple(sorted(s)) for s in subsets),
+        matrix=matrix,
+    )
+
+
+def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
+    """All valid diagrams with k <= max_k, l <= max_l, one per segment-
+    permutation class, deterministically ordered."""
+    out: list[ArcDiagram] = []
+    seen: set = set()
+    for k in range(1, max_k + 1):
+        places = list(range(1, 2 * k + 1))
+        for l in range(1, min(max_l, 2 * k) + 1):
+            for comp in _compositions(2 * k, l):
+                for pairing in _pairings(places):
+                    matching = [0] * (2 * k)
+                    for lab, (v, w) in enumerate(pairing, start=1):
+                        matching[v - 1] = matching[w - 1] = lab
+                    d = ArcDiagram(tuple(comp), tuple(matching))
+                    if not _diagram_ok(d):
+                        continue
+                    key = _canonical_key(d)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    out.append(d)
+    return out
+
+
+def _diagram_ok(d: ArcDiagram) -> bool:
+    try:
+        require_valid(d)
+    except InvalidDiagramError:
+        return False
+    return True
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _pairings(items: list[int]):
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1 :]
+        for sub in _pairings(rest):
+            yield ((first, items[i]),) + sub
+
+
+def _canonical_key(d: ArcDiagram):
+    """Minimal (sizes, matching) encoding over segment permutations."""
+    best = None
+    segments = [list(d.segment_places(j)) for j in range(d.l)]
+    for perm in itertools.permutations(range(d.l)):
+        sizes = tuple(d.segment_sizes[j] for j in perm)
+        order = [p for j in perm for p in segments[j]]
+        relabel: dict[int, int] = {}
+        matching = []
+        for p in order:
+            lab = d.label(p)
+            if lab not in relabel:
+                relabel[lab] = len(relabel) + 1
+            matching.append(relabel[lab])
+        key = (sizes, tuple(matching))
+        if best is None or key < best:
+            best = key
+    return best

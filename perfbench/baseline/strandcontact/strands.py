@@ -1,0 +1,229 @@
+"""Strand diagrams on segmented places, their product and differential.
+
+A strand diagram is a partial bijection on the places of a tuple of
+segments: each strand runs from a place p to a place phi(p) >= p on the
+same segment.  Crossings between strands are inversions; the product
+concatenates diagrams when inversion counts add exactly, and the
+differential resolves one crossing at a time.  Everything is linear over
+the two-element field, so sums of diagrams are just finite sets.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from .arcdiag import Step, steps_of_sizes
+
+
+@dataclass(frozen=True)
+class StrandDiagram:
+    """A set of strands (p, phi(p)) with phi(p) >= p, within segments.
+
+    Strands are stored sorted by start place, which is the canonical form
+    used for equality in GF(2) sums.
+    """
+
+    sizes: tuple[int, ...]
+    strands: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "strands", tuple(sorted(self.strands)))
+        total = sum(self.sizes)
+        bounds = _segment_bounds(self.sizes)
+        starts = [p for p, _ in self.strands]
+        ends = [q for _, q in self.strands]
+        if len(set(starts)) != len(starts):
+            raise ValueError("duplicate strand start")
+        if len(set(ends)) != len(ends):
+            raise ValueError("duplicate strand end")
+        for p, q in self.strands:
+            if not (1 <= p <= total and 1 <= q <= total):
+                raise ValueError(f"place out of range in strand {p}->{q}")
+            if q < p:
+                raise ValueError(f"strand {p}->{q} decreases")
+            if bounds[p - 1] != bounds[q - 1]:
+                raise ValueError(f"strand {p}->{q} crosses a segment boundary")
+
+    @property
+    def strand_count(self) -> int:
+        return len(self.strands)
+
+    @property
+    def source(self) -> frozenset[int]:
+        return frozenset(p for p, _ in self.strands)
+
+    @property
+    def target(self) -> frozenset[int]:
+        return frozenset(q for _, q in self.strands)
+
+    def image(self, p: int) -> int:
+        for a, b in self.strands:
+            if a == p:
+                return b
+        raise KeyError(p)
+
+    @property
+    def is_idempotent(self) -> bool:
+        return all(p == q for p, q in self.strands)
+
+    def __str__(self) -> str:
+        inner = ", ".join(f"{p}->{q}" for p, q in self.strands)
+        return "{" + inner + "}"
+
+
+@functools.lru_cache(maxsize=None)
+def _segment_bounds(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
+    for j, n in enumerate(sizes):
+        out.extend([j] * n)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Element:
+    """A GF(2) sum of strand diagrams; addition is symmetric difference."""
+
+    terms: frozenset[StrandDiagram]
+
+    def __post_init__(self):
+        counts = {m.strand_count for m in self.terms}
+        if len(counts) > 1:
+            raise ValueError("mixed strand counts in one element")
+
+    @property
+    def strand_count(self) -> Optional[int]:
+        for m in self.terms:
+            return m.strand_count
+        return None
+
+    def __add__(self, other: "Element") -> "Element":
+        return Element(self.terms ^ other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+ZERO = Element(frozenset())
+
+
+def element(terms: Iterable[StrandDiagram]) -> Element:
+    """Collect diagrams into an element, cancelling duplicate pairs."""
+    acc: set[StrandDiagram] = set()
+    for m in terms:
+        if m in acc:
+            acc.discard(m)
+        else:
+            acc.add(m)
+    return Element(frozenset(acc))
+
+
+def inversions(m: StrandDiagram) -> frozenset[tuple[int, int]]:
+    """Pairs of strand starts i < j whose images cross: phi(i) > phi(j)."""
+    out = []
+    for a in range(len(m.strands)):
+        for b in range(a + 1, len(m.strands)):
+            (i, fi), (j, fj) = m.strands[a], m.strands[b]
+            if fi > fj:
+                out.append((i, j))
+    return frozenset(out)
+
+
+def multiply(m: StrandDiagram, n: StrandDiagram) -> Optional[StrandDiagram]:
+    """Concatenate diagrams; None when ends mismatch or inversions are lost.
+
+    The composite survives only if its inversion count is exactly the sum
+    of the factors' counts (no pair of strands crossing twice).
+    """
+    if m.sizes != n.sizes or m.target != n.source:
+        return None
+    composite = StrandDiagram(
+        m.sizes, tuple((p, n.image(q)) for p, q in m.strands)
+    )
+    if len(inversions(composite)) != len(inversions(m)) + len(inversions(n)):
+        return None
+    return composite
+
+
+def multiply_elements(x: Element, y: Element) -> Element:
+    out: set[StrandDiagram] = set()
+    for m in x.terms:
+        for n in y.terms:
+            prod = multiply(m, n)
+            if prod is not None:
+                if prod in out:
+                    out.discard(prod)
+                else:
+                    out.add(prod)
+    return Element(frozenset(out))
+
+
+def differential(m: StrandDiagram) -> Element:
+    """Sum of single-crossing resolutions that lose exactly one inversion."""
+    base = len(inversions(m))
+    out: set[StrandDiagram] = set()
+    for i, j in inversions(m):
+        swapped = dict(m.strands)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        resolved = StrandDiagram(m.sizes, tuple(swapped.items()))
+        if len(inversions(resolved)) == base - 1:
+            if resolved in out:
+                out.discard(resolved)
+            else:
+                out.add(resolved)
+    return Element(frozenset(out))
+
+
+def differential_element(x: Element) -> Element:
+    acc = ZERO
+    for m in x.terms:
+        acc = acc + differential(m)
+    return acc
+
+
+def used_steps(m: StrandDiagram) -> frozenset[Step]:
+    """Interior steps swept by some strand's vertical extent."""
+    out = set()
+    for s in steps_of_sizes(m.sizes):
+        if not s.is_interior:
+            continue
+        for p, q in m.strands:
+            if p <= s.place_before and q >= s.place_after:
+                out.add(s)
+                break
+    return frozenset(out)
+
+
+def all_diagrams(sizes: tuple[int, ...], count: int) -> tuple[StrandDiagram, ...]:
+    """Every strand diagram with the given strand count, lexicographically.
+
+    Exhaustive enumeration; meant for small place counts (tests, oracles,
+    basis generation).
+    """
+    total = sum(sizes)
+    bounds = _segment_bounds(sizes)
+    results: list[StrandDiagram] = []
+
+    def extend(start: int, chosen: list[tuple[int, int]], used_ends: set[int]):
+        if len(chosen) == count:
+            results.append(StrandDiagram(sizes, tuple(chosen)))
+            return
+        if total - start + 1 < count - len(chosen):
+            return
+        for p in range(start, total + 1):
+            seg = bounds[p - 1]
+            for q in range(p, total + 1):
+                if bounds[q - 1] != seg:
+                    break
+                if q in used_ends:
+                    continue
+                chosen.append((p, q))
+                used_ends.add(q)
+                extend(p + 1, chosen, used_ends)
+                chosen.pop()
+                used_ends.discard(q)
+
+    extend(1, [], set())
+    return tuple(results)
