@@ -20,8 +20,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .arcdiag import ArcDiagram, interior_steps, step_after, step_before
-from .strands import Element, StrandDiagram, ZERO, differential, inversions, multiply
+from .arcdiag import ArcDiagram, interior_index, interior_steps, step_after, step_before
+from .strands import StrandDiagram, differential, inversions, multiply
+
+# (start labels, end labels, homological grading): the summand of a generator.
+Triple = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
 
 
 class NotInSymmetrisedSpan(RuntimeError):
@@ -69,29 +72,6 @@ def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
 
 def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
     return frozenset(d.label(q) for _, q in g.moving) | frozenset(g.dotted)
-
-
-def check_generator(d: ArcDiagram, g: SymGenerator) -> None:
-    """Raise ValueError unless g is a well-formed generator for d."""
-    starts = [p for p, _ in g.moving]
-    ends = [q for _, q in g.moving]
-    start_labels = [d.label(p) for p in starts]
-    end_labels = [d.label(q) for q in ends]
-    if len(set(start_labels)) != len(start_labels):
-        raise ValueError("two moving strands start at twin places")
-    if len(set(end_labels)) != len(end_labels):
-        raise ValueError("two moving strands end at twin places")
-    for p, q in g.moving:
-        if q <= p:
-            raise ValueError(f"moving strand {p}->{q} is not increasing")
-    touched = set(start_labels) | set(end_labels)
-    for lab in g.dotted:
-        if not 1 <= lab <= d.k:
-            raise ValueError(f"dotted label {lab} out of range")
-        if lab in touched:
-            raise ValueError(f"dotted label {lab} collides with a moving strand")
-    # segment and range constraints are enforced by expansion
-    expand(d, g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,7 +139,7 @@ def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     """Differential of a generator in the symmetrised basis."""
     acc: set[StrandDiagram] = set()
     for m in expand(d, g):
-        acc ^= differential(m).terms
+        acc ^= differential(m)
     return regroup(d, frozenset(acc))
 
 
@@ -195,15 +175,15 @@ def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
     return hom_vector(d, StrandDiagram(d.segment_sizes, g.moving))
 
 
+def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
+    """The (s, t, h) summand a generator lives in."""
+    return (start(d, g), end(d, g), hom_grading(d, g))
+
+
 def _step_multiplicity(d: ArcDiagram, h: tuple[int, ...], step) -> int:
     if not step.is_interior:
         return 0
-    return h[_interior_pos(d)[step]]
-
-
-@functools.lru_cache(maxsize=None)
-def _interior_pos(d: ArcDiagram) -> dict:
-    return {s: i for i, s in enumerate(interior_steps(d))}
+    return h[interior_index(d)[step]]
 
 
 def doubled_multiplicity(d: ArcDiagram, places: frozenset[int], h: tuple[int, ...]) -> int:

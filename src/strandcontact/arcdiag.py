@@ -6,7 +6,8 @@ surgery at every matched pair turns the segments into a disjoint union of
 arcs, with no circle components.  Every valid diagram determines a surface
 cut into one square per matched pair; the counting invariants of that
 surface (Euler characteristic, genus, boundary components) are computed
-here by a purely combinatorial boundary walk.
+here by a purely combinatorial boundary walk; the surface may be
+disconnected, so its genus is summed over its components.
 
 Places are numbered 1..2k, segment-major.  Segments and step positions are
 0-based.
@@ -15,6 +16,7 @@ Places are numbered 1..2k, segment-major.  Segments and step positions are
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,9 +141,13 @@ class ArcDiagram:
         v = self.matching.index(lab) + 1
         return v, self.twin(v)
 
-    def label_segments(self, lab: int) -> tuple[int, int]:
-        v, w = self.pair(lab)
-        return self.segment_of(v), self.segment_of(w)
+
+def label_subsets(d: ArcDiagram) -> tuple[frozenset[int], ...]:
+    """Every subset of the labels 1..k, by size, then lexicographically."""
+    labels = range(1, d.k + 1)
+    return tuple(
+        frozenset(c) for r in range(d.k + 1) for c in itertools.combinations(labels, r)
+    )
 
 
 @dataclass(frozen=True)
@@ -381,11 +387,25 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
             seen.add(cur)
             cur = next_boundary(cur)
 
+    # Surface components, by union-find of squares over the gluings; the
+    # genus is summed over them: sum of (2 - chi_i - b_i) / 2.
+    root = list(range(d.k + 1))
+
+    def find(lab: int) -> int:
+        while root[lab] != lab:
+            lab = root[lab]
+        return lab
+
+    for (a, _), (b, _) in gluings:
+        root[find(a)] = find(b)
+    surface_components = len({find(lab) for lab in range(1, d.k + 1)})
+
     euler = d.l - d.k
-    slack = 2 - euler - components
+    slack = 2 * surface_components - euler - components
     if slack < 0 or slack % 2 != 0:
         raise AssertionError(
-            f"boundary walk inconsistent: chi={euler}, components={components}"
+            f"boundary walk inconsistent: chi={euler}, boundary components={components}, "
+            f"surface components={surface_components}"
         )
     return QuadSurface(
         diagram=d,

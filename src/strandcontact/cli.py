@@ -16,22 +16,16 @@ from .arcdiag import (
     surgery_circle,
     to_quad_surface,
 )
-from .algebra import (
-    enumerate_basis,
-    end,
-    generator_json,
-    generator_maslov2,
-    hom_grading,
-    start,
-)
-from .contact import all_dividing_sets, ca_table, structure_json
+from .algebra import enumerate_basis, generator_json, generator_maslov2, hom_grading
+from .contact import ca_table, structure_json
 from .homology import (
+    algebra_triples,
     build_summand,
     crossingless_generators,
     homology_dims,
     summand_nonzero,
 )
-from .isoverify import corpus, sfh_table, verify
+from .isoverify import corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
 
@@ -103,14 +97,18 @@ def emit(args, payload: dict, pretty_lines=None) -> None:
         print(json.dumps(payload))
 
 
-def parse_subset(token: str) -> frozenset[int]:
-    """Comma-separated labels; `-` is the empty set."""
+def parse_subset(token: str, k: int) -> frozenset[int]:
+    """Comma-separated labels in 1..k; `-` is the empty set."""
     if token == "-":
         return frozenset()
     try:
-        return frozenset(int(x) for x in token.split(","))
+        labels = frozenset(int(x) for x in token.split(","))
     except ValueError:
         raise ArcDiagramError(f"bad subset syntax: {token!r}") from None
+    for lab in sorted(labels):
+        if not 1 <= lab <= k:
+            raise ArcDiagramError(f"label {lab} in {token!r} is out of range 1..{k}")
+    return labels
 
 
 def cmd_validate(args) -> int:
@@ -172,25 +170,21 @@ def cmd_basis(args) -> int:
 
 
 def _summand_triples(d, selector):
-    from .isoverify import _algebra_triples
-
-    triples = sorted(
-        _algebra_triples(d),
-        key=lambda trip: (tuple(sorted(trip[0])), tuple(sorted(trip[1])), trip[2]),
-    )
+    triples = sorted(algebra_triples(d), key=triple_key)
     if selector is None:
         return triples
     s_token, _, t_token = selector.partition(";")
     if not t_token:
         raise ArcDiagramError("--summand wants S;T with `-` for the empty set")
-    s, t = parse_subset(s_token), parse_subset(t_token)
+    s, t = parse_subset(s_token, d.k), parse_subset(t_token, d.k)
     return [trip for trip in triples if trip[0] == s and trip[1] == t]
 
 
 def cmd_homology(args) -> int:
     d = load(args)
     rows = []
-    for s, t, h in _summand_triples(d, args.summand):
+    for trip in _summand_triples(d, args.summand):
+        s, t, h = trip
         if args.method == "chain":
             dims = homology_dims(build_summand(d, s, t, h))
         else:
@@ -199,14 +193,9 @@ def cmd_homology(args) -> int:
                 witness = crossingless_generators(d, s, t, h)[0]
                 dims = {generator_maslov2(d, witness): 1}
         if dims:
-            rows.append(
-                {
-                    "s": sorted(s),
-                    "t": sorted(t),
-                    "h": list(h),
-                    "dims": {str(m): dim for m, dim in sorted(dims.items())},
-                }
-            )
+            row = triple_json(trip)
+            row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}
+            rows.append(row)
     payload = {"schema": 1, "method": args.method, "summands": rows}
     pretty = [f"{len(rows)} nonzero summands ({args.method})"] + [
         f"  s={r['s']} t={r['t']} h={r['h']} dims={r['dims']}" for r in rows
@@ -218,8 +207,8 @@ def cmd_homology(args) -> int:
 def cmd_contact(args) -> int:
     d = load(args)
     table = ca_table(d)
-    want_from = parse_subset(args.from_) if args.from_ is not None else None
-    want_to = parse_subset(args.to) if args.to is not None else None
+    want_from = parse_subset(args.from_, d.k) if args.from_ is not None else None
+    want_to = parse_subset(args.to, d.k) if args.to is not None else None
     rows = []
     for xi in table.basis:
         if want_from is not None and xi.bottom.on_squares != want_from:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .arcdiag import ArcDiagram, QuadSurface, interior_index, to_quad_surface
+from .arcdiag import ArcDiagram, QuadSurface, interior_index, label_subsets, to_quad_surface
 
 
 class CalibrationUnresolved(RuntimeError):
@@ -159,11 +159,7 @@ def enumerate_tight(
 
 def all_dividing_sets(d: ArcDiagram) -> tuple[DividingSetBasic, ...]:
     """The 2^k basic dividing sets, ordered by label subsets."""
-    out = []
-    for r in range(d.k + 1):
-        for combo in itertools.combinations(range(1, d.k + 1), r):
-            out.append(DividingSetBasic(frozenset(combo)))
-    return tuple(out)
+    return tuple(DividingSetBasic(s) for s in label_subsets(d))
 
 
 def stack(
@@ -190,9 +186,6 @@ class CATable:
     basis: tuple[ContactStructure, ...]
     products: dict  # (i, j) -> basis index or None
     identities: tuple[int, ...]  # indices of the identity structures
-
-    def index(self, xi: ContactStructure) -> int:
-        return self.basis.index(xi)
 
 
 @functools.lru_cache(maxsize=None)

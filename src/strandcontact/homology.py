@@ -1,27 +1,31 @@
 """Homology of the constrained strand algebra, one summand at a time.
 
-The algebra splits over (start set, end set, homological grading); each
-summand is a finite GF(2) chain complex graded by the doubled Maslov
-degree, with the differential dropping that degree by 2.  Dimensions are
-computed by rank counts over GF(2), and independently by the closed-form
-local classification of the data of (h, s, t) near each matched pair.
+The algebra splits over triples (start set, end set, homological
+grading); the basis is grouped by triple once per strand count, and that
+grouping is cached.  Each summand is a finite GF(2) chain complex graded
+by the doubled Maslov degree, with the differential dropping that degree
+by 2 and each boundary map stored as a tuple of column bitmasks.  One
+column reduction gives ranks, kernels and span tests, hence dimensions,
+boundary tests and representatives.  Independently of all that, the
+closed-form local classification of the data of (h, s, t) near each
+matched pair says which summands survive.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .arcdiag import ArcDiagram, interior_index, interior_steps, step_after, step_before
+from .arcdiag import ArcDiagram, interior_index, step_after, step_before
 from .algebra import (
     SymGenerator,
+    Triple,
     diff_generator,
-    end,
     enumerate_basis,
     generator_maslov2,
-    hom_grading,
-    start,
+    triple,
 )
 
 
@@ -29,90 +33,52 @@ class NotACycle(ValueError):
     """is_boundary was handed an element with nonzero differential."""
 
 
-Triple = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
-
-
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on int bitsets
+# GF(2) linear algebra on column bitmasks
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Bit-packed GF(2) matrix; data[r] holds row r with bit c = entry (r, c)."""
+def _reduce(columns: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Column reduction over GF(2); column c is a bitmask over row indices.
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
-
-    def column(self, c: int) -> int:
-        """Column c as a bitmask over row indices."""
-        out = 0
-        for r, row in enumerate(self.data):
-            if (row >> c) & 1:
-                out |= 1 << r
-        return out
-
-    def columns(self) -> list[int]:
-        return [self.column(c) for c in range(self.cols)]
-
-
-def gf2_rank(matrix: GF2Matrix) -> int:
-    """Rank over GF(2) via Gaussian elimination on row bitsets."""
-    return _rank_of_rows(list(matrix.data))
-
-
-def _rank_of_rows(rows: list[int]) -> int:
-    rank = 0
-    for col_row in rows:
-        cur = col_row
-        # reduce against the pivots found so far
-        for pivot in rows[:rank]:
-            low = pivot & -pivot
-            if cur & low:
-                cur ^= pivot
-        if cur:
-            rows[rank] = cur
-            rank += 1
-    del rows[rank:]
-    return rank
+    Each column is reduced against the earlier pivots, keyed by lowest set
+    bit, while a bitmask over column indices records which original
+    columns it sums.  Returns the pivots, as lowest bit -> (reduced column,
+    combination), and the combinations of the columns that reduced to
+    zero, which form a basis of the kernel.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for c, col in enumerate(columns):
+        combo = 1 << c
+        while col and (col & -col) in pivots:
+            pivot_col, pivot_combo = pivots[col & -col]
+            col ^= pivot_col
+            combo ^= pivot_combo
+        if col:
+            pivots[col & -col] = (col, combo)
+        else:
+            kernel.append(combo)
+    return pivots, kernel
 
 
-def gf2_in_span(vec: int, rows: list[int]) -> bool:
-    """Whether vec lies in the GF(2) span of the given bit-vectors."""
-    work = list(rows)
-    base = _rank_of_rows(work)
-    return _rank_of_rows(work + [vec]) == base
+def gf2_rank(columns: Sequence[int]) -> int:
+    """Rank over GF(2) of the matrix with the given columns."""
+    return len(_reduce(columns)[0])
 
 
-def gf2_kernel_basis(matrix: GF2Matrix) -> list[int]:
-    """Basis of the right kernel, as bitmasks over column indices."""
-    reduced: list[int] = []
-    pivots: list[int] = []
-    work = list(matrix.data)
-    for col in range(matrix.cols):
-        pick = None
-        for i, row in enumerate(work):
-            if (row >> col) & 1:
-                pick = i
-                break
-        if pick is None:
-            continue
-        row = work.pop(pick)
-        work = [r ^ row if (r >> col) & 1 else r for r in work]
-        reduced = [r ^ row if (r >> col) & 1 else r for r in reduced]
-        reduced.append(row)
-        pivots.append(col)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, pc in zip(reduced, pivots):
-            if (row >> free) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+def gf2_kernel_basis(columns: Sequence[int]) -> list[int]:
+    """Basis of the kernel, as bitmasks over column indices."""
+    return _reduce(columns)[1]
+
+
+def gf2_in_span(vec: int, columns: Sequence[int]) -> bool:
+    """Whether vec lies in the GF(2) span of the given columns.
+
+    vec goes last, so it is in the span iff it reduces to zero, i.e. iff
+    the last kernel combination uses it.
+    """
+    kernel = _reduce([*columns, vec])[1]
+    return bool(kernel) and kernel[-1] >> len(columns) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +87,19 @@ def gf2_kernel_basis(matrix: GF2Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class HomSummand:
-    """One (s, t, h) summand: graded basis plus boundary matrices.
+    """One (s, t, h) summand: graded basis plus boundary maps.
 
-    boundary[m] maps degree m to degree m - 2; rows index the target basis,
-    columns the source basis.
+    Both dicts are keyed by doubled Maslov degree, in ascending order.
+    boundary[m] maps degree m to degree m - 2: one column per basis
+    element of degree m, a bitmask over the basis of degree m - 2.
     """
 
     diagram: ArcDiagram
     s: frozenset[int]
     t: frozenset[int]
     h: tuple[int, ...]
-    graded_basis: tuple[tuple[int, tuple[SymGenerator, ...]], ...]
-    boundary: tuple[tuple[int, GF2Matrix], ...]
-
-    def basis_at(self, maslov2: int) -> tuple[SymGenerator, ...]:
-        for m, basis in self.graded_basis:
-            if m == maslov2:
-                return basis
-        return ()
-
-    def boundary_at(self, maslov2: int) -> Optional[GF2Matrix]:
-        for m, mat in self.boundary:
-            if m == maslov2:
-                return mat
-        return None
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.graded_basis)
+    graded_basis: dict[int, tuple[SymGenerator, ...]]
+    boundary: dict[int, tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,9 +108,14 @@ def _basis_by_triple(
 ) -> dict[Triple, tuple[SymGenerator, ...]]:
     buckets: dict[Triple, list[SymGenerator]] = {}
     for g in enumerate_basis(d, i):
-        key = (start(d, g), end(d, g), hom_grading(d, g))
-        buckets.setdefault(key, []).append(g)
+        buckets.setdefault(triple(d, g), []).append(g)
     return {key: tuple(gens) for key, gens in buckets.items()}
+
+
+def algebra_triples(d: ArcDiagram) -> list[Triple]:
+    """Every triple realised by a basis generator, by strand count, then
+    in basis order."""
+    return [trip for i in range(d.k + 1) for trip in _basis_by_triple(d, i)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,30 +129,23 @@ def build_summand(
     by_degree: dict[int, list[SymGenerator]] = {}
     for g in gens:
         by_degree.setdefault(generator_maslov2(d, g), []).append(g)
-    graded = tuple(sorted((m, tuple(b)) for m, b in by_degree.items()))
+    graded = {m: tuple(by_degree[m]) for m in sorted(by_degree)}
 
-    index_at = {
-        m: {g: i for i, g in enumerate(basis)} for m, basis in graded
-    }
-    boundaries = []
-    for m, basis in graded:
-        target = index_at.get(m - 2, {})
-        rows = [0] * len(target)
-        for col, g in enumerate(basis):
-            for term in diff_generator(d, g):
-                rows[target[term]] |= 1 << col
-        boundaries.append((m, GF2Matrix(len(target), len(basis), tuple(rows))))
-    return HomSummand(d, s, t, h, graded, tuple(boundaries))
+    boundary = {}
+    for m, basis in graded.items():
+        target = {g: i for i, g in enumerate(graded.get(m - 2, ()))}
+        boundary[m] = tuple(
+            sum(1 << target[term] for term in diff_generator(d, g)) for g in basis
+        )
+    return HomSummand(d, s, t, h, graded, boundary)
 
 
 def homology_dims(summand: HomSummand) -> dict[int, int]:
     """Homology dimension per doubled Maslov degree: ker minus image rank."""
     dims = {}
-    for m, basis in summand.graded_basis:
-        outgoing = summand.boundary_at(m)
-        rank_out = gf2_rank(outgoing) if outgoing is not None else 0
-        incoming = summand.boundary_at(m + 2)
-        rank_in = gf2_rank(incoming) if incoming is not None else 0
+    for m, basis in summand.graded_basis.items():
+        rank_out = gf2_rank(summand.boundary[m])
+        rank_in = gf2_rank(summand.boundary.get(m + 2, ()))
         dim = len(basis) - rank_out - rank_in
         if dim:
             dims[m] = dim
@@ -211,7 +161,7 @@ def _element_degree(
 ) -> Optional[int]:
     d = summand.diagram
     degrees = {generator_maslov2(d, g) for g in cycle}
-    triples = {(start(d, g), end(d, g), hom_grading(d, g)) for g in cycle}
+    triples = {triple(d, g) for g in cycle}
     if len(degrees) != 1 or triples != {(summand.s, summand.t, summand.h)}:
         raise ValueError("element does not live in one degree of this summand")
     return next(iter(degrees))
@@ -232,29 +182,16 @@ def is_boundary(summand: HomSummand, cycle: frozenset[SymGenerator]) -> bool:
         acc ^= diff_generator(d, g)
     if acc:
         raise NotACycle("element has nonzero differential")
-    basis = summand.basis_at(m)
-    index = {g: i for i, g in enumerate(basis)}
-    vec = 0
-    for g in cycle:
-        vec |= 1 << index[g]
-    incoming = summand.boundary_at(m + 2)
-    if incoming is None or incoming.cols == 0:
-        return False
-    return gf2_in_span(vec, incoming.columns())
+    index = {g: i for i, g in enumerate(summand.graded_basis[m])}
+    vec = sum(1 << index[g] for g in cycle)
+    return gf2_in_span(vec, summand.boundary.get(m + 2, ()))
 
 
 def representative(summand: HomSummand) -> Optional[frozenset[SymGenerator]]:
     """A cycle generating the homology, or None when homology vanishes."""
-    for m, basis in summand.graded_basis:
-        outgoing = summand.boundary_at(m)
-        kernel = (
-            gf2_kernel_basis(outgoing)
-            if outgoing is not None
-            else [1 << i for i in range(len(basis))]
-        )
-        incoming = summand.boundary_at(m + 2)
-        image = incoming.columns() if incoming is not None else []
-        for vec in kernel:
+    for m, basis in summand.graded_basis.items():
+        image = summand.boundary.get(m + 2, ())
+        for vec in gf2_kernel_basis(summand.boundary[m]):
             if not gf2_in_span(vec, image):
                 return frozenset(
                     basis[i] for i in range(len(basis)) if (vec >> i) & 1
@@ -413,10 +350,8 @@ def crossingless_generators(
         if run_start is not None:
             runs.append((run_start, places[-1]))
 
-    import itertools as _it
-
     out = []
-    for choice in _it.product((0, 1), repeat=len(choice_labels)):
+    for choice in itertools.product((0, 1), repeat=len(choice_labels)):
         breakpoints = {
             d.pair(lab)[c] for lab, c in zip(choice_labels, choice)
         }

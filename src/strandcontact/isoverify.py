@@ -19,31 +19,21 @@ from .arcdiag import (
     ArcDiagram,
     InvalidDiagramError,
     interior_steps,
+    label_subsets,
     require_valid,
     to_quad_surface,
 )
-from .algebra import (
-    SymGenerator,
-    enumerate_basis,
-    end,
-    generator_maslov2,
-    hom_grading,
-    idempotent,
-    mul_sums,
-    start,
-)
+from .algebra import SymGenerator, Triple, idempotent, mul_sums, triple
+from .algebra import enumerate_basis  # unused here; perfbench/tracing.py wraps this binding
 from .contact import (
-    CATable,
     ContactStructure,
     DividingSetBasic,
     ca_table,
-    cube_data,
-    cube_tight,
     make_structure,
     structure_json,
 )
 from .homology import (
-    Triple,
+    algebra_triples,
     build_summand,
     homology_dims,
     is_boundary,
@@ -123,31 +113,22 @@ class IsoReport:
         }
 
 
-def _triple_key(trip: Triple):
+def triple_key(trip: Triple):
+    """Sort key of triples: start labels, end labels, then grading."""
     s, t, h = trip
     return (tuple(sorted(s)), tuple(sorted(t)), h)
 
 
-def _triple_json(trip: Triple) -> dict:
+def triple_json(trip: Triple) -> dict:
     s, t, h = trip
     return {"s": sorted(s), "t": sorted(t), "h": list(h)}
-
-
-def _algebra_triples(d: ArcDiagram) -> dict[Triple, int]:
-    """Every triple realised by a basis generator, with its strand count."""
-    out: dict[Triple, int] = {}
-    for i in range(d.k + 1):
-        for g in enumerate_basis(d, i):
-            out.setdefault((start(d, g), end(d, g), hom_grading(d, g)), i)
-    return out
 
 
 def _chain_class(d: ArcDiagram, product: frozenset[SymGenerator]) -> Optional[Triple]:
     """Homology class of a chain-level product: None when it dies."""
     if not product:
         return None
-    some = next(iter(product))
-    trip = (start(d, some), end(d, some), hom_grading(d, some))
+    trip = triple(d, next(iter(product)))
     summand = build_summand(d, *trip)
     return None if is_boundary(summand, product) else trip
 
@@ -164,12 +145,11 @@ def verify(d: ArcDiagram) -> IsoReport:
     for xi in table.basis:
         trip = phi(d, xi)
         if trip in contact_triples:
-            mismatches.append(f"phi not injective at {_triple_json(trip)}")
+            mismatches.append(f"phi not injective at {triple_json(trip)}")
         contact_triples[trip] = xi
 
-    algebra_triples = _algebra_triples(d)
     every_triple = sorted(
-        set(contact_triples) | set(algebra_triples), key=_triple_key
+        set(contact_triples) | set(algebra_triples(d)), key=triple_key
     )
 
     summand_rows = []
@@ -182,7 +162,7 @@ def verify(d: ArcDiagram) -> IsoReport:
         chain = sum(dims.values())
         local = int(summand_nonzero(d, s, t, h))
         contact = int(trip in contact_triples)
-        row = _triple_json(trip)
+        row = triple_json(trip)
         row["contact"] = contact
         row["local"] = local
         row["chain"] = chain
@@ -191,28 +171,28 @@ def verify(d: ArcDiagram) -> IsoReport:
         row_of[trip] = row
         if not (contact == local == chain):
             mismatches.append(
-                f"dimension columns disagree at {_triple_json(trip)}: "
+                f"dimension columns disagree at {triple_json(trip)}: "
                 f"contact={contact} local={local} chain={chain}"
             )
         if len(dims) > 1:
             mismatches.append(
-                f"homology of {_triple_json(trip)} spread over degrees {sorted(dims)}"
+                f"homology of {triple_json(trip)} spread over degrees {sorted(dims)}"
             )
         if chain:
             reps[trip] = representative(summand)
 
     # -- round trips of the bijection
     bijection = []
-    for trip, xi in sorted(contact_triples.items(), key=lambda kv: _triple_key(kv[0])):
+    for trip, xi in sorted(contact_triples.items(), key=lambda kv: triple_key(kv[0])):
         try:
             back = phi_inv(d, *trip)
         except NotRealizable as exc:
             mismatches.append(str(exc))
             continue
         if back != xi:
-            mismatches.append(f"phi_inv . phi is not the identity at {_triple_json(trip)}")
+            mismatches.append(f"phi_inv . phi is not the identity at {triple_json(trip)}")
         bijection.append(
-            {"structure": structure_json(d, xi), "generator": _triple_json(trip)}
+            {"structure": structure_json(d, xi), "generator": triple_json(trip)}
         )
     for trip in reps:
         try:
@@ -221,7 +201,7 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(str(exc))
             continue
         if back != trip:
-            mismatches.append(f"phi . phi_inv is not the identity at {_triple_json(trip)}")
+            mismatches.append(f"phi . phi_inv is not the identity at {triple_json(trip)}")
 
     # -- ring check: stacking vs closed form vs chain-level classes
     products_checked = 0
@@ -235,33 +215,34 @@ def verify(d: ArcDiagram) -> IsoReport:
                 basis_triples[stacked] if stacked is not None else None
             )
             closed_side = ring_product(d, t0j, t1j)
-            chain_side = _chain_class(d, mul_sums(d, reps[t0j], reps[t1j]))
+            # a triple zero on the chain side has no representative: zero class
+            chain_side = _chain_class(
+                d, mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
+            )
             if not (contact_side == closed_side == chain_side):
                 mismatches.append(
                     "product mismatch at "
-                    f"{_triple_json(t0j)} * {_triple_json(t1j)}: "
-                    f"contact={contact_side and _triple_json(contact_side)} "
-                    f"closed={closed_side and _triple_json(closed_side)} "
-                    f"chain={chain_side and _triple_json(chain_side)}"
+                    f"{triple_json(t0j)} * {triple_json(t1j)}: "
+                    f"contact={contact_side and triple_json(contact_side)} "
+                    f"closed={closed_side and triple_json(closed_side)} "
+                    f"chain={chain_side and triple_json(chain_side)}"
                 )
 
     # -- unit check: identity structures against symmetrised idempotents
     unit_ok = True
     identity_triples = {basis_triples[e] for e in table.identities}
     zero_h = tuple(0 for _ in interior_steps(d))
-    for r in range(d.k + 1):
-        for combo in itertools.combinations(range(1, d.k + 1), r):
-            s = frozenset(combo)
-            trip = (s, s, zero_h)
-            if trip not in identity_triples:
-                unit_ok = False
-                mismatches.append(f"missing identity structure for {sorted(s)}")
-                continue
-            gen = idempotent(d, s)
-            summand = build_summand(d, *trip)
-            if is_boundary(summand, frozenset({gen})):
-                unit_ok = False
-                mismatches.append(f"idempotent of {sorted(s)} is a boundary")
+    for s in label_subsets(d):
+        trip = (s, s, zero_h)
+        if trip not in identity_triples:
+            unit_ok = False
+            mismatches.append(f"missing identity structure for {sorted(s)}")
+            continue
+        gen = idempotent(d, s)
+        summand = build_summand(d, *trip)
+        if is_boundary(summand, frozenset({gen})):
+            unit_ok = False
+            mismatches.append(f"idempotent of {sorted(s)} is a boundary")
     for e in table.identities:
         for i, xi in enumerate(table.basis):
             left = table.products[(e, i)]
@@ -276,7 +257,7 @@ def verify(d: ArcDiagram) -> IsoReport:
         s, t, h = trip
         row = row_of[trip]
         if row["contact"] and len(s) != len(t):
-            mismatches.append(f"tight structure with |s| != |t| at {_triple_json(trip)}")
+            mismatches.append(f"tight structure with |s| != |t| at {triple_json(trip)}")
         if len(s) == len(t):
             block = by_i.setdefault(len(s), {"ca_dim": 0, "h_dim": 0})
             block["ca_dim"] += row["contact"]
@@ -342,11 +323,7 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
     """Dimension matrix over (bottom, top) pairs, cross-checked both ways."""
     require_valid(d)
     table = ca_table(d)
-    subsets = [
-        frozenset(c)
-        for r in range(d.k + 1)
-        for c in itertools.combinations(range(1, d.k + 1), r)
-    ]
+    subsets = label_subsets(d)
     counts: dict[tuple[frozenset, frozenset], int] = {
         (a, b): 0 for a in subsets for b in subsets
     }
@@ -354,7 +331,7 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
         counts[(xi.bottom.on_squares, xi.top.on_squares)] += 1
 
     homology_counts = {key: 0 for key in counts}
-    for trip in _algebra_triples(d):
+    for trip in algebra_triples(d):
         s, t, h = trip
         homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
     for key in counts:

@@ -5,14 +5,15 @@ segments: each strand runs from a place p to a place phi(p) >= p on the
 same segment.  Crossings between strands are inversions; the product
 concatenates diagrams when inversion counts add exactly, and the
 differential resolves one crossing at a time.  Everything is linear over
-the two-element field, so sums of diagrams are just finite sets.
+the two-element field, so a sum of diagrams is a frozenset of them and
+addition is symmetric difference (`^`); differential() returns one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .arcdiag import Step, steps_of_sizes
 
@@ -65,10 +66,6 @@ class StrandDiagram:
                 return b
         raise KeyError(p)
 
-    @property
-    def is_idempotent(self) -> bool:
-        return all(p == q for p, q in self.strands)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{p}->{q}" for p, q in self.strands)
         return "{" + inner + "}"
@@ -80,44 +77,6 @@ def _segment_bounds(sizes: tuple[int, ...]) -> tuple[int, ...]:
     for j, n in enumerate(sizes):
         out.extend([j] * n)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Element:
-    """A GF(2) sum of strand diagrams; addition is symmetric difference."""
-
-    terms: frozenset[StrandDiagram]
-
-    def __post_init__(self):
-        counts = {m.strand_count for m in self.terms}
-        if len(counts) > 1:
-            raise ValueError("mixed strand counts in one element")
-
-    @property
-    def strand_count(self) -> Optional[int]:
-        for m in self.terms:
-            return m.strand_count
-        return None
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.terms ^ other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-
-ZERO = Element(frozenset())
-
-
-def element(terms: Iterable[StrandDiagram]) -> Element:
-    """Collect diagrams into an element, cancelling duplicate pairs."""
-    acc: set[StrandDiagram] = set()
-    for m in terms:
-        if m in acc:
-            acc.discard(m)
-        else:
-            acc.add(m)
-    return Element(frozenset(acc))
 
 
 def inversions(m: StrandDiagram) -> frozenset[tuple[int, int]]:
@@ -147,20 +106,7 @@ def multiply(m: StrandDiagram, n: StrandDiagram) -> Optional[StrandDiagram]:
     return composite
 
 
-def multiply_elements(x: Element, y: Element) -> Element:
-    out: set[StrandDiagram] = set()
-    for m in x.terms:
-        for n in y.terms:
-            prod = multiply(m, n)
-            if prod is not None:
-                if prod in out:
-                    out.discard(prod)
-                else:
-                    out.add(prod)
-    return Element(frozenset(out))
-
-
-def differential(m: StrandDiagram) -> Element:
+def differential(m: StrandDiagram) -> frozenset[StrandDiagram]:
     """Sum of single-crossing resolutions that lose exactly one inversion."""
     base = len(inversions(m))
     out: set[StrandDiagram] = set()
@@ -169,18 +115,8 @@ def differential(m: StrandDiagram) -> Element:
         swapped[i], swapped[j] = swapped[j], swapped[i]
         resolved = StrandDiagram(m.sizes, tuple(swapped.items()))
         if len(inversions(resolved)) == base - 1:
-            if resolved in out:
-                out.discard(resolved)
-            else:
-                out.add(resolved)
-    return Element(frozenset(out))
-
-
-def differential_element(x: Element) -> Element:
-    acc = ZERO
-    for m in x.terms:
-        acc = acc + differential(m)
-    return acc
+            out ^= {resolved}
+    return frozenset(out)
 
 
 def used_steps(m: StrandDiagram) -> frozenset[Step]:

@@ -36,6 +36,7 @@ from strandcontact.contact import (
 from strandcontact.homology import (
     INTERIOR,
     BOTH,
+    algebra_triples,
     build_summand,
     crossingless_generators,
     homology_dims,
@@ -44,7 +45,7 @@ from strandcontact.homology import (
     summand_nonzero,
     total_dim,
 )
-from strandcontact.isoverify import _algebra_triples, corpus, sfh_table, verify
+from strandcontact.isoverify import corpus, sfh_table, verify
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -79,7 +80,7 @@ def test_criterion_1_single_square():
     assert len(ca_table(SQUARE).basis) == 2
     chain_total = sum(
         total_dim(build_summand(SQUARE, *trip))
-        for trip in _algebra_triples(SQUARE)
+        for trip in algebra_triples(SQUARE)
     )
     assert chain_total == 2
     assert elapsed < 1.0
@@ -145,7 +146,7 @@ def test_criterion_4_dga_axioms():
 @criterion(5, "every summand is 0- or 1-dimensional in a single Maslov degree")
 def test_criterion_5_summand_structure():
     for d in CORPUS:
-        for trip in _algebra_triples(d):
+        for trip in algebra_triples(d):
             summand = build_summand(d, *trip)
             dims = homology_dims(summand)
             assert sum(dims.values()) in (0, 1)
@@ -157,7 +158,7 @@ def test_criterion_5_summand_structure():
 def test_criterion_6_homologous_realisations():
     configurations = 0
     for d in CORPUS:
-        for trip in _algebra_triples(d):
+        for trip in algebra_triples(d):
             if not summand_nonzero(d, *trip):
                 continue
             s, t, h = trip

@@ -148,6 +148,16 @@ def test_quad_surface_annulus():
     assert surf.genus == 0
 
 
+def test_quad_surface_disconnected():
+    # a square beside a punctured torus: genus and invariants add up
+    surf = to_quad_surface(ArcDiagram((1, 1, 4), (1, 1, 2, 3, 2, 3)))
+    assert surf.euler_char == 1 + -1
+    assert surf.boundary_components == 1 + 1
+    assert surf.genus == 0 + 1
+    # two squares side by side used to fail the one-component genus check
+    assert to_quad_surface(ArcDiagram((1, 1, 1, 1), (1, 1, 2, 2))).genus == 0
+
+
 def test_quad_surface_rejects_invalid():
     with pytest.raises(InvalidDiagramError):
         to_quad_surface(LOOP)

@@ -85,6 +85,18 @@ def test_homology_summand_filter(write):
     assert len(empty["summands"]) == 1
 
 
+@pytest.mark.parametrize(
+    "verb, flags",
+    [("contact", ["--from", "9"]), ("homology", ["--summand", "9;9"])],
+    ids=["contact", "homology"],
+)
+def test_labels_out_of_range_exit_2(write, verb, flags):
+    proc = run(verb, write(TORUS), *flags)
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_contact_filter(write):
     payload = run_json("contact", write(TORUS), "--from", "1", "--to", "2")
     assert payload["count"] == 3
@@ -113,6 +125,11 @@ def test_corpus_small():
     payload = run_json("corpus", "--max-k", "2", "--max-l", "2")
     assert payload["all_ok"] is True
     assert payload["diagrams"] == 4
+
+
+def test_corpus_with_disconnected_surfaces():
+    payload = run_json("corpus", "--max-k", "2", "--max-l", "4")
+    assert payload["all_ok"] is True
 
 
 def test_output_deterministic(write):

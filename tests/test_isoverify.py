@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from strandcontact import contact, homology
 from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, to_quad_surface
 from strandcontact.contact import ca_table
 from strandcontact.homology import summand_nonzero
@@ -155,3 +158,52 @@ def test_corpus_verifies_quickly_at_k2():
     for d in corpus(2, 3):
         report = verify(d)
         assert report.success, (d, report.mismatches)
+
+
+def disjoint_union(d1, d2):
+    """Z1 beside Z2, the labels of Z2 shifted past those of Z1."""
+    return ArcDiagram(
+        d1.segment_sizes + d2.segment_sizes,
+        d1.matching + tuple(lab + d1.k for lab in d2.matching),
+    )
+
+
+def test_verify_disconnected_surface():
+    report = verify(disjoint_union(SQUARE, SQUARE))
+    assert report.success, report.mismatches
+    assert report.ca_dim == 4
+
+
+def test_ca_dim_multiplies_over_disjoint_union():
+    for d1, d2 in itertools.combinations_with_replacement(corpus(2, 2), 2):
+        union = ca_table(disjoint_union(d1, d2))
+        assert len(union.basis) == len(ca_table(d1).basis) * len(ca_table(d2).basis)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Clear the caches that a patched table would otherwise poison."""
+    ca_table.cache_clear()
+    summand_nonzero.cache_clear()
+    yield
+    ca_table.cache_clear()
+    summand_nonzero.cache_clear()
+
+
+def test_verify_reports_contact_side_disagreement(monkeypatch, fresh_caches):
+    # every cube with no used side becomes tight: extra contact-side basis
+    # elements that the chain side has no representative for
+    real = contact.cube_tight
+    monkeypatch.setattr(contact, "cube_tight", lambda c: c.used_count == 0 or real(c))
+    report = verify(TORUS)
+    assert not report.success
+    assert any("{'s': [], 't': [1], 'h': [0, 0, 0]}" in m for m in report.mismatches)
+
+
+@pytest.mark.parametrize(
+    "row", sorted(homology._ALLOWED_HALF), ids=lambda row: "-".join(row)
+)
+def test_verify_catches_a_missing_local_row(monkeypatch, fresh_caches, row):
+    mirror = (row[1], row[0], row[2])
+    monkeypatch.setattr(homology, "ALLOWED_CASES", homology.ALLOWED_CASES - {row, mirror})
+    assert any(not verify(d).success for d in corpus(3, 3))
