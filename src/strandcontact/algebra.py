@@ -55,17 +55,6 @@ class SymGenerator:
         return len(self.moving) + len(self.dotted)
 
 
-def sections(d: ArcDiagram, s: frozenset[int]) -> list[frozenset[int]]:
-    """All twin-choice place sets mapping bijectively onto the labels s."""
-    labels = sorted(s)
-    out = []
-    for choice in itertools.product((0, 1), repeat=len(labels)):
-        out.append(
-            frozenset(d.pair(lab)[c] for lab, c in zip(labels, choice))
-        )
-    return out
-
-
 def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
     return frozenset(d.label(p) for p, _ in g.moving) | frozenset(g.dotted)
 

@@ -25,7 +25,7 @@ from .homology import (
     homology_dims,
     summand_nonzero,
 )
-from .isoverify import corpus, sfh_table, triple_json, triple_key, verify
+from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
 
@@ -40,6 +40,9 @@ def main(argv=None) -> int:
         return USAGE
     except InvalidDiagramError as exc:
         print(f"invalid diagram: {exc}", file=sys.stderr)
+        return FAILURE
+    except SfhMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     except ArcDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -211,9 +214,9 @@ def cmd_contact(args) -> int:
     want_to = parse_subset(args.to, d.k) if args.to is not None else None
     rows = []
     for xi in table.basis:
-        if want_from is not None and xi.bottom.on_squares != want_from:
+        if want_from is not None and xi.bottom != want_from:
             continue
-        if want_to is not None and xi.top.on_squares != want_to:
+        if want_to is not None and xi.top != want_to:
             continue
         rows.append(structure_json(d, xi))
     payload = {"schema": 1, "count": len(rows), "structures": rows}

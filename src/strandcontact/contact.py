@@ -3,10 +3,11 @@
 A basic dividing set turns each square on ("negative") or off; a contact
 structure between two basic sets is determined by which decomposing arcs
 (interior steps) are used.  The structure is tight exactly when each
-cube's data appears in the ten-case table; stacking composes structures
-and collapses overtwisted results to zero.  The optional dividing-curve
-oracle re-derives cube tightness by counting closed curves on the cube
-boundary, calibrated against three anchor cases.
+cube's data appears in the ten-case table, so the tight structures are
+enumerated cube by cube, one used-arc set at a time.  Stacking composes
+structures and collapses overtwisted results to zero.  The optional
+dividing-curve oracle re-derives cube tightness by counting closed curves
+on the cube boundary, calibrated against three anchor cases.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .arcdiag import ArcDiagram, QuadSurface, interior_index, label_subsets, to_quad_surface
+from .arcdiag import (
+    ArcDiagram,
+    QuadSurface,
+    Square,
+    interior_index,
+    label_subsets,
+    to_quad_surface,
+)
 
 
 class CalibrationUnresolved(RuntimeError):
     """The anchor cases failed to pin down a unique face-state convention."""
-
-
-@dataclass(frozen=True)
-class DividingSetBasic:
-    """A basic dividing set, encoded by the squares carrying the negative
-    ("on") standard dividing set."""
-
-    on_squares: frozenset[int]
-
-    def euler_class(self, k: int) -> int:
-        return k - 2 * len(self.on_squares)
 
 
 @dataclass(frozen=True)
@@ -68,30 +65,35 @@ class CubeData:
 
 @dataclass(frozen=True)
 class ContactStructure:
-    """(bottom, top, used arcs) with the tightness verdict of its cubes."""
+    """(bottom, top, used arcs) with the tightness verdict of its cubes.
 
-    bottom: DividingSetBasic
-    top: DividingSetBasic
+    bottom and top are basic dividing sets, given by the labels of the
+    squares carrying the negative ("on") standard dividing set.
+    """
+
+    bottom: frozenset[int]
+    top: frozenset[int]
     used_arcs: frozenset[int]  # indices into interior_steps(d)
     tight: bool
 
 
+def _used_sides(
+    surface: QuadSurface, sq: Square, used_arcs: frozenset[int]
+) -> tuple[bool, bool, bool, bool]:
+    """Used flags of a square's (before_v, after_v, before_w, after_w) sides."""
+    idx = interior_index(surface.diagram)
+    return tuple(
+        step.is_interior and idx[step] in used_arcs
+        for step in (sq.before_v, sq.after_v, sq.before_w, sq.after_w)
+    )
+
+
 def cube_data(surface: QuadSurface, xi: ContactStructure, square: int) -> CubeData:
     """Extract one cube's face data from a contact structure."""
-    d = surface.diagram
-    sq = surface.square(square)
-    idx = interior_index(d)
-
-    def used(step) -> bool:
-        return step.is_interior and idx[step] in xi.used_arcs
-
     return CubeData(
-        bottom_on=square in xi.bottom.on_squares,
-        top_on=square in xi.top.on_squares,
-        used_before_v=used(sq.before_v),
-        used_after_v=used(sq.after_v),
-        used_before_w=used(sq.before_w),
-        used_after_w=used(sq.after_w),
+        square in xi.bottom,
+        square in xi.top,
+        *_used_sides(surface, surface.square(square), xi.used_arcs),
     )
 
 
@@ -121,8 +123,8 @@ def cube_tight(c: CubeData) -> bool:
 
 def make_structure(
     surface: QuadSurface,
-    bottom: DividingSetBasic,
-    top: DividingSetBasic,
+    bottom: frozenset[int],
+    top: frozenset[int],
     used_arcs: frozenset[int],
 ) -> ContactStructure:
     xi = ContactStructure(bottom, top, used_arcs, tight=False)
@@ -132,34 +134,39 @@ def make_structure(
     return ContactStructure(bottom, top, used_arcs, tight)
 
 
-def identity_structure(surface: QuadSurface, ds: DividingSetBasic) -> ContactStructure:
-    xi = make_structure(surface, ds, ds, frozenset())
-    if not xi.tight:
-        raise AssertionError("identity structure must be tight")
-    return xi
+def enumerate_tight(surface: QuadSurface) -> tuple[ContactStructure, ...]:
+    """Every tight structure on the surface, cube by cube.
 
-
-def enumerate_tight(
-    surface: QuadSurface, bottom: DividingSetBasic, top: DividingSetBasic
-) -> tuple[ContactStructure, ...]:
-    """All tight structures between two basic dividing sets.
-
-    Candidates are the subsets of interior steps, in ascending bitmask
-    order, so the output order is deterministic.
+    Tightness is a property of each cube on its own.  Once the used arcs
+    are fixed, each square's side flags are fixed, and the square admits
+    the (bottom on, top on) pairs that its cube passes; the tight
+    structures with those used arcs are the product of these choices.
+    The output is ordered by bottom, then top (both as in label_subsets),
+    then by the bitmask of the used arcs.
     """
-    n = len(interior_index(surface.diagram))
-    out = []
+    d = surface.diagram
+    n = len(interior_index(d))
+    rank = {s: i for i, s in enumerate(label_subsets(d))}
+    found = []
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)
-        xi = make_structure(surface, bottom, top, used)
-        if xi.tight:
-            out.append(xi)
-    return tuple(out)
-
-
-def all_dividing_sets(d: ArcDiagram) -> tuple[DividingSetBasic, ...]:
-    """The 2^k basic dividing sets, ordered by label subsets."""
-    return tuple(DividingSetBasic(s) for s in label_subsets(d))
+        choices = []
+        for sq in surface.squares:
+            sides = _used_sides(surface, sq, used)
+            choices.append(
+                [
+                    (sq.label, b, t)
+                    for b in (False, True)
+                    for t in (False, True)
+                    if cube_tight(CubeData(b, t, *sides))
+                ]
+            )
+        for picks in itertools.product(*choices):
+            bottom = frozenset(lab for lab, b, _ in picks if b)
+            top = frozenset(lab for lab, _, t in picks if t)
+            found.append(((rank[bottom], rank[top], bits), bottom, top, used))
+    found.sort(key=lambda f: f[0])
+    return tuple(make_structure(surface, b, t, u) for _, b, t, u in found)
 
 
 def stack(
@@ -182,7 +189,6 @@ def stack(
 class CATable:
     """The contact category algebra on its basis of tight structures."""
 
-    surface: QuadSurface
     basis: tuple[ContactStructure, ...]
     products: dict  # (i, j) -> basis index or None
     identities: tuple[int, ...]  # indices of the identity structures
@@ -192,11 +198,7 @@ class CATable:
 def ca_table(d: ArcDiagram) -> CATable:
     """Basis and full multiplication table of the contact category algebra."""
     surface = to_quad_surface(d)
-    sets = all_dividing_sets(d)
-    basis: list[ContactStructure] = []
-    for bottom in sets:
-        for top in sets:
-            basis.extend(enumerate_tight(surface, bottom, top))
+    basis = enumerate_tight(surface)
     position = {xi: i for i, xi in enumerate(basis)}
     products = {}
     for i, x0 in enumerate(basis):
@@ -204,15 +206,15 @@ def ca_table(d: ArcDiagram) -> CATable:
             prod = stack(surface, x0, x1)
             products[(i, j)] = position[prod] if prod is not None else None
     identities = tuple(
-        position[identity_structure(surface, ds)] for ds in sets
+        i for i, xi in enumerate(basis) if xi.bottom == xi.top and not xi.used_arcs
     )
-    return CATable(surface, tuple(basis), products, identities)
+    return CATable(basis, products, identities)
 
 
 def structure_json(d: ArcDiagram, xi: ContactStructure) -> dict:
     return {
-        "bottom": sorted(xi.bottom.on_squares),
-        "top": sorted(xi.top.on_squares),
+        "bottom": sorted(xi.bottom),
+        "top": sorted(xi.top),
         "used": sorted(xi.used_arcs),
         "tight": xi.tight,
     }
@@ -283,13 +285,6 @@ def _curve_components(c: CubeData, side_variant: int) -> int:
             seen.add(cur)
             stackq.extend(neighbours[cur])
     return components
-
-
-def _all_cube_data() -> tuple[CubeData, ...]:
-    out = []
-    for bits in itertools.product((False, True), repeat=6):
-        out.append(CubeData(*bits))
-    return tuple(out)
 
 
 _ANCHORS = (

@@ -25,13 +25,7 @@ from .arcdiag import (
 )
 from .algebra import SymGenerator, Triple, idempotent, mul_sums, triple
 from .algebra import enumerate_basis  # unused here; perfbench/tracing.py wraps this binding
-from .contact import (
-    ContactStructure,
-    DividingSetBasic,
-    ca_table,
-    make_structure,
-    structure_json,
-)
+from .contact import ContactStructure, ca_table, make_structure, structure_json
 from .homology import (
     algebra_triples,
     build_summand,
@@ -48,11 +42,15 @@ class NotRealizable(RuntimeError):
     """A nonzero summand triple failed to produce a tight structure."""
 
 
+class SfhMismatch(RuntimeError):
+    """Tight-structure counts and homology dimensions differ at some pair."""
+
+
 def phi(d: ArcDiagram, x: ContactStructure) -> Triple:
     """Contact structure -> (s, t, h): on-sets and the used-arc indicator."""
     n = len(interior_steps(d))
     h = tuple(1 if i in x.used_arcs else 0 for i in range(n))
-    return (x.bottom.on_squares, x.top.on_squares, h)
+    return (x.bottom, x.top, h)
 
 
 def phi_inv(
@@ -63,7 +61,7 @@ def phi_inv(
         raise NotRealizable(f"summand ({sorted(s)}, {sorted(t)}, {h}) is zero")
     surface = to_quad_surface(d)
     used = frozenset(i for i, mult in enumerate(h) if mult)
-    xi = make_structure(surface, DividingSetBasic(s), DividingSetBasic(t), used)
+    xi = make_structure(surface, s, t, used)
     if not xi.tight:
         raise NotRealizable(
             f"structure for ({sorted(s)}, {sorted(t)}, {h}) has a non-tight cube"
@@ -266,9 +264,6 @@ def verify(d: ArcDiagram) -> IsoReport:
     for i in sorted(by_i):
         block = by_i[i]
         e = d.k - 2 * i
-        for xi in table.basis:
-            if len(xi.bottom.on_squares) == i and xi.bottom.euler_class(d.k) != e:
-                mismatches.append("euler class formula violated")
         if block["ca_dim"] != block["h_dim"]:
             mismatches.append(
                 f"euler-class block e={e} disagrees: CA {block['ca_dim']} vs H {block['h_dim']}"
@@ -328,17 +323,17 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
         (a, b): 0 for a in subsets for b in subsets
     }
     for xi in table.basis:
-        counts[(xi.bottom.on_squares, xi.top.on_squares)] += 1
+        counts[(xi.bottom, xi.top)] += 1
 
     homology_counts = {key: 0 for key in counts}
     for trip in algebra_triples(d):
         s, t, h = trip
         homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
-    for key in counts:
-        if counts[key] != homology_counts[key]:
-            raise AssertionError(
-                f"sfh table disagrees with homology at {key}: "
-                f"{counts[key]} vs {homology_counts[key]}"
+    for (a, b), count in counts.items():
+        if count != homology_counts[(a, b)]:
+            raise SfhMismatch(
+                f"sfh table disagrees with homology at s={sorted(a)} t={sorted(b)}: "
+                f"contact {count} vs homology {homology_counts[(a, b)]}"
             )
     matrix = tuple(
         tuple(counts[(a, b)] for b in subsets) for a in subsets

@@ -15,8 +15,6 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .arcdiag import Step, steps_of_sizes
-
 
 @dataclass(frozen=True)
 class StrandDiagram:
@@ -117,49 +115,3 @@ def differential(m: StrandDiagram) -> frozenset[StrandDiagram]:
         if len(inversions(resolved)) == base - 1:
             out ^= {resolved}
     return frozenset(out)
-
-
-def used_steps(m: StrandDiagram) -> frozenset[Step]:
-    """Interior steps swept by some strand's vertical extent."""
-    out = set()
-    for s in steps_of_sizes(m.sizes):
-        if not s.is_interior:
-            continue
-        for p, q in m.strands:
-            if p <= s.place_before and q >= s.place_after:
-                out.add(s)
-                break
-    return frozenset(out)
-
-
-def all_diagrams(sizes: tuple[int, ...], count: int) -> tuple[StrandDiagram, ...]:
-    """Every strand diagram with the given strand count, lexicographically.
-
-    Exhaustive enumeration; meant for small place counts (tests, oracles,
-    basis generation).
-    """
-    total = sum(sizes)
-    bounds = _segment_bounds(sizes)
-    results: list[StrandDiagram] = []
-
-    def extend(start: int, chosen: list[tuple[int, int]], used_ends: set[int]):
-        if len(chosen) == count:
-            results.append(StrandDiagram(sizes, tuple(chosen)))
-            return
-        if total - start + 1 < count - len(chosen):
-            return
-        for p in range(start, total + 1):
-            seg = bounds[p - 1]
-            for q in range(p, total + 1):
-                if bounds[q - 1] != seg:
-                    break
-                if q in used_ends:
-                    continue
-                chosen.append((p, q))
-                used_ends.add(q)
-                extend(p + 1, chosen, used_ends)
-                chosen.pop()
-                used_ends.discard(q)
-
-    extend(1, [], set())
-    return tuple(results)

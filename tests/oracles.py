@@ -1,0 +1,82 @@
+"""Brute-force reference implementations that only the tests use.
+
+Each one is the exhaustive way of doing a job that the package does more
+cleverly, so a test can compare the two on small inputs.
+"""
+
+import itertools
+
+from strandcontact.arcdiag import ArcDiagram, QuadSurface, Step, interior_index, steps_of_sizes
+from strandcontact.contact import ContactStructure, make_structure
+from strandcontact.strands import StrandDiagram
+
+
+def enumerate_tight_pair(
+    surface: QuadSurface, bottom: frozenset[int], top: frozenset[int]
+) -> tuple[ContactStructure, ...]:
+    """All tight structures between two basic dividing sets.
+
+    Candidates are the subsets of interior steps, in ascending bitmask
+    order, so the output order is deterministic.
+    """
+    n = len(interior_index(surface.diagram))
+    out = []
+    for bits in range(1 << n):
+        used = frozenset(i for i in range(n) if (bits >> i) & 1)
+        xi = make_structure(surface, bottom, top, used)
+        if xi.tight:
+            out.append(xi)
+    return tuple(out)
+
+
+def used_steps(m: StrandDiagram) -> frozenset[Step]:
+    """Interior steps swept by some strand's vertical extent."""
+    out = set()
+    for s in steps_of_sizes(m.sizes):
+        if not s.is_interior:
+            continue
+        for p, q in m.strands:
+            if p <= s.place_before and q >= s.place_after:
+                out.add(s)
+                break
+    return frozenset(out)
+
+
+def all_diagrams(sizes: tuple[int, ...], count: int) -> tuple[StrandDiagram, ...]:
+    """Every strand diagram with the given strand count, lexicographically."""
+    total = sum(sizes)
+    bounds = tuple(j for j, n in enumerate(sizes) for _ in range(n))  # segment of each place
+    results: list[StrandDiagram] = []
+
+    def extend(start: int, chosen: list[tuple[int, int]], used_ends: set[int]):
+        if len(chosen) == count:
+            results.append(StrandDiagram(sizes, tuple(chosen)))
+            return
+        if total - start + 1 < count - len(chosen):
+            return
+        for p in range(start, total + 1):
+            seg = bounds[p - 1]
+            for q in range(p, total + 1):
+                if bounds[q - 1] != seg:
+                    break
+                if q in used_ends:
+                    continue
+                chosen.append((p, q))
+                used_ends.add(q)
+                extend(p + 1, chosen, used_ends)
+                chosen.pop()
+                used_ends.discard(q)
+
+    extend(1, [], set())
+    return tuple(results)
+
+
+def sections(d: ArcDiagram, s: frozenset[int]) -> list[frozenset[int]]:
+    """All twin-choice place sets mapping bijectively onto the labels s."""
+    labels = sorted(s)
+    out = []
+    for choice in itertools.product((0, 1), repeat=len(labels)):
+        out.append(
+            frozenset(d.pair(lab)[c] for lab, c in zip(labels, choice))
+        )
+    return out

@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from strandcontact.arcdiag import ArcDiagram, interior_steps, steps, to_quad_surface
+from strandcontact.arcdiag import (
+    ArcDiagram,
+    interior_steps,
+    label_subsets,
+    steps,
+    to_quad_surface,
+)
 from strandcontact.algebra import (
     diff_generator,
     diff_sum,
@@ -28,7 +34,6 @@ from strandcontact.algebra import (
 from strandcontact.contact import (
     CalibrationUnresolved,
     CubeData,
-    all_dividing_sets,
     ca_table,
     cube_tight,
     dividing_curve_components,
@@ -189,10 +194,9 @@ def test_criterion_7_counting_identities():
         assert n_interior == 2 * d.k - d.l
         assert surf.euler_char == d.l - d.k
         assert surf.index == d.k == len(surf.squares)
-        sets = all_dividing_sets(d)
-        assert len(sets) == 2**d.k
-        for ds in sets:
-            assert ds.euler_class(d.k) == d.k - 2 * len(ds.on_squares)
+        assert len(label_subsets(d)) == 2**d.k
+        for xi in ca_table(d).basis:
+            assert len(xi.bottom) == len(xi.top)
 
 
 @criterion(8, "curve-count oracle agrees with the tight-cube table on all 64 cubes")

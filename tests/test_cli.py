@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from strandcontact import cli, contact
+
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
 LOOP = "segments: 2\nmatching: 1 1\n"
@@ -119,6 +121,23 @@ def test_verify_invalid_diagram_exit_1(write):
 def test_sfh_table(write):
     payload = run_json("sfh-table", write(SQUARE))
     assert payload["matrix"] == [[1, 0], [0, 1]]
+
+
+def test_sfh_table_disagreement_exits_1(write, monkeypatch, capsys):
+    # every cube with no used side becomes tight, so the contact side
+    # counts structures that homology does not have
+    real = contact.cube_tight
+    monkeypatch.setattr(contact, "cube_tight", lambda c: c.used_count == 0 or real(c))
+    contact.ca_table.cache_clear()
+    try:
+        code = cli.main(["sfh-table", write(TORUS)])
+    finally:
+        contact.ca_table.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "sfh table disagrees with homology" in err
+    assert "Traceback" not in err
 
 
 def test_corpus_small():

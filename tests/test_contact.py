@@ -1,24 +1,22 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from strandcontact.arcdiag import ArcDiagram, to_quad_surface
+from oracles import enumerate_tight_pair
+from strandcontact.arcdiag import ArcDiagram, label_subsets, to_quad_surface
 from strandcontact.contact import (
-    CATable,
     CubeData,
-    DividingSetBasic,
-    ContactStructure,
-    all_dividing_sets,
     ca_table,
     cube_data,
     cube_tight,
     dividing_curve_components,
     enumerate_tight,
-    identity_structure,
     make_structure,
     stack,
     structure_json,
 )
+from strandcontact.isoverify import corpus
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -95,7 +93,7 @@ def test_cube_tight_vw_symmetry():
 
 def test_cube_data_binding():
     surface = to_quad_surface(TORUS)
-    ds = DividingSetBasic(frozenset({1}))
+    ds = frozenset({1})
     xi = make_structure(surface, ds, ds, frozenset({0, 1}))
     c1 = cube_data(surface, xi, 1)
     # square 1 has places 1, 3; steps [1,2] and [2,3] are arcs 0 and 1
@@ -110,31 +108,32 @@ def test_cube_data_binding():
 
 def test_exterior_slots_unused():
     surface = to_quad_surface(SQUARE)
-    ds = DividingSetBasic(frozenset({1}))
-    xi = identity_structure(surface, ds)
+    ds = frozenset({1})
+    xi = make_structure(surface, ds, ds, frozenset())
+    assert xi.tight
     c = cube_data(surface, xi, 1)
     assert c.used_count == 0
 
 
+def pair_counts(d):
+    """Number of tight structures from each bottom to each top."""
+    return Counter(
+        (tuple(sorted(xi.bottom)), tuple(sorted(xi.top)))
+        for xi in enumerate_tight(to_quad_surface(d))
+    )
+
+
 def test_enumerate_tight_square():
-    surface = to_quad_surface(SQUARE)
-    on = DividingSetBasic(frozenset({1}))
-    off = DividingSetBasic(frozenset())
-    assert len(enumerate_tight(surface, on, on)) == 1
-    assert enumerate_tight(surface, on, off) == ()
-    assert enumerate_tight(surface, off, on) == ()
-    assert len(enumerate_tight(surface, off, off)) == 1
+    counts = pair_counts(SQUARE)
+    assert counts[((1,), (1,))] == 1
+    assert counts[((1,), ())] == 0
+    assert counts[((), (1,))] == 0
+    assert counts[((), ())] == 1
 
 
 def test_enumerate_tight_torus_counts():
     # frozen from the hand enumeration over used-arc subsets
-    surface = to_quad_surface(TORUS)
-    ds = {s: DividingSetBasic(frozenset(s)) for s in [(), (1,), (2,), (1, 2)]}
-    counts = {
-        (a, b): len(enumerate_tight(surface, ds[a], ds[b]))
-        for a in ds
-        for b in ds
-    }
+    counts = pair_counts(TORUS)
     assert counts[((), ())] == 1
     assert counts[((1, 2), (1, 2))] == 1
     assert counts[((1,), (1,))] == 2
@@ -145,26 +144,54 @@ def test_enumerate_tight_torus_counts():
 
 
 def test_euler_class():
-    assert DividingSetBasic(frozenset()).euler_class(2) == 2
-    assert DividingSetBasic(frozenset({1})).euler_class(2) == 0
-    assert DividingSetBasic(frozenset({1, 2})).euler_class(2) == -2
-    assert len(all_dividing_sets(TORUS)) == 4
+    # the Euler class k - 2|on| of a basic dividing set is the same at
+    # both ends of every tight structure
+    assert len(label_subsets(TORUS)) == 4
+    for d in (SQUARE, TORUS, ANNULUS):
+        for xi in ca_table(d).basis:
+            assert len(xi.bottom) == len(xi.top)
+
+
+BRUTE_FORCE_CASES = corpus(3, 3) + [ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))]
+
+
+@pytest.mark.parametrize(
+    "d",
+    BRUTE_FORCE_CASES,
+    ids=lambda d: "_".join(map(str, d.segment_sizes)) + "-" + "".join(map(str, d.matching)),
+)
+def test_enumerate_tight_matches_brute_force(d):
+    # the per-pair search over every used-arc subset, concatenated over
+    # (bottom, top) in label_subsets order, gives the same basis in the
+    # same order
+    surface = to_quad_surface(d)
+    sets = label_subsets(d)
+    expected = tuple(
+        xi
+        for bottom in sets
+        for top in sets
+        for xi in enumerate_tight_pair(surface, bottom, top)
+    )
+    assert enumerate_tight(surface) == expected
 
 
 def test_stack_identity():
     surface = to_quad_surface(TORUS)
     table = ca_table(TORUS)
+
+    def identity(ds):
+        return make_structure(surface, ds, ds, frozenset())
+
     for xi in table.basis:
-        left = stack(surface, identity_structure(surface, xi.bottom), xi)
-        right = stack(surface, xi, identity_structure(surface, xi.top))
+        left = stack(surface, identity(xi.bottom), xi)
+        right = stack(surface, xi, identity(xi.top))
         assert left == xi
         assert right == xi
 
 
 def test_stack_shared_arc_is_zero():
     surface = to_quad_surface(TORUS)
-    one = DividingSetBasic(frozenset({1}))
-    two = DividingSetBasic(frozenset({2}))
+    one = frozenset({1})
     # used arcs {0,1} runs from {1} to {1}; it cannot stack on itself
     xi = make_structure(surface, one, one, frozenset({0, 1}))
     assert xi.tight
@@ -189,7 +216,7 @@ def test_stack_composability():
             assert (got is not None) == union.tight
             if got is not None:
                 assert got.used_arcs == x0.used_arcs | x1.used_arcs
-                assert got.bottom.euler_class(2) == got.top.euler_class(2)
+                assert len(got.bottom) == len(got.top)
 
 
 def test_ca_table_square():
@@ -237,7 +264,7 @@ def test_ca_table_closed_and_associative(d):
 
 def test_structure_json():
     surface = to_quad_surface(TORUS)
-    one = DividingSetBasic(frozenset({1}))
+    one = frozenset({1})
     xi = make_structure(surface, one, one, frozenset({0, 1}))
     assert structure_json(TORUS, xi) == {
         "bottom": [1],

@@ -320,7 +320,8 @@ def survives_by_three_conditions(d, s, t, h):
     exclusion, and a brute-force search for a crossingless constrained
     diagram with the right endpoints and grading."""
     from strandcontact.algebra import hom_vector, is_constrained
-    from strandcontact.strands import all_diagrams, inversions
+    from oracles import all_diagrams
+    from strandcontact.strands import inversions
 
     if any(m not in (0, 1) for m in h):
         return False

@@ -207,3 +207,25 @@ def test_verify_catches_a_missing_local_row(monkeypatch, fresh_caches, row):
     mirror = (row[1], row[0], row[2])
     monkeypatch.setattr(homology, "ALLOWED_CASES", homology.ALLOWED_CASES - {row, mirror})
     assert any(not verify(d).success for d in corpus(3, 3))
+
+
+def test_verify_reports_a_missing_identity(monkeypatch, fresh_caches):
+    # the unused cube with both faces off is no longer tight, so the empty
+    # dividing set has no identity structure
+    real = contact.cube_tight
+    monkeypatch.setattr(
+        contact,
+        "cube_tight",
+        lambda c: real(c) and not (c.used_count == 0 and not c.bottom_on and not c.top_on),
+    )
+    report = verify(TORUS)
+    assert not report.success
+    assert not report.unit_ok
+    assert "missing identity structure for []" in report.mismatches
+
+
+def test_verify_k5_diagram():
+    # beyond the k <= 3 corpus: a genus-2 surface with 334 tight structures
+    report = verify(ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)))
+    assert report.success, report.mismatches
+    assert report.ca_dim == report.homology_dim == 334

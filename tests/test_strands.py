@@ -3,14 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strandcontact.strands import (
-    StrandDiagram,
-    all_diagrams,
-    differential,
-    inversions,
-    multiply,
-    used_steps,
-)
+from oracles import all_diagrams, used_steps
+from strandcontact.strands import StrandDiagram, differential, inversions, multiply
 
 ONE_SEG = (4,)
 
