@@ -9,7 +9,6 @@ from .arcdiag import (
     is_valid,
     require_valid,
     surgery_circle,
-    steps,
     to_quad_surface,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "is_valid",
     "require_valid",
     "surgery_circle",
-    "steps",
     "to_quad_surface",
     "__version__",
 ]

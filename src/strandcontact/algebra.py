@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .arcdiag import ArcDiagram, interior_index, interior_steps, step_after, step_before
+from .arcdiag import ArcDiagram, interior_steps, step_after, step_before
 from .strands import StrandDiagram, differential, inversions, multiply
 
 # (start labels, end labels, homological grading): the summand of a generator.
@@ -151,12 +151,9 @@ def diff_sum(d: ArcDiagram, x: frozenset[SymGenerator]) -> frozenset[SymGenerato
 
 def hom_vector(d: ArcDiagram, m: StrandDiagram) -> tuple[int, ...]:
     """Multiplicity of each interior step under the strands of a diagram."""
-    vec = [0] * len(interior_steps(d))
-    for i, s in enumerate(interior_steps(d)):
-        for p, q in m.strands:
-            if p <= s.place_before and q >= s.place_after:
-                vec[i] += 1
-    return tuple(vec)
+    return tuple(
+        sum(1 for p, q in m.strands if p <= s < q) for s in interior_steps(d)
+    )
 
 
 def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
@@ -169,18 +166,13 @@ def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     return (start(d, g), end(d, g), hom_grading(d, g))
 
 
-def _step_multiplicity(d: ArcDiagram, h: tuple[int, ...], step) -> int:
-    if not step.is_interior:
-        return 0
-    return h[interior_index(d)[step]]
-
-
 def doubled_multiplicity(d: ArcDiagram, places: frozenset[int], h: tuple[int, ...]) -> int:
     """Twice the summed average multiplicity of h around the given places."""
     total = 0
     for p in places:
-        total += _step_multiplicity(d, h, step_before(d, p))
-        total += _step_multiplicity(d, h, step_after(d, p))
+        for i in (step_before(d, p), step_after(d, p)):
+            if i is not None:
+                total += h[i]
     return total
 
 

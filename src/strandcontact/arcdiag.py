@@ -9,7 +9,7 @@ surface (Euler characteristic, genus, boundary components) are computed
 here by a purely combinatorial boundary walk; the surface may be
 disconnected, so its genus is summed over its components.
 
-Places are numbered 1..2k, segment-major.  Segments and step positions are
+Places are numbered 1..2k, segment-major.  Segments and interior steps are
 0-based.
 """
 
@@ -150,70 +150,32 @@ def label_subsets(d: ArcDiagram) -> tuple[frozenset[int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class Step:
-    """A sub-interval of a segment between consecutive places or at an end.
+@functools.lru_cache(maxsize=None)
+def interior_steps(d: ArcDiagram) -> tuple[int, ...]:
+    """The interior steps, in ascending order, each named by its start place.
 
-    position runs 0..n for a segment with n places; positions 0 and n are
-    the exterior steps.  place_before/place_after are global place numbers
-    (None past the segment ends).
+    Interior step i runs from place interior_steps(d)[i] to the next place
+    on the same segment.  The index i is the step's coordinate in a
+    homological grading and its number as a gluing arc of the surface.
     """
-
-    segment: int
-    position: int
-    kind: str  # "interior" | "exterior"
-    place_before: Optional[int]
-    place_after: Optional[int]
-
-    @property
-    def is_interior(self) -> bool:
-        return self.kind == "interior"
+    return tuple(p for j in range(d.l) for p in d.segment_places(j)[:-1])
 
 
 @functools.lru_cache(maxsize=None)
-def steps_of_sizes(sizes: tuple[int, ...]) -> tuple[Step, ...]:
-    """All steps for segments of the given sizes, segment-major."""
-    out = []
-    start = 1
-    for j, n in enumerate(sizes):
-        for pos in range(n + 1):
-            before = start + pos - 1 if pos > 0 else None
-            after = start + pos if pos < n else None
-            kind = "interior" if 0 < pos < n else "exterior"
-            out.append(Step(j, pos, kind, before, after))
-        start += n
-    return tuple(out)
+def _step_from(d: ArcDiagram) -> tuple[Optional[int], ...]:
+    """Entry p: index of the interior step from p to p + 1, or None."""
+    index = {p: i for i, p in enumerate(interior_steps(d))}
+    return tuple(index.get(p) for p in range(2 * d.k + 1))
 
 
-def steps(d: ArcDiagram) -> tuple[Step, ...]:
-    """Ordered steps of a diagram (segment-major, position-minor)."""
-    return steps_of_sizes(d.segment_sizes)
+def step_before(d: ArcDiagram, place: int) -> Optional[int]:
+    """Index of the interior step ending at a place; None at a segment start."""
+    return _step_from(d)[place - 1]
 
 
-@functools.lru_cache(maxsize=None)
-def interior_steps(d: ArcDiagram) -> tuple[Step, ...]:
-    return tuple(s for s in steps(d) if s.is_interior)
-
-
-@functools.lru_cache(maxsize=None)
-def interior_index(d: ArcDiagram) -> dict[Step, int]:
-    """Index of each interior step in the interior_steps ordering."""
-    return {s: i for i, s in enumerate(interior_steps(d))}
-
-
-def step_before(d: ArcDiagram, place: int) -> Step:
-    j = d.segment_of(place)
-    return _segment_step(d, j, d.local_index(place))
-
-
-def step_after(d: ArcDiagram, place: int) -> Step:
-    j = d.segment_of(place)
-    return _segment_step(d, j, d.local_index(place) + 1)
-
-
-def _segment_step(d: ArcDiagram, segment: int, position: int) -> Step:
-    offset = sum(n + 1 for n in d.segment_sizes[:segment])
-    return steps(d)[offset + position]
+def step_after(d: ArcDiagram, place: int) -> Optional[int]:
+    """Index of the interior step starting at a place; None at a segment end."""
+    return _step_from(d)[place]
 
 
 def surgery_circle(d: ArcDiagram) -> Optional[tuple[int, ...]]:
@@ -285,28 +247,29 @@ SIDE_NAMES = ("after_v", "before_w", "after_w", "before_v")
 class Square:
     """One square of the quadrangulation, for the matched pair of a label.
 
-    sides holds the bound steps in the cyclic order SIDE_NAMES.
+    sides holds the interior-step index bound to each slot, in the cyclic
+    order SIDE_NAMES; None marks a slot on an exterior step.
     """
 
     label: int
     v: int
     w: int
-    sides: tuple[Step, Step, Step, Step]
+    sides: tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
 
     @property
-    def after_v(self) -> Step:
+    def after_v(self) -> Optional[int]:
         return self.sides[0]
 
     @property
-    def before_w(self) -> Step:
+    def before_w(self) -> Optional[int]:
         return self.sides[1]
 
     @property
-    def after_w(self) -> Step:
+    def after_w(self) -> Optional[int]:
         return self.sides[2]
 
     @property
-    def before_v(self) -> Step:
+    def before_v(self) -> Optional[int]:
         return self.sides[3]
 
 
@@ -349,8 +312,8 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
     # Each interior step binds the after-slot at its earlier place and the
     # before-slot at its later place; exterior steps bind one slot only.
     gluings = []
-    for s in interior_steps(d):
-        p, q = s.place_before, s.place_after
+    for p in interior_steps(d):
+        q = p + 1
         sq_p = d.label(p)
         slot_p = 0 if squares[sq_p - 1].v == p else 2
         sq_q = d.label(q)

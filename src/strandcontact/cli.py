@@ -12,7 +12,7 @@ from .arcdiag import (
     ParseError,
     interior_steps,
     parse_arc_diagram,
-    steps,
+    require_valid,
     surgery_circle,
     to_quad_surface,
 )
@@ -87,9 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load(args):
+def parse_file(args):
     with open(args.file, encoding="utf-8") as fh:
         return parse_arc_diagram(fh.read())
+
+
+def load(args):
+    """The input diagram; one with a circle under surgery is refused."""
+    d = parse_file(args)
+    require_valid(d)
+    return d
 
 
 def emit(args, payload: dict, pretty_lines=None) -> None:
@@ -115,7 +122,7 @@ def parse_subset(token: str, k: int) -> frozenset[int]:
 
 
 def cmd_validate(args) -> int:
-    d = load(args)
+    d = parse_file(args)
     circle = surgery_circle(d)
     if circle is None:
         emit(args, {"schema": 1, "valid": True}, ["valid"])
@@ -138,7 +145,7 @@ def cmd_info(args) -> int:
         "k": d.k,
         "l": d.l,
         "interior_steps": len(interior_steps(d)),
-        "exterior_steps": len(steps(d)) - len(interior_steps(d)),
+        "exterior_steps": 2 * d.l,
         "squares": surf.index,
         "gluings": len(surf.gluings),
         "euler_char": surf.euler_char,
@@ -256,15 +263,19 @@ def cmd_corpus(args) -> int:
     results = []
     all_ok = True
     for d in diagrams:
-        report = verify(d)
-        all_ok = all_ok and report.success
+        try:
+            report = verify(d)
+            ok, dim, mismatches = report.success, report.ca_dim, report.mismatches
+        except Exception as exc:  # one failing diagram must not end the run
+            ok, dim, mismatches = False, None, [f"raised {type(exc).__name__}: {exc}"]
+        all_ok = all_ok and ok
         results.append(
             {
                 "segments": list(d.segment_sizes),
                 "matching": list(d.matching),
-                "ok": report.success,
-                "dim": report.ca_dim,
-                "mismatches": report.mismatches,
+                "ok": ok,
+                "dim": dim,
+                "mismatches": mismatches,
             }
         )
     payload = {

@@ -21,7 +21,7 @@ from .arcdiag import (
     ArcDiagram,
     QuadSurface,
     Square,
-    interior_index,
+    interior_steps,
     label_subsets,
     to_quad_surface,
 )
@@ -77,14 +77,11 @@ class ContactStructure:
     tight: bool
 
 
-def _used_sides(
-    surface: QuadSurface, sq: Square, used_arcs: frozenset[int]
-) -> tuple[bool, bool, bool, bool]:
+def _used_sides(sq: Square, used_arcs: frozenset[int]) -> tuple[bool, bool, bool, bool]:
     """Used flags of a square's (before_v, after_v, before_w, after_w) sides."""
-    idx = interior_index(surface.diagram)
     return tuple(
-        step.is_interior and idx[step] in used_arcs
-        for step in (sq.before_v, sq.after_v, sq.before_w, sq.after_w)
+        i is not None and i in used_arcs
+        for i in (sq.before_v, sq.after_v, sq.before_w, sq.after_w)
     )
 
 
@@ -93,7 +90,7 @@ def cube_data(surface: QuadSurface, xi: ContactStructure, square: int) -> CubeDa
     return CubeData(
         square in xi.bottom,
         square in xi.top,
-        *_used_sides(surface, surface.square(square), xi.used_arcs),
+        *_used_sides(surface.square(square), xi.used_arcs),
     )
 
 
@@ -145,14 +142,14 @@ def enumerate_tight(surface: QuadSurface) -> tuple[ContactStructure, ...]:
     then by the bitmask of the used arcs.
     """
     d = surface.diagram
-    n = len(interior_index(d))
+    n = len(interior_steps(d))
     rank = {s: i for i, s in enumerate(label_subsets(d))}
     found = []
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)
         choices = []
         for sq in surface.squares:
-            sides = _used_sides(surface, sq, used)
+            sides = _used_sides(sq, used)
             choices.append(
                 [
                     (sq.label, b, t)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arcdiag import ArcDiagram, interior_index, step_after, step_before
+from .arcdiag import ArcDiagram, step_after, step_before
 from .algebra import (
     SymGenerator,
     Triple,
@@ -238,11 +238,10 @@ ALLOWED_CASES = _ALLOWED_HALF | {(w, v, m) for v, w, m in _ALLOWED_HALF}
 
 
 def _place_class(d: ArcDiagram, h: tuple[int, ...], place: int) -> str:
-    idx = interior_index(d)
     before = step_before(d, place)
     after = step_after(d, place)
-    used_before = before.is_interior and h[idx[before]] > 0
-    used_after = after.is_interior and h[idx[after]] > 0
+    used_before = before is not None and h[before] > 0
+    used_after = after is not None and h[after] > 0
     if used_before and used_after:
         return INTERIOR
     if used_before:
@@ -324,7 +323,6 @@ def crossingless_generators(
     """
     if not summand_nonzero(d, s, t, h):
         return ()
-    idx = interior_index(d)
     dotted = []
     choice_labels = []
     for lab in sorted(s & t):
@@ -338,10 +336,10 @@ def crossingless_generators(
     # Maximal runs of used steps per segment, as place intervals.
     runs: list[tuple[int, int]] = []
     for j in range(d.l):
-        places = list(d.segment_places(j))
+        places = d.segment_places(j)
         run_start = None
-        for a, b in zip(places, places[1:]):
-            used = h[idx[step_after(d, a)]] > 0
+        for a in places[:-1]:
+            used = h[step_after(d, a)] > 0
             if used and run_start is None:
                 run_start = a
             if not used and run_start is not None:

@@ -241,11 +241,16 @@ def verify(d: ArcDiagram) -> IsoReport:
         if is_boundary(summand, frozenset({gen})):
             unit_ok = False
             mismatches.append(f"idempotent of {sorted(s)} is a boundary")
+    # the identity at x.bottom fixes x from the left, the one at x.top from
+    # the right, and every other identity kills x
     for e in table.identities:
+        s = table.basis[e].bottom
         for i, xi in enumerate(table.basis):
             left = table.products[(e, i)]
             right = table.products[(i, e)]
-            if (left not in (None, i)) or (right not in (None, i)):
+            if left != (i if xi.bottom == s else None) or right != (
+                i if xi.top == s else None
+            ):
                 unit_ok = False
                 mismatches.append("identity structures do not act as a unit")
 

@@ -6,7 +6,7 @@ cleverly, so a test can compare the two on small inputs.
 
 import itertools
 
-from strandcontact.arcdiag import ArcDiagram, QuadSurface, Step, interior_index, steps_of_sizes
+from strandcontact.arcdiag import ArcDiagram, QuadSurface, interior_steps
 from strandcontact.contact import ContactStructure, make_structure
 from strandcontact.strands import StrandDiagram
 
@@ -19,7 +19,7 @@ def enumerate_tight_pair(
     Candidates are the subsets of interior steps, in ascending bitmask
     order, so the output order is deterministic.
     """
-    n = len(interior_index(surface.diagram))
+    n = len(interior_steps(surface.diagram))
     out = []
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)
@@ -29,17 +29,14 @@ def enumerate_tight_pair(
     return tuple(out)
 
 
-def used_steps(m: StrandDiagram) -> frozenset[Step]:
-    """Interior steps swept by some strand's vertical extent."""
-    out = set()
-    for s in steps_of_sizes(m.sizes):
-        if not s.is_interior:
-            continue
-        for p, q in m.strands:
-            if p <= s.place_before and q >= s.place_after:
-                out.add(s)
-                break
-    return frozenset(out)
+def used_steps(m: StrandDiagram) -> frozenset[tuple[int, int]]:
+    """Interior steps (p, p + 1) swept by some strand's vertical extent."""
+    ends = set(itertools.accumulate(m.sizes))  # last place of each segment
+    return frozenset(
+        (s, s + 1)
+        for s in range(1, sum(m.sizes))
+        if s not in ends and any(p <= s < q for p, q in m.strands)
+    )
 
 
 def all_diagrams(sizes: tuple[int, ...], count: int) -> tuple[StrandDiagram, ...]:

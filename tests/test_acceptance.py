@@ -17,7 +17,6 @@ from strandcontact.arcdiag import (
     ArcDiagram,
     interior_steps,
     label_subsets,
-    steps,
     to_quad_surface,
 )
 from strandcontact.algebra import (

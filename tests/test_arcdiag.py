@@ -13,10 +13,10 @@ from strandcontact.arcdiag import (
     require_valid,
     step_after,
     step_before,
-    steps,
     surgery_circle,
     to_quad_surface,
 )
+from strandcontact.isoverify import corpus
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -100,22 +100,37 @@ def test_witness_replays_as_cycle():
 
 
 def test_step_counts():
-    assert sum(1 for s in steps(SQUARE) if s.is_interior) == 0
-    assert sum(1 for s in steps(SQUARE) if not s.is_interior) == 4
-    assert sum(1 for s in steps(TORUS) if s.is_interior) == 3
-    assert sum(1 for s in steps(TORUS) if not s.is_interior) == 2
-    assert sum(1 for s in steps(ANNULUS) if s.is_interior) == 2
-    assert sum(1 for s in steps(ANNULUS) if not s.is_interior) == 4
+    assert interior_steps(SQUARE) == ()
+    assert interior_steps(TORUS) == (1, 2, 3)
+    assert interior_steps(ANNULUS) == (1, 2)
 
 
 def test_step_neighbors():
-    before = step_before(TORUS, 3)
-    after = step_after(TORUS, 3)
-    assert (before.place_before, before.place_after) == (2, 3)
-    assert (after.place_before, after.place_after) == (3, 4)
-    first = step_before(ANNULUS, 4)
-    assert first.kind == "exterior"
-    assert first.place_before is None
+    assert interior_steps(TORUS)[step_before(TORUS, 3)] == 2
+    assert interior_steps(TORUS)[step_after(TORUS, 3)] == 3
+    assert step_before(ANNULUS, 4) is None
+    assert step_after(ANNULUS, 4) is None
+    assert step_after(ANNULUS, 3) is None
+
+
+def test_step_lookup_matches_definition():
+    # the lookup that the contact, local and chain sides all read, on the
+    # k <= 3 corpus and the k=4 and k=5 perfbench verify inputs
+    diagrams = corpus(3, 3) + [
+        ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2)),
+        ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)),
+    ]
+    for d in diagrams:
+        steps = interior_steps(d)
+        assert len(steps) == 2 * d.k - d.l
+        for j in range(d.l):
+            places = d.segment_places(j)
+            for p in places:
+                after, before = step_after(d, p), step_before(d, p)
+                assert (after is None) == (p == places[-1])
+                assert after is None or steps[after] == p
+                assert (before is None) == (p == places[0])
+                assert before is None or steps[before] == p - 1
 
 
 def test_quad_surface_square():
@@ -201,7 +216,7 @@ def pairings(items):
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
 def test_counting_identities(k, l):
     for d in all_diagrams(k, l):
-        n_interior = sum(1 for s in steps(d) if s.is_interior)
+        n_interior = len(interior_steps(d))
         assert n_interior == 2 * k - l
         if not is_valid(d):
             circle = surgery_circle(d)
@@ -229,12 +244,10 @@ def test_slot_binding(k, l):
         for sq in surf.squares:
             for i, st in enumerate(sq.sides):
                 bound.setdefault(st, []).append((sq.label, i))
-        for st, slots in bound.items():
-            if st.is_interior:
-                assert len(slots) == 2
-                kinds = sorted(i % 2 for _, i in slots)
-                assert kinds == [0, 1]  # one after-slot, one before-slot
-            else:
-                assert len(slots) == 1
+        assert len(bound.pop(None)) == 2 * d.l  # one slot per exterior step
+        assert sorted(bound) == list(range(len(interior_steps(d))))
+        for slots in bound.values():
+            kinds = sorted(i % 2 for _, i in slots)
+            assert kinds == [0, 1]  # one after-slot, one before-slot
         glued = {ref for pair in surf.gluings for ref in pair}
         assert len(glued) == 2 * len(surf.gluings)

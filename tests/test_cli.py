@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strandcontact import cli, contact
+from strandcontact import cli, contact, isoverify
 
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
@@ -118,6 +118,14 @@ def test_verify_invalid_diagram_exit_1(write):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("verb", ["basis", "homology"])
+def test_invalid_diagram_refused_exit_1(write, verb):
+    proc = run(verb, write(LOOP))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid diagram:")
+
+
 def test_sfh_table(write):
     payload = run_json("sfh-table", write(SQUARE))
     assert payload["matrix"] == [[1, 0], [0, 1]]
@@ -144,6 +152,35 @@ def test_corpus_small():
     payload = run_json("corpus", "--max-k", "2", "--max-l", "2")
     assert payload["all_ok"] is True
     assert payload["diagrams"] == 4
+
+
+def test_corpus_reports_a_raising_diagram(monkeypatch, capsys):
+    bad = isoverify.corpus(2, 2)[1]
+    real = cli.verify
+
+    def verify(d):
+        if d == bad:
+            raise ValueError("boom")
+        return real(d)
+
+    monkeypatch.setattr(cli, "verify", verify)
+    code = cli.main(["corpus", "--max-k", "2", "--max-l", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    assert payload["diagrams"] == 4
+    failed = [r for r in payload["results"] if not r["ok"]]
+    assert failed == [
+        {
+            "segments": list(bad.segment_sizes),
+            "matching": list(bad.matching),
+            "ok": False,
+            "dim": None,
+            "mismatches": ["raised ValueError: boom"],
+        }
+    ]
 
 
 def test_corpus_with_disconnected_surfaces():

@@ -224,6 +224,22 @@ def test_verify_reports_a_missing_identity(monkeypatch, fresh_caches):
     assert "missing identity structure for []" in report.mismatches
 
 
+def test_verify_catches_an_identity_that_kills(monkeypatch, fresh_caches):
+    # stacking an identity under a structure with used arcs gives zero
+    real = contact.stack
+
+    def stack(surface, x0, x1):
+        if x0.bottom == x0.top and not x0.used_arcs and x1.used_arcs:
+            return None
+        return real(surface, x0, x1)
+
+    monkeypatch.setattr(contact, "stack", stack)
+    report = verify(TORUS)
+    assert not report.success
+    assert not report.unit_ok
+    assert "identity structures do not act as a unit" in report.mismatches
+
+
 def test_verify_k5_diagram():
     # beyond the k <= 3 corpus: a genus-2 surface with 334 tight structures
     report = verify(ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)))
