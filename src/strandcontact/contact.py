@@ -184,23 +184,32 @@ def stack(
 
 @dataclass(frozen=True)
 class CATable:
-    """The contact category algebra on its basis of tight structures."""
+    """The contact category algebra on its basis of tight structures.
+
+    products holds exactly the composable pairs (x0.top == x1.bottom):
+    the stacked structure's basis index, or None when it is overtwisted.
+    A missing pair does not compose, so its product is zero; read it with
+    products.get((i, j)).
+    """
 
     basis: tuple[ContactStructure, ...]
-    products: dict  # (i, j) -> basis index or None
+    products: dict  # composable (i, j) -> basis index or None
     identities: tuple[int, ...]  # indices of the identity structures
 
 
 @functools.lru_cache(maxsize=None)
 def ca_table(d: ArcDiagram) -> CATable:
-    """Basis and full multiplication table of the contact category algebra."""
+    """Basis and multiplication table of the contact category algebra."""
     surface = to_quad_surface(d)
     basis = enumerate_tight(surface)
     position = {xi: i for i, xi in enumerate(basis)}
+    by_bottom: dict[frozenset[int], list[int]] = {}
+    for j, x1 in enumerate(basis):
+        by_bottom.setdefault(x1.bottom, []).append(j)
     products = {}
     for i, x0 in enumerate(basis):
-        for j, x1 in enumerate(basis):
-            prod = stack(surface, x0, x1)
+        for j in by_bottom.get(x0.top, ()):
+            prod = stack(surface, x0, basis[j])
             products[(i, j)] = position[prod] if prod is not None else None
     identities = tuple(
         i for i, xi in enumerate(basis) if xi.bottom == xi.top and not xi.used_arcs

@@ -6,8 +6,8 @@ cleverly, so a test can compare the two on small inputs.
 
 import itertools
 
-from strandcontact.arcdiag import ArcDiagram, QuadSurface, interior_steps
-from strandcontact.contact import ContactStructure, make_structure
+from strandcontact.arcdiag import ArcDiagram, QuadSurface, interior_steps, to_quad_surface
+from strandcontact.contact import ContactStructure, ca_table, make_structure, stack
 from strandcontact.strands import StrandDiagram
 
 
@@ -27,6 +27,23 @@ def enumerate_tight_pair(
         if xi.tight:
             out.append(xi)
     return tuple(out)
+
+
+def dense_products(d: ArcDiagram) -> dict[tuple[int, int], int | None]:
+    """Stack every ordered pair of basis structures, composable or not.
+
+    (i, j) -> basis index of the stacked structure, or None when it is
+    zero, over all dim^2 pairs of ca_table(d).basis.
+    """
+    surface = to_quad_surface(d)
+    basis = ca_table(d).basis
+    position = {xi: i for i, xi in enumerate(basis)}
+    products = {}
+    for i, x0 in enumerate(basis):
+        for j, x1 in enumerate(basis):
+            prod = stack(surface, x0, x1)
+            products[(i, j)] = position[prod] if prod is not None else None
+    return products
 
 
 def used_steps(m: StrandDiagram) -> frozenset[tuple[int, int]]:

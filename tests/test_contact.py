@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from oracles import enumerate_tight_pair
+from oracles import dense_products, enumerate_tight_pair
+from strandcontact.algebra import mul_sums
 from strandcontact.arcdiag import ArcDiagram, label_subsets, to_quad_surface
 from strandcontact.contact import (
     CubeData,
@@ -16,7 +17,8 @@ from strandcontact.contact import (
     stack,
     structure_json,
 )
-from strandcontact.isoverify import corpus
+from strandcontact.homology import build_summand, representative, ring_product
+from strandcontact.isoverify import corpus, phi
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -226,7 +228,7 @@ def test_ca_table_square():
     for i in range(2):
         for j in range(2):
             expected = i if i == j else None
-            assert table.products[(i, j)] == expected
+            assert table.products.get((i, j)) == expected
 
 
 def test_ca_unit_two_sided():
@@ -234,14 +236,14 @@ def test_ca_unit_two_sided():
         table = ca_table(d)
         for i, xi in enumerate(table.basis):
             hits_left = [
-                table.products[(e, i)]
+                table.products.get((e, i))
                 for e in table.identities
-                if table.products[(e, i)] is not None
+                if table.products.get((e, i)) is not None
             ]
             hits_right = [
-                table.products[(i, e)]
+                table.products.get((i, e))
                 for e in table.identities
-                if table.products[(i, e)] is not None
+                if table.products.get((i, e)) is not None
             ]
             assert hits_left == [i]
             assert hits_right == [i]
@@ -253,13 +255,40 @@ def test_ca_table_closed_and_associative(d):
     n = len(table.basis)
     for i in range(n):
         for j in range(n):
-            ij = table.products[(i, j)]
+            ij = table.products.get((i, j))
             assert ij is None or 0 <= ij < n
             for k in range(n):
-                jk = table.products[(j, k)]
-                lhs = table.products[(ij, k)] if ij is not None else None
-                rhs = table.products[(i, jk)] if jk is not None else None
+                jk = table.products.get((j, k))
+                lhs = table.products.get((ij, k)) if ij is not None else None
+                rhs = table.products.get((i, jk)) if jk is not None else None
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "d",
+    BRUTE_FORCE_CASES,
+    ids=lambda d: "_".join(map(str, d.segment_sizes)) + "-" + "".join(map(str, d.matching)),
+)
+def test_sparse_products_match_dense_oracle(d):
+    # the table keeps exactly the composable pairs, and every pair it
+    # leaves out is zero on all three sides of the ring check
+    table = ca_table(d)
+    dense = dense_products(d)
+    basis = table.basis
+    composable = {
+        (i, j)
+        for i, x0 in enumerate(basis)
+        for j, x1 in enumerate(basis)
+        if x0.top == x1.bottom
+    }
+    assert set(table.products) == composable
+    assert all(table.products[key] == dense[key] for key in composable)
+    assert all(dense[key] is None for key in dense.keys() - composable)
+    triples = [phi(d, xi) for xi in basis]
+    reps = [representative(build_summand(d, *trip)) for trip in triples]
+    for i, j in dense.keys() - composable:
+        assert ring_product(d, triples[i], triples[j]) is None
+        assert mul_sums(d, reps[i], reps[j]) == frozenset()
 
 
 def test_structure_json():

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from strandcontact import contact, homology
+from strandcontact import contact, homology, isoverify
+from strandcontact.algebra import NotInSymmetrisedSpan
 from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, to_quad_surface
 from strandcontact.contact import ca_table
-from strandcontact.homology import summand_nonzero
+from strandcontact.homology import build_summand, representative, summand_nonzero
 from strandcontact.isoverify import (
     NotRealizable,
     corpus,
@@ -224,8 +225,9 @@ def test_verify_reports_a_missing_identity(monkeypatch, fresh_caches):
     assert "missing identity structure for []" in report.mismatches
 
 
-def test_verify_catches_an_identity_that_kills(monkeypatch, fresh_caches):
-    # stacking an identity under a structure with used arcs gives zero
+@pytest.fixture
+def identities_kill(monkeypatch, fresh_caches):
+    """Stacking an identity under a structure with used arcs gives zero."""
     real = contact.stack
 
     def stack(surface, x0, x1):
@@ -234,10 +236,55 @@ def test_verify_catches_an_identity_that_kills(monkeypatch, fresh_caches):
         return real(surface, x0, x1)
 
     monkeypatch.setattr(contact, "stack", stack)
+
+
+def test_verify_catches_an_identity_that_kills(identities_kill):
     report = verify(TORUS)
     assert not report.success
     assert not report.unit_ok
-    assert "identity structures do not act as a unit" in report.mismatches
+    assert any(
+        m.startswith("identity structures do not act as a unit") for m in report.mismatches
+    )
+
+
+def test_unit_mismatches_name_identity_side_and_triple(identities_kill):
+    unit = [
+        m
+        for m in verify(TORUS).mismatches
+        if m.startswith("identity structures do not act as a unit")
+    ]
+    assert unit
+    assert len(set(unit)) == len(unit)
+    assert all("'h': [" in m and " on the left of " in m for m in unit)
+
+
+def test_verify_reports_a_raising_chain_product(monkeypatch):
+    # a product spanning two triples cannot be placed in one summand, so
+    # is_boundary raises inside the ring check
+    basis = ca_table(TORUS).basis
+    first, last = (phi(TORUS, xi) for xi in (basis[0], basis[-1]))
+    spread = representative(build_summand(TORUS, *first)) | representative(
+        build_summand(TORUS, *last)
+    )
+    monkeypatch.setattr(isoverify, "mul_sums", lambda d, x, y: spread)
+    report = verify(TORUS)
+    assert not report.success
+    raised = [m for m in report.mismatches if m.startswith("chain product ")]
+    assert raised
+    assert all("raised ValueError: " in m for m in raised)
+
+
+def test_verify_reports_a_product_outside_the_symmetrised_span(monkeypatch):
+    def mul_sums(d, x, y):
+        raise NotInSymmetrisedSpan("partial twin-swap orbit")
+
+    monkeypatch.setattr(isoverify, "mul_sums", mul_sums)
+    report = verify(TORUS)
+    assert not report.success
+    assert (
+        "chain product {'s': [], 't': [], 'h': [0, 0, 0]} * {'s': [], 't': [], 'h': [0, 0, 0]} "
+        "raised NotInSymmetrisedSpan: partial twin-swap orbit"
+    ) in report.mismatches
 
 
 def test_verify_k5_diagram():
