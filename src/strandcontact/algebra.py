@@ -7,6 +7,8 @@ for the GF(2) sum of a horizontal strand at either twin place.  A
 generator with j dotted labels expands to 2^j concrete diagrams; products
 and differentials are computed on the expansions and regrouped into the
 symmetrised basis, erroring loudly if the result ever failed to regroup.
+A generator is validated once, when it is first expanded; the diagrams
+derived from its expansions are valid by construction.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -20,8 +22,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .arcdiag import ArcDiagram, interior_steps, step_after, step_before
-from .strands import StrandDiagram, differential, inversions, multiply
+from .arcdiag import ArcDiagram, _step_from, interior_steps
+from .strands import StrandDiagram, _derived, crossing_count, differential, multiply
+from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
 # (start labels, end labels, homological grading): the summand of a generator.
 Triple = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
@@ -56,56 +59,82 @@ class SymGenerator:
 
 
 def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return frozenset(d.label(p) for p, _ in g.moving) | frozenset(g.dotted)
+    return frozenset([d.matching[p - 1] for p, _ in g.moving]).union(g.dotted)
 
 
 def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return frozenset(d.label(q) for _, q in g.moving) | frozenset(g.dotted)
+    return frozenset([d.matching[q - 1] for _, q in g.moving]).union(g.dotted)
 
 
 @functools.lru_cache(maxsize=None)
 def expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ...]:
-    """The 2^j concrete diagrams of a generator with j dotted labels."""
+    """The 2^j concrete diagrams of a generator with j dotted labels.
+
+    ValueError unless every expansion is a valid diagram: the moving
+    strands must form one, and the dotted labels must be distinct and
+    touch no moving strand.
+    """
+    moving = StrandDiagram(d.segment_sizes, g.moving)
+    touched = {d.matching[p - 1] for strand in moving.strands for p in strand}
+    if len(set(g.dotted)) != len(g.dotted) or not touched.isdisjoint(g.dotted):
+        raise ValueError(f"dotted labels {list(g.dotted)} clash with moving strands {moving}")
+    if not g.dotted:
+        return (moving,)
     out = []
     pairs = [d.pair(lab) for lab in g.dotted]
     for choice in itertools.product((0, 1), repeat=len(pairs)):
         horizontals = tuple((pair[c], pair[c]) for pair, c in zip(pairs, choice))
-        out.append(StrandDiagram(d.segment_sizes, g.moving + horizontals))
+        out.append(_derived(moving.sizes, tuple(sorted(moving.strands + horizontals))))
     return tuple(out)
 
 
-def is_constrained(d: ArcDiagram, m: StrandDiagram) -> bool:
-    """Whether a diagram begins and ends at sections (no matched pair)."""
-    src = [d.label(p) for p in m.source]
-    tgt = [d.label(q) for q in m.target]
-    return len(set(src)) == len(src) and len(set(tgt)) == len(tgt)
+_new = object.__new__
+_set = object.__setattr__
 
 
-def from_diagram(d: ArcDiagram, m: StrandDiagram) -> SymGenerator:
-    """The unique generator whose expansion contains a constrained diagram."""
-    if not is_constrained(d, m):
-        raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
-    moving = tuple((p, q) for p, q in m.strands if p != q)
-    dotted = tuple(d.label(p) for p, q in m.strands if p == q)
-    return SymGenerator(moving, dotted)
+def _generator(moving: tuple[tuple[int, int], ...], dotted: tuple[int, ...]) -> SymGenerator:
+    """A generator whose moving strands and dotted labels are already sorted."""
+    g = _new(SymGenerator)
+    _set(g, "moving", moving)
+    _set(g, "dotted", dotted)
+    return g
 
 
 def regroup(d: ArcDiagram, terms: frozenset[StrandDiagram]) -> frozenset[SymGenerator]:
     """Rewrite a GF(2) sum of diagrams in the symmetrised basis.
 
-    Greedy orbit matching: classify each diagram by its generator and
-    require every orbit to be complete.
+    A constrained term (no label twice among its starts, nor among its
+    ends) lies in the expansion of exactly one generator: its moving
+    strands, with its horizontal strands' labels dotted.  Each bucket is
+    thus a subset of that expansion, and the orbit is complete iff the
+    bucket holds all 2^|dotted| of its diagrams.
     """
-    buckets: dict[SymGenerator, set[StrandDiagram]] = {}
+    label = d.matching
+    buckets: dict[tuple, list[StrandDiagram]] = {}
     for m in terms:
-        buckets.setdefault(from_diagram(d, m), set()).add(m)
-    out = set()
-    for g, got in buckets.items():
-        if got != set(expand(d, g)):
+        moving = []
+        dotted = []
+        src: set[int] = set()
+        tgt: set[int] = set()
+        for p, q in m.strands:
+            lp, lq = label[p - 1], label[q - 1]
+            if lp in src or lq in tgt:
+                raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
+            src.add(lp)
+            tgt.add(lq)
+            if p == q:
+                dotted.append(lp)
+            else:
+                moving.append((p, q))
+        buckets.setdefault((tuple(moving), tuple(sorted(dotted))), []).append(m)
+    out = []
+    for (moving, dotted), got in buckets.items():
+        g = _generator(moving, dotted)
+        if len(got) != 1 << len(dotted):
             raise NotInSymmetrisedSpan(
                 f"partial twin-swap orbit for generator {g}: {sorted(map(str, got))}"
             )
-        out.add(g)
+        out.append(g)
     return frozenset(out)
 
 
@@ -149,16 +178,14 @@ def diff_sum(d: ArcDiagram, x: frozenset[SymGenerator]) -> frozenset[SymGenerato
     return acc
 
 
-def hom_vector(d: ArcDiagram, m: StrandDiagram) -> tuple[int, ...]:
-    """Multiplicity of each interior step under the strands of a diagram."""
-    return tuple(
-        sum(1 for p, q in m.strands if p <= s < q) for s in interior_steps(d)
-    )
-
-
 def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
     """Homological grading of a generator; dotted pairs contribute zero."""
-    return hom_vector(d, StrandDiagram(d.segment_sizes, g.moving))
+    step = _step_from(d)
+    h = [0] * len(interior_steps(d))
+    for p, q in g.moving:
+        for r in range(p, q):
+            h[step[r]] += 1
+    return tuple(h)
 
 
 def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
@@ -166,25 +193,28 @@ def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     return (start(d, g), end(d, g), hom_grading(d, g))
 
 
-def doubled_multiplicity(d: ArcDiagram, places: frozenset[int], h: tuple[int, ...]) -> int:
-    """Twice the summed average multiplicity of h around the given places."""
-    total = 0
-    for p in places:
-        for i in (step_before(d, p), step_after(d, p)):
-            if i is not None:
-                total += h[i]
-    return total
-
-
-def maslov2(d: ArcDiagram, m: StrandDiagram) -> int:
-    """Doubled Maslov grading: crossings minus multiplicity at the source."""
-    h = hom_vector(d, m)
-    return 2 * len(inversions(m)) - doubled_multiplicity(d, m.source, h)
-
-
 def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
-    """Maslov grading of a generator (twin-swap invariant, kept doubled)."""
-    return maslov2(d, expand(d, g)[0])
+    """Maslov grading of a generator (twin-swap invariant, kept doubled).
+
+    Twice the crossings, minus the multiplicities of h on the steps either
+    side of each start place, of the expansion with each dotted label at
+    its first place x; the horizontal strand there crosses each moving
+    p -> q with p < x < q.
+    """
+    step = _step_from(d)
+    h = hom_grading(d, g)
+    dots = [d.pair(lab)[0] for lab in g.dotted]
+    crossings = crossing_count(g.moving)
+    for p, q in g.moving:
+        for x in dots:
+            if p < x < q:
+                crossings += 1
+    multiplicity = 0
+    for p in [p for p, _ in g.moving] + dots:
+        for i in (step[p - 1], step[p]):
+            if i is not None:
+                multiplicity += h[i]
+    return 2 * crossings - multiplicity
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,6 +228,7 @@ def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
     if not 0 <= i <= d.k:
         return ()
     total = 2 * d.k
+    label = d.matching
     out: list[SymGenerator] = []
 
     candidates = [
@@ -207,17 +238,16 @@ def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
         if d.segment_of(p) == d.segment_of(q)
     ]
 
-    def fill_dotted(moving: tuple[tuple[int, int], ...]):
-        touched = {d.label(p) for p, _ in moving} | {d.label(q) for _, q in moving}
+    def fill_dotted(moving: tuple[tuple[int, int], ...], touched: set[int]):
         free = [lab for lab in range(1, d.k + 1) if lab not in touched]
         need = i - len(moving)
         for dotted in itertools.combinations(free, need):
-            out.append(SymGenerator(moving, dotted))
+            out.append(_generator(moving, dotted))
 
     def extend(pos: int, chosen: list[tuple[int, int]], used_ends: set[int],
                start_labels: set[int], end_labels: set[int]):
         if len(chosen) <= i:
-            fill_dotted(tuple(chosen))
+            fill_dotted(tuple(chosen), start_labels | end_labels)
         if len(chosen) == i:
             return
         for idx in range(pos, len(candidates)):
@@ -226,7 +256,7 @@ def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
                 continue
             if q in used_ends:
                 continue
-            lp, lq = d.label(p), d.label(q)
+            lp, lq = label[p - 1], label[q - 1]
             if lp in start_labels or lq in end_labels:
                 continue
             chosen.append((p, q))

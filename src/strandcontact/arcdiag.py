@@ -82,6 +82,14 @@ class ArcDiagram:
                     f"label {lab} occurs {counts.get(lab, 0)} times, expected 2"
                 )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # every lru_cache keyed on a diagram hashes it on each call
+        return hash((self.segment_sizes, self.matching))
+
     @property
     def k(self) -> int:
         """Number of matched pairs (and of squares)."""
@@ -101,14 +109,16 @@ class ArcDiagram:
             acc += n
         return tuple(starts)
 
+    @functools.cached_property
+    def _segment_table(self) -> tuple[int, ...]:
+        """Entry p: 0-based segment index of place p (entry 0 unused)."""
+        return (0,) + tuple(j for j, n in enumerate(self.segment_sizes) for _ in range(n))
+
     def segment_of(self, place: int) -> int:
         """0-based segment index containing a global place."""
         if not 1 <= place <= 2 * self.k:
             raise ArcDiagramError(f"place {place} out of range")
-        for j in range(self.l - 1, -1, -1):
-            if place >= self._seg_starts[j]:
-                return j
-        raise AssertionError("unreachable")
+        return self._segment_table[place]
 
     def local_index(self, place: int) -> int:
         """0-based position of a place within its segment."""

@@ -122,7 +122,11 @@ def algebra_triples(d: ArcDiagram) -> list[Triple]:
 def build_summand(
     d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
 ) -> HomSummand:
-    """Assemble the chain complex of one (s, t, h) summand."""
+    """Assemble the chain complex of one (s, t, h) summand.
+
+    ValueError when the differential of a generator leaves the summand or
+    does not lower the doubled Maslov degree by exactly 2.
+    """
     gens: tuple[SymGenerator, ...] = ()
     if len(s) == len(t):
         gens = _basis_by_triple(d, len(s)).get((s, t, h), ())
@@ -134,9 +138,15 @@ def build_summand(
     boundary = {}
     for m, basis in graded.items():
         target = {g: i for i, g in enumerate(graded.get(m - 2, ()))}
-        boundary[m] = tuple(
-            sum(1 << target[term] for term in diff_generator(d, g)) for g in basis
-        )
+        columns = []
+        for g in basis:
+            terms = diff_generator(d, g)
+            if not terms <= target.keys():
+                raise ValueError(
+                    f"differential of {g} leaves degree {m - 2} of its summand"
+                )
+            columns.append(sum(1 << target[term] for term in terms))
+        boundary[m] = tuple(columns)
     return HomSummand(d, s, t, h, graded, boundary)
 
 

@@ -162,8 +162,14 @@ def verify(d: ArcDiagram) -> IsoReport:
     reps: dict[Triple, frozenset[SymGenerator]] = {}
     for trip in every_triple:
         s, t, h = trip
-        summand = build_summand(d, s, t, h)
-        dims = homology_dims(summand)
+        try:
+            summand = build_summand(d, s, t, h)
+        except (ValueError, NotInSymmetrisedSpan) as exc:
+            mismatches.append(
+                f"summand {triple_json(trip)} raised {type(exc).__name__}: {exc}"
+            )
+            summand = None
+        dims = homology_dims(summand) if summand is not None else {}
         chain = sum(dims.values())
         local = int(summand_nonzero(d, s, t, h))
         contact = int(trip in contact_triples)
@@ -250,8 +256,15 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(f"missing identity structure for {sorted(s)}")
             continue
         gen = idempotent(d, s)
-        summand = build_summand(d, *trip)
-        if is_boundary(summand, frozenset({gen})):
+        try:
+            killed = is_boundary(build_summand(d, *trip), frozenset({gen}))
+        except (ValueError, NotInSymmetrisedSpan) as exc:
+            unit_ok = False
+            mismatches.append(
+                f"idempotent of {sorted(s)} raised {type(exc).__name__}: {exc}"
+            )
+            continue
+        if killed:
             unit_ok = False
             mismatches.append(f"idempotent of {sorted(s)} is a boundary")
     # the identity at x.bottom fixes x from the left, the one at x.top from
@@ -381,13 +394,13 @@ def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
                     for lab, (v, w) in enumerate(pairing, start=1):
                         matching[v - 1] = matching[w - 1] = lab
                     d = ArcDiagram(tuple(comp), tuple(matching))
-                    if not _diagram_ok(d):
-                        continue
                     key = _canonical_key(d)
                     if key in seen:
                         continue
                     seen.add(key)
-                    out.append(d)
+                    # validity is shared by the whole class of the key
+                    if _diagram_ok(d):
+                        out.append(d)
     return out
 
 
@@ -422,18 +435,14 @@ def _pairings(items: list[int]):
 def _canonical_key(d: ArcDiagram):
     """Minimal (sizes, matching) encoding over segment permutations."""
     best = None
-    segments = [list(d.segment_places(j)) for j in range(d.l)]
+    segments = [[d.label(p) for p in d.segment_places(j)] for j in range(d.l)]
     for perm in itertools.permutations(range(d.l)):
         sizes = tuple(d.segment_sizes[j] for j in perm)
-        order = [p for j in perm for p in segments[j]]
         relabel: dict[int, int] = {}
-        matching = []
-        for p in order:
-            lab = d.label(p)
-            if lab not in relabel:
-                relabel[lab] = len(relabel) + 1
-            matching.append(relabel[lab])
-        key = (sizes, tuple(matching))
+        matching = tuple(
+            relabel.setdefault(lab, len(relabel) + 1) for j in perm for lab in segments[j]
+        )
+        key = (sizes, matching)
         if best is None or key < best:
             best = key
     return best

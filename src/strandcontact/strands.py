@@ -7,6 +7,11 @@ concatenates diagrams when inversion counts add exactly, and the
 differential resolves one crossing at a time.  Everything is linear over
 the two-element field, so a sum of diagrams is a frozenset of them and
 addition is symmetric difference (`^`); differential() returns one.
+
+Diagrams are validated where they come in, by the StrandDiagram
+constructor.  A product or a resolution of valid diagrams is valid by
+construction, so multiply() and differential() build theirs through the
+trusted _derived() and count crossings on the plain strand tuple.
 """
 
 from __future__ import annotations
@@ -77,6 +82,30 @@ def _segment_bounds(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _derived(sizes: tuple[int, ...], strands: tuple[tuple[int, int], ...]) -> StrandDiagram:
+    """A diagram known to be valid, with strands already sorted by start."""
+    m = _new(StrandDiagram)
+    _set(m, "sizes", sizes)
+    _set(m, "strands", strands)
+    return m
+
+
+def crossing_count(strands: tuple[tuple[int, int], ...]) -> int:
+    """Number of inversions of a strand tuple sorted by start place."""
+    count = 0
+    earlier: list[int] = []
+    for _, q in strands:
+        for f in earlier:
+            if f > q:
+                count += 1
+        earlier.append(q)
+    return count
+
+
 def inversions(m: StrandDiagram) -> frozenset[tuple[int, int]]:
     """Pairs of strand starts i < j whose images cross: phi(i) > phi(j)."""
     out = []
@@ -94,24 +123,42 @@ def multiply(m: StrandDiagram, n: StrandDiagram) -> Optional[StrandDiagram]:
     The composite survives only if its inversion count is exactly the sum
     of the factors' counts (no pair of strands crossing twice).
     """
-    if m.sizes != n.sizes or m.target != n.source:
+    if m.sizes != n.sizes or len(m.strands) != len(n.strands):
         return None
-    composite = StrandDiagram(
-        m.sizes, tuple((p, n.image(q)) for p, q in m.strands)
-    )
-    if len(inversions(composite)) != len(inversions(m)) + len(inversions(n)):
+    image = dict(n.strands)
+    joined = []
+    for p, q in m.strands:
+        r = image.get(q)
+        if r is None:
+            return None
+        joined.append((p, r))
+    composite = tuple(joined)
+    if crossing_count(composite) != crossing_count(m.strands) + crossing_count(n.strands):
         return None
-    return composite
+    return _derived(m.sizes, composite)
 
 
 def differential(m: StrandDiagram) -> frozenset[StrandDiagram]:
-    """Sum of single-crossing resolutions that lose exactly one inversion."""
-    base = len(inversions(m))
-    out: set[StrandDiagram] = set()
-    for i, j in inversions(m):
-        swapped = dict(m.strands)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        resolved = StrandDiagram(m.sizes, tuple(swapped.items()))
-        if len(inversions(resolved)) == base - 1:
-            out ^= {resolved}
+    """Sum of single-crossing resolutions that lose exactly one inversion.
+
+    Swapping the images of a crossing (i, j) loses exactly one inversion
+    iff no strand starting between i and j has its image between theirs;
+    every other swap loses an odd number greater than one.
+    """
+    strands = m.strands
+    ends = [q for _, q in strands]
+    out = []
+    for a, fa in enumerate(ends):
+        for b in range(a + 1, len(ends)):
+            fb = ends[b]
+            if fa <= fb:
+                continue
+            for fc in ends[a + 1:b]:
+                if fb < fc < fa:
+                    break  # the swap would lose at least three inversions
+            else:
+                resolved = list(strands)
+                resolved[a] = (strands[a][0], fb)
+                resolved[b] = (strands[b][0], fa)
+                out.append(_derived(m.sizes, tuple(resolved)))
     return frozenset(out)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import all_diagrams, sections
+from oracles import all_diagrams, from_diagram, hom_vector, is_constrained, maslov2, sections
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.algebra import (
     SymGenerator,
@@ -11,14 +11,10 @@ from strandcontact.algebra import (
     end,
     enumerate_basis,
     expand,
-    from_diagram,
     generator_json,
     generator_maslov2,
     hom_grading,
-    hom_vector,
     idempotent,
-    is_constrained,
-    maslov2,
     mul_generators,
     mul_sums,
     start,

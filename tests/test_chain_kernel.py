@@ -1,0 +1,145 @@
+"""The strand kernel against the direct route in tests/oracles.py.
+
+The kernel validates a generator once, in expand, builds every derived
+diagram unchecked, counts crossings as an integer, resolves only the
+crossings that lose exactly one inversion and checks orbits by their
+size.  These tests compare it with the route that validates every diagram
+and recounts inversion sets, and pin the guards it keeps.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import (
+    all_diagrams,
+    diff_generator_by_recount,
+    differential_by_recount,
+    generator_maslov2_of_expansion,
+    mul_generators_by_recount,
+    multiply_by_recount,
+    triple_of_expansion,
+    validating_expand,
+)
+from strandcontact.algebra import (
+    NotInSymmetrisedSpan,
+    SymGenerator,
+    diff_generator,
+    end,
+    enumerate_basis,
+    expand,
+    generator_maslov2,
+    mul_generators,
+    regroup,
+    start,
+    triple,
+)
+from strandcontact.arcdiag import ArcDiagram
+from strandcontact.isoverify import corpus
+from strandcontact.strands import StrandDiagram, crossing_count, differential, inversions, multiply
+
+TORUS = ArcDiagram((4,), (1, 2, 1, 2))
+ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
+K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
+K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+
+
+def generators(d):
+    return [g for i in range(d.k + 1) for g in enumerate_basis(d, i)]
+
+
+def name(d):
+    return " ".join(map(str, d.segment_sizes)) + "|" + " ".join(map(str, d.matching))
+
+
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
+def test_generators_match_direct_route(d):
+    for g in generators(d):
+        assert diff_generator(d, g) == diff_generator_by_recount(d, g)
+        assert generator_maslov2(d, g) == generator_maslov2_of_expansion(d, g)
+        assert triple(d, g) == triple_of_expansion(d, g)
+
+
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST], ids=name)
+def test_products_match_direct_route(d):
+    by_start = {}
+    for g in generators(d):
+        by_start.setdefault(start(d, g), []).append(g)
+    for g1 in generators(d):
+        for g2 in by_start.get(end(d, g1), []):
+            assert mul_generators(d, g1, g2) == mul_generators_by_recount(d, g1, g2)
+
+
+def test_diagram_products_match_recount():
+    for sizes in [(4,), (2, 2), (3, 1)]:
+        diagrams = [m for count in range(sum(sizes) + 1) for m in all_diagrams(sizes, count)]
+        for m, n in itertools.product(diagrams, diagrams):
+            assert multiply(m, n) == multiply_by_recount(m, n)
+
+
+@st.composite
+def strand_diagrams(draw):
+    """A valid diagram: on each segment, starts s_1 < ... and ends e_1 < ...
+    with e_i >= s_i, joined by a random bijection that never goes down."""
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    strands = []
+    first = 1
+    for n in sizes:
+        places = list(range(first, first + n))
+        first += n
+        count = draw(st.integers(0, n))
+        subset = st.lists(st.sampled_from(places), min_size=count, max_size=count, unique=True)
+        starts, ends = sorted(draw(subset)), sorted(draw(subset))
+        assume(all(e >= s for s, e in zip(starts, ends)))
+        free = list(ends)
+        for p in reversed(starts):
+            q = draw(st.sampled_from([e for e in free if e >= p]))
+            free.remove(q)
+            strands.append((p, q))
+    return StrandDiagram(sizes, tuple(strands))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(strand_diagrams())
+def test_crossing_count_and_differential_match_recount(m):
+    assert crossing_count(m.strands) == len(inversions(m))
+    assert differential(m) == differential_by_recount(m)
+
+
+def test_regroup_rejects_a_truncated_orbit():
+    g = SymGenerator(((1, 3),), (2,))
+    orbit = frozenset(expand(TORUS, g))
+    assert len(orbit) == 2
+    assert regroup(TORUS, orbit) == {g}
+    for m in orbit:
+        with pytest.raises(NotInSymmetrisedSpan, match="partial twin-swap orbit"):
+            regroup(TORUS, orbit - {m})
+
+
+@pytest.mark.parametrize(
+    "strands",
+    [((1, 2), (3, 4)), ((1, 2), (4, 4))],
+    ids=["label-1-starts-twice", "label-2-ends-twice"],
+)
+def test_regroup_rejects_an_unconstrained_term(strands):
+    with pytest.raises(NotInSymmetrisedSpan, match="not constrained"):
+        regroup(TORUS, frozenset({StrandDiagram(TORUS.segment_sizes, strands)}))
+
+
+@pytest.mark.parametrize(
+    "d, g",
+    [
+        (TORUS, SymGenerator(((1, 2),), (2,))),  # the moving strand ends on label 2
+        (TORUS, SymGenerator(((1, 2),), (1,))),  # the moving strand starts on label 1
+        (TORUS, SymGenerator((), (1, 1))),  # a dotted label twice
+        (ANNULUS, SymGenerator(((3, 4),), ())),  # across the segment boundary
+        (ANNULUS, SymGenerator(((2, 1),), ())),  # a decreasing strand
+    ],
+    ids=["dotted-touches-end", "dotted-touches-start", "dotted-twice", "crosses-boundary", "decreasing"],
+)
+def test_expand_rejects_what_validation_rejects(d, g):
+    with pytest.raises(ValueError):
+        validating_expand(d, g)
+    with pytest.raises(ValueError):
+        expand(d, g)

@@ -319,8 +319,7 @@ def survives_by_three_conditions(d, s, t, h):
     survival conditions directly: 0/1 multiplicities, the interior-twin
     exclusion, and a brute-force search for a crossingless constrained
     diagram with the right endpoints and grading."""
-    from strandcontact.algebra import hom_vector, is_constrained
-    from oracles import all_diagrams
+    from oracles import all_diagrams, hom_vector, is_constrained
     from strandcontact.strands import inversions
 
     if any(m not in (0, 1) for m in h):

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from strandcontact import contact, homology, isoverify
-from strandcontact.algebra import NotInSymmetrisedSpan
+from oracles import corpus_validate_first
+from strandcontact import algebra, contact, homology, isoverify, strands
+from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis, expand
 from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, to_quad_surface
 from strandcontact.contact import ca_table
 from strandcontact.homology import build_summand, representative, summand_nonzero
@@ -183,12 +184,20 @@ def test_ca_dim_multiplies_over_disjoint_union():
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the caches that a patched table would otherwise poison."""
-    ca_table.cache_clear()
-    summand_nonzero.cache_clear()
+    """Clear the caches that a patched table or kernel would otherwise poison."""
+    caches = (
+        ca_table,
+        summand_nonzero,
+        build_summand,
+        homology._basis_by_triple,
+        expand,
+        enumerate_basis,
+    )
+    for cache in caches:
+        cache.cache_clear()
     yield
-    ca_table.cache_clear()
-    summand_nonzero.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_verify_reports_contact_side_disagreement(monkeypatch, fresh_caches):
@@ -292,3 +301,90 @@ def test_verify_k5_diagram():
     report = verify(ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)))
     assert report.success, report.mismatches
     assert report.ca_dim == report.homology_dim == 334
+
+
+K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
+
+
+def _drop_a_resolution(monkeypatch):
+    # without horizontal strands every orbit is a single diagram, so the
+    # sum still regroups, only one term short
+    real = strands.differential
+
+    def differential(m):
+        out = real(m)
+        if out and all(p != q for p, q in m.strands):
+            return out - {min(out, key=lambda r: r.strands)}
+        return out
+
+    monkeypatch.setattr(algebra, "differential", differential)
+
+
+def _maslov_off_on_dotted(monkeypatch):
+    real = algebra.generator_maslov2
+    monkeypatch.setattr(
+        homology, "generator_maslov2", lambda d, g: real(d, g) + (2 if g.dotted else 0)
+    )
+
+
+def _reduce_ignoring_a_pivot(monkeypatch):
+    def _reduce(columns):
+        pivots, kernel, ignored = {}, [], False
+        for c, col in enumerate(columns):
+            combo = 1 << c
+            while col and (col & -col) in pivots:
+                pivot_col, pivot_combo = pivots[col & -col]
+                col ^= pivot_col
+                combo ^= pivot_combo
+            if col and not ignored:
+                ignored = True
+            elif col:
+                pivots[col & -col] = (col, combo)
+            else:
+                kernel.append(combo)
+        return pivots, kernel
+
+    monkeypatch.setattr(homology, "_reduce", _reduce)
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [_drop_a_resolution, _maslov_off_on_dotted, _reduce_ignoring_a_pivot],
+    ids=["differential-drops-a-resolution", "maslov2-off-by-2-when-dotted", "reduce-ignores-a-pivot"],
+)
+def test_verify_catches_a_chain_side_fault(monkeypatch, fresh_caches, inject):
+    inject(monkeypatch)
+    assert any(not verify(d).success for d in corpus(3, 3) + [K4_SLOWEST])
+
+
+def _accept_double_crossings(m, n):
+    if m.sizes != n.sizes or m.target != n.source:
+        return None
+    return strands.StrandDiagram(m.sizes, tuple((p, n.image(q)) for p, q in m.strands))
+
+
+def test_double_crossing_products_are_outside_verify(monkeypatch, fresh_caches):
+    """A product that keeps a pair of strands crossing twice changes nothing
+    verify computes.  Such a pair crosses in both factors, so each factor
+    has a step of multiplicity 2; verify multiplies only representatives of
+    tight structures' triples, whose h is 0/1.  The Leibniz rule on
+    generators shows the fault instead."""
+    monkeypatch.setattr(algebra, "multiply", _accept_double_crossings)
+    report = verify(K4_SLOWEST)
+    assert report.success, report.mismatches
+
+    d = ArcDiagram((1, 5), (1, 2, 3, 1, 2, 3))
+    gens = [g for i in range(d.k + 1) for g in enumerate_basis(d, i)]
+    broken = 0
+    for g1, g2 in itertools.product(gens, gens):
+        if algebra.end(d, g1) != algebra.start(d, g2):
+            continue
+        lhs = algebra.diff_sum(d, algebra.mul_generators(d, g1, g2))
+        rhs = algebra.mul_sums(d, algebra.diff_generator(d, g1), frozenset({g2}))
+        rhs ^= algebra.mul_sums(d, frozenset({g1}), algebra.diff_generator(d, g2))
+        broken += lhs != rhs
+    assert broken
+
+
+def test_corpus_matches_validate_first_oracle():
+    assert corpus(4, 4) == corpus_validate_first(4, 4)
