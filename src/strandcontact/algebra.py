@@ -141,12 +141,19 @@ def regroup(d: ArcDiagram, terms: frozenset[StrandDiagram]) -> frozenset[SymGene
 def mul_generators(
     d: ArcDiagram, g1: SymGenerator, g2: SymGenerator
 ) -> frozenset[SymGenerator]:
-    """Product of two generators, re-expressed in the symmetrised basis."""
+    """Product of two generators, re-expressed in the symmetrised basis.
+
+    An expansion of g1 composes at most with the one expansion of g2 whose
+    start places are its end places (the expansions of g2 differ in their
+    starts), so only that pair is multiplied.
+    """
     if end(d, g1) != start(d, g2):
         return frozenset()
+    by_starts = {tuple(p for p, _ in n.strands): n for n in expand(d, g2)}
     acc: set[StrandDiagram] = set()
     for m in expand(d, g1):
-        for n in expand(d, g2):
+        n = by_starts.get(tuple(sorted(q for _, q in m.strands)))
+        if n is not None:
             prod = multiply(m, n)
             if prod is not None:
                 acc ^= {prod}
@@ -168,13 +175,6 @@ def mul_sums(
     for g1 in x:
         for g2 in y:
             acc ^= mul_generators(d, g1, g2)
-    return acc
-
-
-def diff_sum(d: ArcDiagram, x: frozenset[SymGenerator]) -> frozenset[SymGenerator]:
-    acc: frozenset[SymGenerator] = frozenset()
-    for g in x:
-        acc ^= diff_generator(d, g)
     return acc
 
 

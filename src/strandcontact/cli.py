@@ -88,8 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_file(args):
-    with open(args.file, encoding="utf-8") as fh:
-        return parse_arc_diagram(fh.read())
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ArcDiagramError(f"cannot read {args.file}: {reason}") from None
+    return parse_arc_diagram(text)
 
 
 def load(args):

@@ -5,9 +5,7 @@ structure between two basic sets is determined by which decomposing arcs
 (interior steps) are used.  The structure is tight exactly when each
 cube's data appears in the ten-case table, so the tight structures are
 enumerated cube by cube, one used-arc set at a time.  Stacking composes
-structures and collapses overtwisted results to zero.  The optional
-dividing-curve oracle re-derives cube tightness by counting closed curves
-on the cube boundary, calibrated against three anchor cases.
+structures and collapses overtwisted results to zero.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ from .arcdiag import (
     label_subsets,
     to_quad_surface,
 )
-
-
-class CalibrationUnresolved(RuntimeError):
-    """The anchor cases failed to pin down a unique face-state convention."""
 
 
 @dataclass(frozen=True)
@@ -52,16 +46,6 @@ class CubeData:
             (self.used_before_v, self.used_after_v, self.used_before_w, self.used_after_w)
         )
 
-    def swap_vw(self) -> "CubeData":
-        return CubeData(
-            self.bottom_on,
-            self.top_on,
-            self.used_before_w,
-            self.used_after_w,
-            self.used_before_v,
-            self.used_after_v,
-        )
-
 
 @dataclass(frozen=True)
 class ContactStructure:
@@ -78,10 +62,16 @@ class ContactStructure:
 
 
 def _used_sides(sq: Square, used_arcs: frozenset[int]) -> tuple[bool, bool, bool, bool]:
-    """Used flags of a square's (before_v, after_v, before_w, after_w) sides."""
-    return tuple(
-        i is not None and i in used_arcs
-        for i in (sq.before_v, sq.after_v, sq.before_w, sq.after_w)
+    """Used flags of a square's (before_v, after_v, before_w, after_w) sides.
+
+    An exterior slot holds None, which is never a used arc.
+    """
+    after_v, before_w, after_w, before_v = sq.sides
+    return (
+        before_v in used_arcs,
+        after_v in used_arcs,
+        before_w in used_arcs,
+        after_w in used_arcs,
     )
 
 
@@ -124,9 +114,9 @@ def make_structure(
     top: frozenset[int],
     used_arcs: frozenset[int],
 ) -> ContactStructure:
-    xi = ContactStructure(bottom, top, used_arcs, tight=False)
     tight = all(
-        cube_tight(cube_data(surface, xi, sq.label)) for sq in surface.squares
+        cube_tight(CubeData(sq.label in bottom, sq.label in top, *_used_sides(sq, used_arcs)))
+        for sq in surface.squares
     )
     return ContactStructure(bottom, top, used_arcs, tight)
 
@@ -224,100 +214,3 @@ def structure_json(d: ArcDiagram, xi: ContactStructure) -> dict:
         "used": sorted(xi.used_arcs),
         "tight": xi.tight,
     }
-
-
-# ---------------------------------------------------------------------------
-# Optional oracle: count dividing curves on the rounded cube boundary.
-#
-# The cube has six faces; each carries one of the two non-crossing
-# matchings of its four edge midpoints, selected by the face state.  The
-# matchings glue across shared edges into closed curves.  On the top and
-# bottom faces the matching is forced: an "on" face must leave room for
-# the diagonal joining its two positive corners, so its arcs cut off the
-# negative corners.  The side faces' spiral convention is not readable
-# from text alone and is calibrated from three anchor cases instead.
-
-_EDGES = (
-    "b_av", "b_bw", "b_aw", "b_bv",  # bottom square, cyclic
-    "t_av", "t_bw", "t_aw", "t_bv",  # top square, cyclic
-    "v_v", "v_n1", "v_w", "v_n2",   # vertical edges at v, n1, w, n2
-)
-
-# Faces as cyclic edge lists.  Side faces are listed in the frame
-# (bottom edge, vertical shared with the next side, top edge, vertical
-# shared with the previous side), which the cube's rotational symmetry
-# carries from side to side.
-_BOTTOM = ("b_av", "b_bw", "b_aw", "b_bv")
-_TOP = ("t_av", "t_bw", "t_aw", "t_bv")
-_SIDES = (
-    ("b_av", "v_n1", "t_av", "v_v"),
-    ("b_bw", "v_w", "t_bw", "v_n1"),
-    ("b_aw", "v_n2", "t_aw", "v_w"),
-    ("b_bv", "v_v", "t_bv", "v_n2"),
-)
-
-
-def _matching(face: tuple[str, str, str, str], variant: int):
-    a, b, c, e = face
-    if variant == 0:
-        return ((a, b), (c, e))
-    return ((b, c), (e, a))
-
-
-def _curve_components(c: CubeData, side_variant: int) -> int:
-    # Variant 0 on a horizontal face pairs the edges around each negative
-    # corner, which is the "on" state by the principal-diagonal criterion.
-    arcs = []
-    arcs.extend(_matching(_BOTTOM, 0 if c.bottom_on else 1))
-    arcs.extend(_matching(_TOP, 0 if c.top_on else 1))
-    side_states = (c.used_after_v, c.used_before_w, c.used_after_w, c.used_before_v)
-    for face, used in zip(_SIDES, side_states):
-        arcs.extend(_matching(face, side_variant if used else 1 - side_variant))
-    neighbours: dict[str, list[str]] = {e: [] for e in _EDGES}
-    for a, b in arcs:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    seen: set[str] = set()
-    components = 0
-    for start in _EDGES:
-        if start in seen:
-            continue
-        components += 1
-        stackq = [start]
-        while stackq:
-            cur = stackq.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stackq.extend(neighbours[cur])
-    return components
-
-
-_ANCHORS = (
-    (CubeData(True, True, False, False, False, False), True),
-    (CubeData(False, True, False, False, False, False), False),
-    (CubeData(True, False, False, True, False, False), True),
-)
-
-
-@functools.lru_cache(maxsize=1)
-def _calibrated_side_variant() -> int:
-    """Fix the side-face spiral convention from the three anchors."""
-    survivors = [
-        variant
-        for variant in (0, 1)
-        if all(
-            (_curve_components(anchor, variant) == 1) == verdict
-            for anchor, verdict in _ANCHORS
-        )
-    ]
-    if len(survivors) != 1:
-        raise CalibrationUnresolved(
-            f"anchors admit {len(survivors)} side conventions instead of 1"
-        )
-    return survivors[0]
-
-
-def dividing_curve_components(c: CubeData) -> int:
-    """Closed components of the glued per-face matchings on the cube."""
-    return _curve_components(c, _calibrated_side_variant())

@@ -166,34 +166,30 @@ def total_dim(summand: HomSummand) -> int:
     return sum(homology_dims(summand).values())
 
 
-def _element_degree(
-    summand: HomSummand, cycle: frozenset[SymGenerator]
-) -> Optional[int]:
-    d = summand.diagram
-    degrees = {generator_maslov2(d, g) for g in cycle}
-    triples = {triple(d, g) for g in cycle}
-    if len(degrees) != 1 or triples != {(summand.s, summand.t, summand.h)}:
-        raise ValueError("element does not live in one degree of this summand")
-    return next(iter(degrees))
-
-
 def is_boundary(summand: HomSummand, cycle: frozenset[SymGenerator]) -> bool:
     """GF(2) solve: does the cycle lie in the image of the boundary map?
 
-    The element must be homogeneous (single summand, single degree) and
-    closed; NotACycle is raised otherwise.
+    The element must lie in one degree m of the summand (ValueError
+    otherwise) and be closed: the XOR of its boundary[m] columns, which
+    build_summand read off diff_generator, must vanish, or NotACycle is
+    raised.
     """
     if not cycle:
         return True
-    d = summand.diagram
-    m = _element_degree(summand, cycle)
-    acc: frozenset[SymGenerator] = frozenset()
+    first = next(iter(cycle))
+    m = next((m for m, basis in summand.graded_basis.items() if first in basis), None)
+    index = {g: i for i, g in enumerate(summand.graded_basis.get(m, ()))}
+    if not cycle <= index.keys():
+        raise ValueError("element does not live in one degree of this summand")
+    columns = summand.boundary[m]
+    vec = 0
+    closed = 0
     for g in cycle:
-        acc ^= diff_generator(d, g)
-    if acc:
+        i = index[g]
+        vec |= 1 << i
+        closed ^= columns[i]
+    if closed:
         raise NotACycle("element has nonzero differential")
-    index = {g: i for i, g in enumerate(summand.graded_basis[m])}
-    vec = sum(1 << index[g] for g in cycle)
     return gf2_in_span(vec, summand.boundary.get(m + 2, ()))
 
 

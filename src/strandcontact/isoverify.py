@@ -382,13 +382,17 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
 
 def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
     """All valid diagrams with k <= max_k, l <= max_l, one per segment-
-    permutation class, deterministically ordered."""
+    permutation class, deterministically ordered.
+
+    In the lexicographic order of compositions, a class is first met at its
+    non-decreasing composition, so only those compositions are visited.
+    """
     out: list[ArcDiagram] = []
     seen: set = set()
     for k in range(1, max_k + 1):
         places = list(range(1, 2 * k + 1))
         for l in range(1, min(max_l, 2 * k) + 1):
-            for comp in _compositions(2 * k, l):
+            for comp in _partitions(2 * k, l):
                 for pairing in _pairings(places):
                     matching = [0] * (2 * k)
                     for lab, (v, w) in enumerate(pairing, start=1):
@@ -412,12 +416,15 @@ def _diagram_ok(d: ArcDiagram) -> bool:
     return True
 
 
-def _compositions(total: int, parts: int):
+def _partitions(total: int, parts: int, smallest: int = 1):
+    """Non-decreasing compositions of total into parts of at least
+    smallest, in lexicographic order."""
     if parts == 1:
-        yield (total,)
+        if total >= smallest:
+            yield (total,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(smallest, total // parts + 1):
+        for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -433,16 +440,24 @@ def _pairings(items: list[int]):
 
 
 def _canonical_key(d: ArcDiagram):
-    """Minimal (sizes, matching) encoding over segment permutations."""
-    best = None
+    """Minimal (sizes, matching) encoding over segment permutations.
+
+    Sizes compare first, so the minimum puts them in ascending order; only
+    the orders that do so, permuting segments of equal size, are tried.
+    """
     segments = [[d.label(p) for p in d.segment_places(j)] for j in range(d.l)]
-    for perm in itertools.permutations(range(d.l)):
-        sizes = tuple(d.segment_sizes[j] for j in perm)
+    sizes = tuple(sorted(d.segment_sizes))
+    groups = [
+        [j for j in range(d.l) if d.segment_sizes[j] == n] for n in sorted(set(sizes))
+    ]
+
+    def matching(orders) -> tuple[int, ...]:
         relabel: dict[int, int] = {}
-        matching = tuple(
-            relabel.setdefault(lab, len(relabel) + 1) for j in perm for lab in segments[j]
+        return tuple(
+            relabel.setdefault(lab, len(relabel) + 1)
+            for order in orders
+            for j in order
+            for lab in segments[j]
         )
-        key = (sizes, matching)
-        if best is None or key < best:
-            best = key
-    return best
+
+    return (sizes, min(map(matching, itertools.product(*map(itertools.permutations, groups)))))

@@ -12,8 +12,11 @@ from strandcontact.algebra import (
     NotInSymmetrisedSpan,
     SymGenerator,
     Triple,
+    diff_generator,
     end,
+    generator_maslov2,
     start,
+    triple,
 )
 from strandcontact.arcdiag import (
     ArcDiagram,
@@ -23,8 +26,9 @@ from strandcontact.arcdiag import (
     step_before,
     to_quad_surface,
 )
-from strandcontact.contact import ContactStructure, ca_table, make_structure, stack
-from strandcontact.isoverify import _canonical_key, _compositions, _pairings, _diagram_ok
+from strandcontact.contact import ContactStructure, CubeData, ca_table, make_structure, stack
+from strandcontact.homology import HomSummand, NotACycle, gf2_in_span
+from strandcontact.isoverify import _diagram_ok, _pairings
 from strandcontact.strands import StrandDiagram, inversions
 
 
@@ -201,6 +205,32 @@ def diff_generator_by_recount(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGe
     return regroup_by_sets(d, frozenset(acc))
 
 
+def diff_sum(d: ArcDiagram, x: frozenset[SymGenerator]) -> frozenset[SymGenerator]:
+    """Differential of a GF(2) sum of generators."""
+    acc: frozenset[SymGenerator] = frozenset()
+    for g in x:
+        acc ^= diff_generator(d, g)
+    return acc
+
+
+def is_boundary_by_rederiving(summand: HomSummand, cycle: frozenset[SymGenerator]) -> bool:
+    """homology.is_boundary re-deriving each term's triple, Maslov degree and
+    differential instead of reading them off the built summand."""
+    if not cycle:
+        return True
+    d = summand.diagram
+    degrees = {generator_maslov2(d, g) for g in cycle}
+    triples = {triple(d, g) for g in cycle}
+    if len(degrees) != 1 or triples != {(summand.s, summand.t, summand.h)}:
+        raise ValueError("element does not live in one degree of this summand")
+    m = next(iter(degrees))
+    if diff_sum(d, cycle):
+        raise NotACycle("element has nonzero differential")
+    index = {g: i for i, g in enumerate(summand.graded_basis[m])}
+    vec = sum(1 << index[g] for g in cycle)
+    return gf2_in_span(vec, summand.boundary.get(m + 2, ()))
+
+
 def hom_vector(d: ArcDiagram, m: StrandDiagram) -> tuple[int, ...]:
     """Multiplicity of each interior step under the strands of a diagram."""
     return tuple(
@@ -236,14 +266,41 @@ def triple_of_expansion(d: ArcDiagram, g: SymGenerator) -> Triple:
 # The corpus, validating every candidate before deduplicating
 
 
+def compositions(total: int, parts: int):
+    """Every composition of total into parts, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def canonical_key_all_orders(d: ArcDiagram):
+    """Minimal (sizes, matching) encoding over all l! segment orders."""
+    best = None
+    segments = [[d.label(p) for p in d.segment_places(j)] for j in range(d.l)]
+    for perm in itertools.permutations(range(d.l)):
+        sizes = tuple(d.segment_sizes[j] for j in perm)
+        relabel: dict[int, int] = {}
+        matching = tuple(
+            relabel.setdefault(lab, len(relabel) + 1) for j in perm for lab in segments[j]
+        )
+        key = (sizes, matching)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def corpus_validate_first(max_k: int, max_l: int) -> list[ArcDiagram]:
-    """isoverify.corpus as it was: validate each candidate, then deduplicate."""
+    """Every composition, every candidate validated, then deduplicated by
+    the key over all segment orders."""
     out: list[ArcDiagram] = []
     seen: set = set()
     for k in range(1, max_k + 1):
         places = list(range(1, 2 * k + 1))
         for l in range(1, min(max_l, 2 * k) + 1):
-            for comp in _compositions(2 * k, l):
+            for comp in compositions(2 * k, l):
                 for pairing in _pairings(places):
                     matching = [0] * (2 * k)
                     for lab, (v, w) in enumerate(pairing, start=1):
@@ -251,9 +308,124 @@ def corpus_validate_first(max_k: int, max_l: int) -> list[ArcDiagram]:
                     d = ArcDiagram(tuple(comp), tuple(matching))
                     if not _diagram_ok(d):
                         continue
-                    key = _canonical_key(d)
+                    key = canonical_key_all_orders(d)
                     if key in seen:
                         continue
                     seen.add(key)
                     out.append(d)
     return out
+
+
+def swap_vw(c: CubeData) -> CubeData:
+    """The same cube with the roles of the twins v and w exchanged."""
+    return CubeData(
+        c.bottom_on,
+        c.top_on,
+        c.used_before_w,
+        c.used_after_w,
+        c.used_before_v,
+        c.used_after_v,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cube tightness re-derived by counting dividing curves on the rounded
+# cube boundary.
+#
+# The cube has six faces; each carries one of the two non-crossing
+# matchings of its four edge midpoints, selected by the face state.  The
+# matchings glue across shared edges into closed curves.  On the top and
+# bottom faces the matching is forced: an "on" face must leave room for
+# the diagonal joining its two positive corners, so its arcs cut off the
+# negative corners.  The side faces' spiral convention is not readable
+# from text alone and is calibrated from three anchor cases instead.
+
+
+class CalibrationUnresolved(RuntimeError):
+    """The anchor cases failed to pin down a unique face-state convention."""
+
+
+_EDGES = (
+    "b_av", "b_bw", "b_aw", "b_bv",  # bottom square, cyclic
+    "t_av", "t_bw", "t_aw", "t_bv",  # top square, cyclic
+    "v_v", "v_n1", "v_w", "v_n2",   # vertical edges at v, n1, w, n2
+)
+
+# Faces as cyclic edge lists.  Side faces are listed in the frame
+# (bottom edge, vertical shared with the next side, top edge, vertical
+# shared with the previous side), which the cube's rotational symmetry
+# carries from side to side.
+_BOTTOM = ("b_av", "b_bw", "b_aw", "b_bv")
+_TOP = ("t_av", "t_bw", "t_aw", "t_bv")
+_SIDES = (
+    ("b_av", "v_n1", "t_av", "v_v"),
+    ("b_bw", "v_w", "t_bw", "v_n1"),
+    ("b_aw", "v_n2", "t_aw", "v_w"),
+    ("b_bv", "v_v", "t_bv", "v_n2"),
+)
+
+
+def _matching(face: tuple[str, str, str, str], variant: int):
+    a, b, c, e = face
+    if variant == 0:
+        return ((a, b), (c, e))
+    return ((b, c), (e, a))
+
+
+def _curve_components(c: CubeData, side_variant: int) -> int:
+    # Variant 0 on a horizontal face pairs the edges around each negative
+    # corner, which is the "on" state by the principal-diagonal criterion.
+    arcs = []
+    arcs.extend(_matching(_BOTTOM, 0 if c.bottom_on else 1))
+    arcs.extend(_matching(_TOP, 0 if c.top_on else 1))
+    side_states = (c.used_after_v, c.used_before_w, c.used_after_w, c.used_before_v)
+    for face, used in zip(_SIDES, side_states):
+        arcs.extend(_matching(face, side_variant if used else 1 - side_variant))
+    neighbours: dict[str, list[str]] = {e: [] for e in _EDGES}
+    for a, b in arcs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen: set[str] = set()
+    components = 0
+    for start in _EDGES:
+        if start in seen:
+            continue
+        components += 1
+        stackq = [start]
+        while stackq:
+            cur = stackq.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stackq.extend(neighbours[cur])
+    return components
+
+
+_ANCHORS = (
+    (CubeData(True, True, False, False, False, False), True),
+    (CubeData(False, True, False, False, False, False), False),
+    (CubeData(True, False, False, True, False, False), True),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _calibrated_side_variant() -> int:
+    """Fix the side-face spiral convention from the three anchors."""
+    survivors = [
+        variant
+        for variant in (0, 1)
+        if all(
+            (_curve_components(anchor, variant) == 1) == verdict
+            for anchor, verdict in _ANCHORS
+        )
+    ]
+    if len(survivors) != 1:
+        raise CalibrationUnresolved(
+            f"anchors admit {len(survivors)} side conventions instead of 1"
+        )
+    return survivors[0]
+
+
+def dividing_curve_components(c: CubeData) -> int:
+    """Closed components of the glued per-face matchings on the cube."""
+    return _curve_components(c, _calibrated_side_variant())

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from oracles import CalibrationUnresolved, diff_sum, dividing_curve_components
 from strandcontact.arcdiag import (
     ArcDiagram,
     interior_steps,
@@ -21,7 +22,6 @@ from strandcontact.arcdiag import (
 )
 from strandcontact.algebra import (
     diff_generator,
-    diff_sum,
     end,
     enumerate_basis,
     generator_maslov2,
@@ -30,13 +30,7 @@ from strandcontact.algebra import (
     mul_sums,
     start,
 )
-from strandcontact.contact import (
-    CalibrationUnresolved,
-    CubeData,
-    ca_table,
-    cube_tight,
-    dividing_curve_components,
-)
+from strandcontact.contact import CubeData, ca_table, cube_tight
 from strandcontact.homology import (
     INTERIOR,
     BOTH,

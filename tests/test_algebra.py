@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from oracles import all_diagrams, from_diagram, hom_vector, is_constrained, maslov2, sections
+from oracles import all_diagrams, diff_sum, from_diagram, hom_vector, is_constrained, maslov2, sections
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
-    diff_sum,
     end,
     enumerate_basis,
     expand,

@@ -4,7 +4,10 @@ The kernel validates a generator once, in expand, builds every derived
 diagram unchecked, counts crossings as an integer, resolves only the
 crossings that lose exactly one inversion and checks orbits by their
 size.  These tests compare it with the route that validates every diagram
-and recounts inversion sets, and pin the guards it keeps.
+and recounts inversion sets, and pin the guards it keeps.  mul_generators
+multiplies only the expansions that meet, and is_boundary reads degree and
+closedness off the built summand; both are compared with the routes that
+do neither.
 """
 
 import itertools
@@ -17,11 +20,13 @@ from oracles import (
     diff_generator_by_recount,
     differential_by_recount,
     generator_maslov2_of_expansion,
+    is_boundary_by_rederiving,
     mul_generators_by_recount,
     multiply_by_recount,
     triple_of_expansion,
     validating_expand,
 )
+from strandcontact import algebra
 from strandcontact.algebra import (
     NotInSymmetrisedSpan,
     SymGenerator,
@@ -36,6 +41,13 @@ from strandcontact.algebra import (
     triple,
 )
 from strandcontact.arcdiag import ArcDiagram
+from strandcontact.homology import (
+    NotACycle,
+    algebra_triples,
+    build_summand,
+    gf2_kernel_basis,
+    is_boundary,
+)
 from strandcontact.isoverify import corpus
 from strandcontact.strands import StrandDiagram, crossing_count, differential, inversions, multiply
 
@@ -62,13 +74,61 @@ def test_generators_match_direct_route(d):
 
 
 @pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST], ids=name)
-def test_products_match_direct_route(d):
+def test_products_match_direct_route(d, monkeypatch):
+    """mul_generators multiplies only expansions that meet, and still agrees
+    with multiplying every pair of expansions."""
+    calls = 0
+
+    def meeting_multiply(m, n):
+        nonlocal calls
+        calls += 1
+        assert m.target == n.source
+        return multiply(m, n)
+
+    monkeypatch.setattr(algebra, "multiply", meeting_multiply)
     by_start = {}
     for g in generators(d):
         by_start.setdefault(start(d, g), []).append(g)
     for g1 in generators(d):
         for g2 in by_start.get(end(d, g1), []):
             assert mul_generators(d, g1, g2) == mul_generators_by_recount(d, g1, g2)
+    assert calls
+
+
+def outcome(fn, summand, cycle):
+    """What an is_boundary route returns, or the type of what it raises."""
+    try:
+        return fn(summand, cycle)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST], ids=name)
+def test_is_boundary_matches_rederiving(d):
+    """The closedness and degree read off the built summand agree with
+    re-deriving them term by term: on every kernel vector, on every
+    one-generator element, on an element spread over two degrees and on a
+    generator of another summand."""
+    seen = {NotACycle: 0, ValueError: 0}
+    open_generators = 0
+    summands = [build_summand(d, *trip) for trip in algebra_triples(d)]
+    for summand, other in zip(summands, summands[1:] + summands[:1]):
+        graded = summand.graded_basis
+        open_generators += sum(1 for cols in summand.boundary.values() for col in cols if col)
+        elements = [frozenset({g}) for basis in graded.values() for g in basis]
+        for m, basis in graded.items():
+            for vec in gf2_kernel_basis(summand.boundary[m]):
+                elements.append(frozenset(g for i, g in enumerate(basis) if vec >> i & 1))
+        if len(graded) > 1:
+            elements.append(frozenset(basis[0] for basis in graded.values()))
+        elements.append(frozenset({next(iter(other.graded_basis.values()))[0]}))
+        for cycle in elements:
+            got = outcome(is_boundary, summand, cycle)
+            assert got == outcome(is_boundary_by_rederiving, summand, cycle), cycle
+            if got in seen:
+                seen[got] += 1
+    assert seen[ValueError] >= len(summands)
+    assert seen[NotACycle] == open_generators
 
 
 def test_diagram_products_match_recount():

@@ -99,6 +99,30 @@ def test_labels_out_of_range_exit_2(write, verb, flags):
     assert proc.stdout == ""
 
 
+FILE_VERBS = ["validate", "info", "basis", "homology", "contact", "verify", "sfh-table"]
+
+
+@pytest.mark.parametrize("verb", FILE_VERBS)
+@pytest.mark.parametrize("unreadable", ["missing", "not-utf8"])
+def test_unreadable_file_exit_2(tmp_path, capsys, verb, unreadable):
+    path = tmp_path / "input.arc"
+    if unreadable == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + SQUARE.encode())
+    code = cli.main([verb, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_file_without_traceback(tmp_path):
+    path = tmp_path / "missing.arc"
+    proc = run("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot read {path}: No such file or directory\n"
+
+
 def test_contact_filter(write):
     payload = run_json("contact", write(TORUS), "--from", "1", "--to", "2")
     assert payload["count"] == 3

@@ -3,15 +3,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import dense_products, enumerate_tight_pair
+from oracles import dense_products, dividing_curve_components, enumerate_tight_pair, swap_vw
 from strandcontact.algebra import mul_sums
-from strandcontact.arcdiag import ArcDiagram, label_subsets, to_quad_surface
+from strandcontact.arcdiag import ArcDiagram, interior_steps, label_subsets, to_quad_surface
 from strandcontact.contact import (
     CubeData,
     ca_table,
     cube_data,
     cube_tight,
-    dividing_curve_components,
     enumerate_tight,
     make_structure,
     stack,
@@ -23,6 +22,7 @@ from strandcontact.isoverify import corpus, phi
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
+K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 
 
 def cube(bottom, top, before_v=False, after_v=False, before_w=False, after_w=False):
@@ -90,7 +90,7 @@ def test_cube_tight_examples():
 
 def test_cube_tight_vw_symmetry():
     for c in all_cubes():
-        assert cube_tight(c) == cube_tight(c.swap_vw())
+        assert cube_tight(c) == cube_tight(swap_vw(c))
 
 
 def test_cube_data_binding():
@@ -106,6 +106,25 @@ def test_cube_data_binding():
     assert not c2.bottom_on and not c2.top_on
     assert c2.used_before_v and c2.used_after_v
     assert not c2.used_before_w and not c2.used_after_w
+
+
+@pytest.mark.parametrize("d", [TORUS, K4_SLOWEST], ids=["torus", "verify-k4-slowest"])
+def test_make_structure_reads_every_cube(d):
+    """make_structure's verdict is the cube table on each square's cube_data,
+    whose side flags skip the exterior slots."""
+    surface = to_quad_surface(d)
+    n = len(interior_steps(d))
+    subsets = label_subsets(d)
+    for bits in range(1 << n):
+        used = frozenset(i for i in range(n) if (bits >> i) & 1)
+        for bottom, top in itertools.product(subsets, subsets):
+            xi = make_structure(surface, bottom, top, used)
+            cubes = [cube_data(surface, xi, sq.label) for sq in surface.squares]
+            for sq, c in zip(surface.squares, cubes):
+                sides = (sq.before_v, sq.after_v, sq.before_w, sq.after_w)
+                flags = (i is not None and i in used for i in sides)
+                assert c == CubeData(sq.label in bottom, sq.label in top, *flags)
+            assert xi.tight == all(cube_tight(c) for c in cubes)
 
 
 def test_exterior_slots_unused():

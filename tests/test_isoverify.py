@@ -1,8 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from oracles import corpus_validate_first
+from oracles import canonical_key_all_orders, corpus_validate_first, diff_sum
 from strandcontact import algebra, contact, homology, isoverify, strands
 from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis, expand
 from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, to_quad_surface
@@ -10,6 +12,7 @@ from strandcontact.contact import ca_table
 from strandcontact.homology import build_summand, representative, summand_nonzero
 from strandcontact.isoverify import (
     NotRealizable,
+    _canonical_key,
     corpus,
     phi,
     phi_inv,
@@ -379,7 +382,7 @@ def test_double_crossing_products_are_outside_verify(monkeypatch, fresh_caches):
     for g1, g2 in itertools.product(gens, gens):
         if algebra.end(d, g1) != algebra.start(d, g2):
             continue
-        lhs = algebra.diff_sum(d, algebra.mul_generators(d, g1, g2))
+        lhs = diff_sum(d, algebra.mul_generators(d, g1, g2))
         rhs = algebra.mul_sums(d, algebra.diff_generator(d, g1), frozenset({g2}))
         rhs ^= algebra.mul_sums(d, frozenset({g1}), algebra.diff_generator(d, g2))
         broken += lhs != rhs
@@ -388,3 +391,24 @@ def test_double_crossing_products_are_outside_verify(monkeypatch, fresh_caches):
 
 def test_corpus_matches_validate_first_oracle():
     assert corpus(4, 4) == corpus_validate_first(4, 4)
+
+
+def test_corpus_k5_l4_is_pinned():
+    """corpus(5, 4), listed as [sizes, matching] pairs in JSON, hashes to the
+    digest recorded when corpus still went through every composition and
+    every segment order."""
+    diagrams = corpus(5, 4)
+    text = json.dumps([[list(d.segment_sizes), list(d.matching)] for d in diagrams])
+    assert len(diagrams) == 3820
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "92ffe90e9de771cb924e0e094f91af6ff4702cc9e2e59641486d2d00cfa90d74"
+    )
+
+
+def test_canonical_key_tries_only_ascending_orders():
+    for d in corpus_validate_first(3, 4):
+        for perm in itertools.permutations(range(d.l)):
+            sizes = tuple(d.segment_sizes[j] for j in perm)
+            order = [p for j in perm for p in d.segment_places(j)]
+            shuffled = ArcDiagram(sizes, tuple(d.label(p) for p in order))
+            assert _canonical_key(shuffled) == canonical_key_all_orders(shuffled)
