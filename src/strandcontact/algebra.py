@@ -7,8 +7,11 @@ for the GF(2) sum of a horizontal strand at either twin place.  A
 generator with j dotted labels expands to 2^j concrete diagrams; products
 and differentials are computed on the expansions and regrouped into the
 symmetrised basis, erroring loudly if the result ever failed to regroup.
-A generator is validated once, when it is first expanded; the diagrams
-derived from its expansions are valid by construction.
+
+A generator is a (moving, dotted) tuple.  It is validated once, when it
+is first expanded; its expansions, their resolutions and their products
+are plain strand tuples sorted by start place (strands.Strands), valid by
+construction, and never become StrandDiagram objects.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import Optional
 
 from .arcdiag import ArcDiagram, _step_from, interior_steps
-from .strands import StrandDiagram, _derived, crossing_count, differential, multiply
+from .strands import StrandDiagram, Strands, crossing_count, differential, multiply
 from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
 # (start labels, end labels, homological grading): the summand of a generator.
@@ -38,24 +42,35 @@ class NotInSymmetrisedSpan(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SymGenerator:
+class SymGenerator(tuple):
     """A symmetrised constrained diagram: moving strands plus dotted labels.
 
-    moving is sorted by start place and contains no horizontal strand;
-    dotted lists labels carrying a symmetrised horizontal pair.
+    A (moving, dotted) tuple.  moving is sorted by start place and
+    contains no horizontal strand; dotted lists, sorted, the labels
+    carrying a symmetrised horizontal pair.
     """
 
-    moving: tuple[tuple[int, int], ...]
-    dotted: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "moving", tuple(sorted(self.moving)))
-        object.__setattr__(self, "dotted", tuple(sorted(self.dotted)))
+    def __new__(cls, moving: Strands, dotted: tuple[int, ...]) -> SymGenerator:
+        return tuple.__new__(cls, (tuple(sorted(moving)), tuple(sorted(dotted))))
+
+    moving = property(itemgetter(0), doc="Moving strands, sorted by start place.")
+    dotted = property(itemgetter(1), doc="Dotted labels, sorted.")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SymGenerator(moving={self.moving!r}, dotted={self.dotted!r})"
 
     @property
     def strand_count(self) -> int:
         return len(self.moving) + len(self.dotted)
+
+
+# Builds a generator from (moving, dotted) that are already sorted.
+_new = tuple.__new__
 
 
 def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
@@ -67,41 +82,35 @@ def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ...]:
-    """The 2^j concrete diagrams of a generator with j dotted labels.
+def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
+    """The 2^j concrete diagrams of a generator with j dotted labels, as
+    strand tuples sorted by start place.
 
-    ValueError unless every expansion is a valid diagram: the moving
-    strands must form one, and the dotted labels must be distinct and
-    touch no moving strand.
+    ValueError unless the generator is constrained and every expansion is
+    a valid diagram: the moving strands must form one, repeat no label
+    among their starts nor among their ends, and the dotted labels must be
+    distinct and touch no moving strand.
     """
-    moving = StrandDiagram(d.segment_sizes, g.moving)
-    touched = {d.matching[p - 1] for strand in moving.strands for p in strand}
+    moving = StrandDiagram(d.segment_sizes, g.moving).strands
+    label = d.matching
+    starts = {label[p - 1] for p, _ in moving}
+    ends = {label[q - 1] for _, q in moving}
+    if len(starts) != len(moving) or len(ends) != len(moving):
+        raise ValueError(f"moving strands {moving} repeat a label among starts or ends")
+    touched = starts | ends
     if len(set(g.dotted)) != len(g.dotted) or not touched.isdisjoint(g.dotted):
         raise ValueError(f"dotted labels {list(g.dotted)} clash with moving strands {moving}")
     if not g.dotted:
         return (moving,)
-    out = []
     pairs = [d.pair(lab) for lab in g.dotted]
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        horizontals = tuple((pair[c], pair[c]) for pair, c in zip(pairs, choice))
-        out.append(_derived(moving.sizes, tuple(sorted(moving.strands + horizontals))))
-    return tuple(out)
+    return tuple([
+        tuple(sorted(moving + tuple([(x, x) for x in places])))
+        for places in itertools.product(*pairs)
+    ])
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _generator(moving: tuple[tuple[int, int], ...], dotted: tuple[int, ...]) -> SymGenerator:
-    """A generator whose moving strands and dotted labels are already sorted."""
-    g = _new(SymGenerator)
-    _set(g, "moving", moving)
-    _set(g, "dotted", dotted)
-    return g
-
-
-def regroup(d: ArcDiagram, terms: frozenset[StrandDiagram]) -> frozenset[SymGenerator]:
-    """Rewrite a GF(2) sum of diagrams in the symmetrised basis.
+def regroup(d: ArcDiagram, terms: frozenset[Strands]) -> frozenset[SymGenerator]:
+    """Rewrite a GF(2) sum of strand tuples in the symmetrised basis.
 
     A constrained term (no label twice among its starts, nor among its
     ends) lies in the expansion of exactly one generator: its moving
@@ -109,30 +118,20 @@ def regroup(d: ArcDiagram, terms: frozenset[StrandDiagram]) -> frozenset[SymGene
     thus a subset of that expansion, and the orbit is complete iff the
     bucket holds all 2^|dotted| of its diagrams.
     """
-    label = d.matching
-    buckets: dict[tuple, list[StrandDiagram]] = {}
+    label = (0,) + d.matching  # label[p] is the label at place p
+    buckets: dict[tuple, list[Strands]] = {}
     for m in terms:
-        moving = []
-        dotted = []
-        src: set[int] = set()
-        tgt: set[int] = set()
-        for p, q in m.strands:
-            lp, lq = label[p - 1], label[q - 1]
-            if lp in src or lq in tgt:
-                raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
-            src.add(lp)
-            tgt.add(lq)
-            if p == q:
-                dotted.append(lp)
-            else:
-                moving.append((p, q))
-        buckets.setdefault((tuple(moving), tuple(sorted(dotted))), []).append(m)
+        if len({label[p] for p, _ in m}) != len(m) or len({label[q] for _, q in m}) != len(m):
+            raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
+        moving = tuple([strand for strand in m if strand[0] != strand[1]])
+        dotted = tuple(sorted([label[p] for p, q in m if p == q]))
+        buckets.setdefault((moving, dotted), []).append(m)
     out = []
-    for (moving, dotted), got in buckets.items():
-        g = _generator(moving, dotted)
-        if len(got) != 1 << len(dotted):
+    for key, got in buckets.items():
+        g = _new(SymGenerator, key)
+        if len(got) != 1 << len(g.dotted):
             raise NotInSymmetrisedSpan(
-                f"partial twin-swap orbit for generator {g}: {sorted(map(str, got))}"
+                f"partial twin-swap orbit for generator {g}: {sorted(got)}"
             )
         out.append(g)
     return frozenset(out)
@@ -149,10 +148,10 @@ def mul_generators(
     """
     if end(d, g1) != start(d, g2):
         return frozenset()
-    by_starts = {tuple(p for p, _ in n.strands): n for n in expand(d, g2)}
-    acc: set[StrandDiagram] = set()
+    by_starts = {tuple([p for p, _ in n]): n for n in expand(d, g2)}
+    acc: set[Strands] = set()
     for m in expand(d, g1):
-        n = by_starts.get(tuple(sorted(q for _, q in m.strands)))
+        n = by_starts.get(tuple(sorted([q for _, q in m])))
         if n is not None:
             prod = multiply(m, n)
             if prod is not None:
@@ -162,7 +161,7 @@ def mul_generators(
 
 def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     """Differential of a generator in the symmetrised basis."""
-    acc: set[StrandDiagram] = set()
+    acc: set[Strands] = set()
     for m in expand(d, g):
         acc ^= differential(m)
     return regroup(d, frozenset(acc))
@@ -193,16 +192,20 @@ def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     return (start(d, g), end(d, g), hom_grading(d, g))
 
 
-def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
+def generator_maslov2(
+    d: ArcDiagram, g: SymGenerator, h: Optional[tuple[int, ...]] = None
+) -> int:
     """Maslov grading of a generator (twin-swap invariant, kept doubled).
 
     Twice the crossings, minus the multiplicities of h on the steps either
     side of each start place, of the expansion with each dotted label at
     its first place x; the horizontal strand there crosses each moving
-    p -> q with p < x < q.
+    p -> q with p < x < q.  A caller that already holds the generator's
+    homological grading h passes it, so that it is not computed again.
     """
     step = _step_from(d)
-    h = hom_grading(d, g)
+    if h is None:
+        h = hom_grading(d, g)
     dots = [d.pair(lab)[0] for lab in g.dotted]
     crossings = crossing_count(g.moving)
     for p, q in g.moving:
@@ -242,7 +245,7 @@ def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
         free = [lab for lab in range(1, d.k + 1) if lab not in touched]
         need = i - len(moving)
         for dotted in itertools.combinations(free, need):
-            out.append(_generator(moving, dotted))
+            out.append(_new(SymGenerator, (moving, dotted)))
 
     def extend(pos: int, chosen: list[tuple[int, int]], used_ends: set[int],
                start_labels: set[int], end_labels: set[int]):

@@ -171,8 +171,9 @@ def cmd_basis(args) -> int:
         for g in enumerate_basis(d, i):
             entry = generator_json(d, g)
             entry["strands"] = g.strand_count
-            entry["maslov2"] = generator_maslov2(d, g)
-            entry["hom"] = list(hom_grading(d, g))
+            h = hom_grading(d, g)
+            entry["maslov2"] = generator_maslov2(d, g, h)
+            entry["hom"] = list(h)
             gens.append(entry)
     payload = {"schema": 1, "count": len(gens), "generators": gens}
     pretty = [f"{len(gens)} generators"] + [

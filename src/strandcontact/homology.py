@@ -132,7 +132,7 @@ def build_summand(
         gens = _basis_by_triple(d, len(s)).get((s, t, h), ())
     by_degree: dict[int, list[SymGenerator]] = {}
     for g in gens:
-        by_degree.setdefault(generator_maslov2(d, g), []).append(g)
+        by_degree.setdefault(generator_maslov2(d, g, h), []).append(g)
     graded = {m: tuple(by_degree[m]) for m in sorted(by_degree)}
 
     boundary = {}
@@ -151,12 +151,15 @@ def build_summand(
 
 
 def homology_dims(summand: HomSummand) -> dict[int, int]:
-    """Homology dimension per doubled Maslov degree: ker minus image rank."""
+    """Homology dimension per doubled Maslov degree: ker minus image rank.
+
+    Each boundary map is reduced once: its rank is the rank out of its
+    own degree m and the rank into degree m - 2.
+    """
+    rank = {m: gf2_rank(columns) for m, columns in summand.boundary.items()}
     dims = {}
     for m, basis in summand.graded_basis.items():
-        rank_out = gf2_rank(summand.boundary[m])
-        rank_in = gf2_rank(summand.boundary.get(m + 2, ()))
-        dim = len(basis) - rank_out - rank_in
+        dim = len(basis) - rank[m] - rank.get(m + 2, 0)
         if dim:
             dims[m] = dim
     return dims

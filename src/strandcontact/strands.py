@@ -8,48 +8,63 @@ differential resolves one crossing at a time.  Everything is linear over
 the two-element field, so a sum of diagrams is a frozenset of them and
 addition is symmetric difference (`^`); differential() returns one.
 
-Diagrams are validated where they come in, by the StrandDiagram
-constructor.  A product or a resolution of valid diagrams is valid by
-construction, so multiply() and differential() build theirs through the
-trusted _derived() and count crossings on the plain strand tuple.
+StrandDiagram is the validating type at the boundary: a (sizes, strands)
+tuple whose constructor checks the strands against the segments.  The
+kernel below (crossing_count, inversions, multiply, differential) works
+on the plain strand tuple of a valid diagram, sorted by start place,
+with the segments implicit.  A product or a resolution of valid diagrams
+is valid by construction, so the kernel builds its results as plain
+tuples without re-validating them; hashing and equality of those tuples
+run in C.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
+# The strands (p, phi(p)) of a valid diagram, sorted by start place.
+Strands = tuple[tuple[int, int], ...]
 
-@dataclass(frozen=True)
-class StrandDiagram:
+
+class StrandDiagram(tuple):
     """A set of strands (p, phi(p)) with phi(p) >= p, within segments.
 
-    Strands are stored sorted by start place, which is the canonical form
-    used for equality in GF(2) sums.
+    A (sizes, strands) tuple.  Strands are stored sorted by start place,
+    which is the canonical form used for equality in GF(2) sums.
     """
 
-    sizes: tuple[int, ...]
-    strands: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "strands", tuple(sorted(self.strands)))
-        total = sum(self.sizes)
-        bounds = _segment_bounds(self.sizes)
-        starts = [p for p, _ in self.strands]
-        ends = [q for _, q in self.strands]
+    def __new__(cls, sizes: tuple[int, ...], strands: Strands) -> StrandDiagram:
+        sizes = tuple(sizes)
+        strands = tuple(sorted(strands))
+        total = sum(sizes)
+        bounds = _segment_bounds(sizes)
+        starts = [p for p, _ in strands]
+        ends = [q for _, q in strands]
         if len(set(starts)) != len(starts):
             raise ValueError("duplicate strand start")
         if len(set(ends)) != len(ends):
             raise ValueError("duplicate strand end")
-        for p, q in self.strands:
+        for p, q in strands:
             if not (1 <= p <= total and 1 <= q <= total):
                 raise ValueError(f"place out of range in strand {p}->{q}")
             if q < p:
                 raise ValueError(f"strand {p}->{q} decreases")
             if bounds[p - 1] != bounds[q - 1]:
                 raise ValueError(f"strand {p}->{q} crosses a segment boundary")
+        return tuple.__new__(cls, (sizes, strands))
+
+    sizes = property(itemgetter(0), doc="Number of places on each segment.")
+    strands = property(itemgetter(1), doc="The strands, sorted by start place.")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"StrandDiagram(sizes={self.sizes!r}, strands={self.strands!r})"
 
     @property
     def strand_count(self) -> int:
@@ -82,19 +97,7 @@ def _segment_bounds(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _derived(sizes: tuple[int, ...], strands: tuple[tuple[int, int], ...]) -> StrandDiagram:
-    """A diagram known to be valid, with strands already sorted by start."""
-    m = _new(StrandDiagram)
-    _set(m, "sizes", sizes)
-    _set(m, "strands", strands)
-    return m
-
-
-def crossing_count(strands: tuple[tuple[int, int], ...]) -> int:
+def crossing_count(strands: Strands) -> int:
     """Number of inversions of a strand tuple sorted by start place."""
     count = 0
     earlier: list[int] = []
@@ -106,59 +109,58 @@ def crossing_count(strands: tuple[tuple[int, int], ...]) -> int:
     return count
 
 
-def inversions(m: StrandDiagram) -> frozenset[tuple[int, int]]:
+def inversions(strands: Strands) -> frozenset[tuple[int, int]]:
     """Pairs of strand starts i < j whose images cross: phi(i) > phi(j)."""
     out = []
-    for a in range(len(m.strands)):
-        for b in range(a + 1, len(m.strands)):
-            (i, fi), (j, fj) = m.strands[a], m.strands[b]
+    for a in range(len(strands)):
+        for b in range(a + 1, len(strands)):
+            (i, fi), (j, fj) = strands[a], strands[b]
             if fi > fj:
                 out.append((i, j))
     return frozenset(out)
 
 
-def multiply(m: StrandDiagram, n: StrandDiagram) -> Optional[StrandDiagram]:
-    """Concatenate diagrams; None when ends mismatch or inversions are lost.
+def multiply(m: Strands, n: Strands) -> Optional[Strands]:
+    """Concatenate two diagrams on the same segments; None when ends
+    mismatch or inversions are lost.
 
     The composite survives only if its inversion count is exactly the sum
     of the factors' counts (no pair of strands crossing twice).
     """
-    if m.sizes != n.sizes or len(m.strands) != len(n.strands):
+    if len(m) != len(n):
         return None
-    image = dict(n.strands)
+    image = dict(n)
     joined = []
-    for p, q in m.strands:
+    for p, q in m:
         r = image.get(q)
         if r is None:
             return None
         joined.append((p, r))
     composite = tuple(joined)
-    if crossing_count(composite) != crossing_count(m.strands) + crossing_count(n.strands):
+    if crossing_count(composite) != crossing_count(m) + crossing_count(n):
         return None
-    return _derived(m.sizes, composite)
+    return composite
 
 
-def differential(m: StrandDiagram) -> frozenset[StrandDiagram]:
+def differential(m: Strands) -> frozenset[Strands]:
     """Sum of single-crossing resolutions that lose exactly one inversion.
 
     Swapping the images of a crossing (i, j) loses exactly one inversion
     iff no strand starting between i and j has its image between theirs;
-    every other swap loses an odd number greater than one.
+    every other swap loses an odd number greater than one.  Scanning the
+    strands after i, below is the highest image under phi(i) seen so far,
+    so a crossing strand j qualifies iff its image lies above it.
     """
-    strands = m.strands
-    ends = [q for _, q in strands]
+    ends = [q for _, q in m]
     out = []
     for a, fa in enumerate(ends):
+        below = 0
         for b in range(a + 1, len(ends)):
             fb = ends[b]
-            if fa <= fb:
-                continue
-            for fc in ends[a + 1:b]:
-                if fb < fc < fa:
-                    break  # the swap would lose at least three inversions
-            else:
-                resolved = list(strands)
-                resolved[a] = (strands[a][0], fb)
-                resolved[b] = (strands[b][0], fa)
-                out.append(_derived(m.sizes, tuple(resolved)))
+            if below < fb < fa:
+                resolved = list(m)
+                resolved[a] = (m[a][0], fb)
+                resolved[b] = (m[b][0], fa)
+                out.append(tuple(resolved))
+                below = fb
     return frozenset(out)

@@ -128,32 +128,37 @@ def multiply_by_recount(m: StrandDiagram, n: StrandDiagram) -> Optional[StrandDi
     if m.sizes != n.sizes or m.target != n.source:
         return None
     composite = StrandDiagram(m.sizes, tuple((p, n.image(q)) for p, q in m.strands))
-    if len(inversions(composite)) != len(inversions(m)) + len(inversions(n)):
+    crossings = len(inversions(m.strands)) + len(inversions(n.strands))
+    if len(inversions(composite.strands)) != crossings:
         return None
     return composite
 
 
 def differential_by_recount(m: StrandDiagram) -> frozenset[StrandDiagram]:
     """Resolve every crossing and keep those that lose exactly one inversion."""
-    base = len(inversions(m))
+    base = len(inversions(m.strands))
     out: set[StrandDiagram] = set()
-    for i, j in inversions(m):
+    for i, j in inversions(m.strands):
         swapped = dict(m.strands)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         resolved = StrandDiagram(m.sizes, tuple(swapped.items()))
-        if len(inversions(resolved)) == base - 1:
+        if len(inversions(resolved.strands)) == base - 1:
             out ^= {resolved}
     return frozenset(out)
 
 
 @functools.lru_cache(maxsize=None)
 def validating_expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ...]:
-    """The 2^j concrete diagrams of a generator, each one validated."""
+    """The 2^j concrete diagrams of a generator, each one validated and
+    each one required to be constrained."""
     out = []
     pairs = [d.pair(lab) for lab in g.dotted]
     for choice in itertools.product((0, 1), repeat=len(pairs)):
         horizontals = tuple((pair[c], pair[c]) for pair, c in zip(pairs, choice))
-        out.append(StrandDiagram(d.segment_sizes, g.moving + horizontals))
+        m = StrandDiagram(d.segment_sizes, g.moving + horizontals)
+        if not is_constrained(d, m):
+            raise ValueError(f"expansion {m} of {g} is not constrained")
+        out.append(m)
     return tuple(out)
 
 
@@ -251,7 +256,7 @@ def doubled_multiplicity(d: ArcDiagram, places: frozenset[int], h: tuple[int, ..
 def maslov2(d: ArcDiagram, m: StrandDiagram) -> int:
     """Doubled Maslov grading: crossings minus multiplicity at the source."""
     h = hom_vector(d, m)
-    return 2 * len(inversions(m)) - doubled_multiplicity(d, m.source, h)
+    return 2 * len(inversions(m.strands)) - doubled_multiplicity(d, m.source, h)
 
 
 def generator_maslov2_of_expansion(d: ArcDiagram, g: SymGenerator) -> int:

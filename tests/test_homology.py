@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strandcontact import algebra, homology
 from strandcontact.arcdiag import ArcDiagram, interior_steps
 from strandcontact.algebra import (
     SymGenerator,
@@ -19,6 +20,7 @@ from strandcontact.homology import (
     HomSummand,
     LocalCase,
     NotACycle,
+    algebra_triples,
     build_summand,
     crossingless_generators,
     gf2_in_span,
@@ -36,6 +38,7 @@ from strandcontact.homology import (
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
+K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
 
 
 def mat(rows, cols, entries):
@@ -247,6 +250,40 @@ def test_differential_image_is_boundary():
             assert is_boundary(summand, image)
 
 
+def test_summands_grade_each_generator_once(monkeypatch):
+    """Building every summand computes each generator's homological grading
+    once: build_summand hands the h of its triple to generator_maslov2."""
+    calls = 0
+    real = algebra.hom_grading
+
+    def counting(d, g):
+        nonlocal calls
+        calls += 1
+        return real(d, g)
+
+    homology._basis_by_triple.cache_clear()
+    build_summand.cache_clear()
+    monkeypatch.setattr(algebra, "hom_grading", counting)
+    for trip in algebra_triples(K5):
+        build_summand(K5, *trip)
+    assert calls == sum(len(enumerate_basis(K5, i)) for i in range(K5.k + 1))
+
+
+@pytest.mark.parametrize("d", [TORUS, ANNULUS, K5])
+def test_homology_dims_reduces_each_boundary_map_once(monkeypatch, d):
+    reduced = []
+
+    def counting(columns):
+        reduced.append(columns)
+        return gf2_rank(columns)
+
+    monkeypatch.setattr(homology, "gf2_rank", counting)
+    for trip in algebra_triples(d):
+        summand = build_summand(d, *trip)
+        reduced.clear()
+        homology_dims(summand)
+        assert sorted(reduced) == sorted(summand.boundary.values())
+
 @pytest.mark.parametrize("d", [SQUARE, TORUS, ANNULUS])
 def test_representative_is_generating_cycle(d):
     for (s, t, h) in triples_of(d):
@@ -346,7 +383,7 @@ def survives_by_three_conditions(d, s, t, h):
             continue
         if hom_vector(d, m) != h:
             continue
-        if not inversions(m):
+        if not inversions(m.strands):
             return True
     return False
 

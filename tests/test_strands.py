@@ -18,7 +18,7 @@ def idem(places, sizes=ONE_SEG):
 
 
 def diff_sum(x):
-    """Differential of a GF(2) sum of diagrams (a frozenset)."""
+    """Differential of a GF(2) sum of strand tuples (a frozenset)."""
     acc = frozenset()
     for m in x:
         acc ^= differential(m)
@@ -26,7 +26,7 @@ def diff_sum(x):
 
 
 def mul_sums(x, y):
-    """Bilinear product of two GF(2) sums of diagrams."""
+    """Bilinear product of two GF(2) sums of strand tuples."""
     acc = set()
     for m in x:
         for n in y:
@@ -37,15 +37,15 @@ def mul_sums(x, y):
 
 
 def test_inversions_idempotent_empty():
-    assert inversions(idem([1, 3])) == frozenset()
+    assert inversions(idem([1, 3]).strands) == frozenset()
 
 
 def test_inversions_single_crossing():
-    assert inversions(sd([(1, 3), (2, 2)])) == frozenset({(1, 2)})
+    assert inversions(sd([(1, 3), (2, 2)]).strands) == frozenset({(1, 2)})
 
 
 def test_inversions_parallel_strands():
-    assert inversions(sd([(1, 2), (3, 4)])) == frozenset()
+    assert inversions(sd([(1, 2), (3, 4)]).strands) == frozenset()
 
 
 def test_invalid_diagrams_rejected():
@@ -60,31 +60,31 @@ def test_invalid_diagrams_rejected():
 
 
 def test_multiply_idempotents():
-    i_s = idem([1, 2])
-    i_t = idem([1, 3])
+    i_s = idem([1, 2]).strands
+    i_t = idem([1, 3]).strands
     assert multiply(i_s, i_s) == i_s
     assert multiply(i_s, i_t) is None
     assert multiply(i_t, i_s) is None
 
 
 def test_multiply_excess_inversion_is_zero():
-    m = sd([(1, 3), (2, 2)])
-    n = sd([(2, 4), (3, 3)])
+    m = sd([(1, 3), (2, 2)]).strands
+    n = sd([(2, 4), (3, 3)]).strands
     # composite would have 0 inversions against 1 + 1
     assert multiply(m, n) is None
 
 
 def test_multiply_concatenates():
-    assert multiply(sd([(1, 3)]), sd([(3, 4)])) == sd([(1, 4)])
+    assert multiply(sd([(1, 3)]).strands, sd([(3, 4)]).strands) == sd([(1, 4)]).strands
 
 
 def test_differential_crossingless_is_zero():
-    assert differential(idem([1, 2, 4])) == frozenset()
-    assert differential(sd([(1, 2), (3, 4)])) == frozenset()
+    assert differential(idem([1, 2, 4]).strands) == frozenset()
+    assert differential(sd([(1, 2), (3, 4)]).strands) == frozenset()
 
 
 def test_differential_single_resolution():
-    assert differential(sd([(1, 3), (2, 2)])) == frozenset({sd([(1, 2), (2, 3)])})
+    assert differential(sd([(1, 3), (2, 2)]).strands) == frozenset({sd([(1, 2), (2, 3)]).strands})
 
 
 def test_used_steps():
@@ -109,7 +109,7 @@ def test_d_squared_zero_exhaustive():
     for sizes in [(6,), (4,), (3, 1), (2, 2), (1, 1), (2, 2, 2), (3, 3)]:
         for count in range(sum(sizes) + 1):
             for m in all_diagrams(sizes, count):
-                assert diff_sum(differential(m)) == frozenset()
+                assert diff_sum(differential(m.strands)) == frozenset()
 
 
 def test_leibniz_exhaustive_small():
@@ -119,9 +119,10 @@ def test_leibniz_exhaustive_small():
             by_source.setdefault((n.strand_count, n.source), []).append(n)
         for m in diagrams:
             for n in by_source.get((m.strand_count, m.target), []):
-                prod = multiply(m, n)
+                prod = multiply(m.strands, n.strands)
                 lhs = differential(prod) if prod is not None else frozenset()
-                rhs = mul_sums(differential(m), {n}) ^ mul_sums({m}, differential(n))
+                rhs = mul_sums(differential(m.strands), {n.strands})
+                rhs ^= mul_sums({m.strands}, differential(n.strands))
                 assert lhs == rhs
 
 
@@ -129,13 +130,14 @@ def test_used_steps_of_product_is_union():
     for sizes, diagrams in small_corpora():
         for m in diagrams:
             for n in diagrams:
-                prod = multiply(m, n)
+                prod = multiply(m.strands, n.strands)
                 if prod is not None:
-                    assert used_steps(prod) == used_steps(m) | used_steps(n)
+                    composite = StrandDiagram(sizes, prod)
+                    assert used_steps(composite) == used_steps(m) | used_steps(n)
 
 
 DIAGRAMS_44 = [
-    m for count in range(5) for m in all_diagrams((4,), count)
+    m.strands for count in range(5) for m in all_diagrams((4,), count)
 ]
 
 
