@@ -8,10 +8,14 @@ generator with j dotted labels expands to 2^j concrete diagrams; products
 and differentials are computed on the expansions and regrouped into the
 symmetrised basis, erroring loudly if the result ever failed to regroup.
 
-A generator is a (moving, dotted) tuple.  It is validated once, when it
-is first expanded; its expansions, their resolutions and their products
-are plain strand tuples sorted by start place (strands.Strands), valid by
-construction, and never become StrandDiagram objects.
+A generator is a (moving, dotted) tuple.  expand is the one check of a
+generator's strands: it checks them against the arc diagram itself the
+first time the generator is expanded.  Its expansions, their resolutions
+and their products are plain strand tuples sorted by start place
+(strands.Strands), valid by construction.  start, end, triple,
+hom_grading and generator_json do not check: they read only generators
+that are checked already, from enumerate_basis, from regroup or accepted
+by expand.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -27,7 +31,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .arcdiag import ArcDiagram, _step_from, interior_steps
-from .strands import StrandDiagram, Strands, crossing_count, differential, multiply
+from .strands import Strands, crossing_count, differential, multiply
 from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
 # (start labels, end labels, homological grading): the summand of a generator.
@@ -47,7 +51,9 @@ class SymGenerator(tuple):
 
     A (moving, dotted) tuple.  moving is sorted by start place and
     contains no horizontal strand; dotted lists, sorted, the labels
-    carrying a symmetrised horizontal pair.
+    carrying a symmetrised horizontal pair.  The constructor only sorts:
+    expand is the one check of a generator's strands, and start, end,
+    triple, hom_grading and generator_json read only checked generators.
     """
 
     __slots__ = ()
@@ -87,11 +93,15 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     strand tuples sorted by start place.
 
     ValueError unless the generator is constrained and every expansion is
-    a valid diagram: the moving strands must form one, repeat no label
-    among their starts nor among their ends, and the dotted labels must be
-    distinct and touch no moving strand.
+    a valid diagram: each moving strand p -> q has p < q on one segment of
+    d, no label repeats among the starts nor among the ends, and the
+    dotted labels are distinct and touch no moving strand.  Distinct
+    labels imply distinct places.
     """
-    moving = StrandDiagram(d.segment_sizes, g.moving).strands
+    moving = g.moving
+    for p, q in moving:
+        if p >= q or d.segment_of(p) != d.segment_of(q):  # raises off d
+            raise ValueError(f"moving strand {p}->{q} does not rise within a segment")
     label = d.matching
     starts = {label[p - 1] for p, _ in moving}
     ends = {label[q - 1] for _, q in moving}

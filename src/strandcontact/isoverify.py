@@ -29,7 +29,6 @@ from .algebra import (
     Triple,
     idempotent,
     mul_sums,
-    triple,
 )
 from .algebra import enumerate_basis  # unused here; perfbench/tracing.py wraps this binding
 from .contact import ContactStructure, ca_table, make_structure, structure_json
@@ -129,13 +128,17 @@ def triple_json(trip: Triple) -> dict:
     return {"s": sorted(s), "t": sorted(t), "h": list(h)}
 
 
-def _chain_class(d: ArcDiagram, product: frozenset[SymGenerator]) -> Optional[Triple]:
-    """Homology class of a chain-level product: None when it dies."""
+def _chain_class(
+    d: ArcDiagram, product: frozenset[SymGenerator], left: Triple, right: Triple
+) -> Optional[Triple]:
+    """Homology class of a product of representatives of the triples left =
+    (s0, t0, h0) and right = (t0, t1, h1): None when it dies.  The product
+    lies in (s0, t1, h0 + h1); is_boundary raises ValueError on a term
+    outside it."""
     if not product:
         return None
-    trip = triple(d, next(iter(product)))
-    summand = build_summand(d, *trip)
-    return None if is_boundary(summand, product) else trip
+    trip = (left[0], right[1], tuple([a + b for a, b in zip(left[2], right[2])]))
+    return None if is_boundary(build_summand(d, *trip), product) else trip
 
 
 def verify(d: ArcDiagram) -> IsoReport:
@@ -227,9 +230,8 @@ def verify(d: ArcDiagram) -> IsoReport:
         closed_side = ring_product(d, t0j, t1j)
         # a triple zero on the chain side has no representative: zero class
         try:
-            chain_side = _chain_class(
-                d, mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
-            )
+            product = mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
+            chain_side = _chain_class(d, product, t0j, t1j)
         except (ValueError, NotInSymmetrisedSpan) as exc:
             mismatches.append(
                 f"chain product {triple_json(t0j)} * {triple_json(t1j)} "

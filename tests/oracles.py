@@ -6,6 +6,7 @@ cleverly, so a test can compare the two on small inputs.
 
 import functools
 import itertools
+from operator import itemgetter
 from typing import Optional
 
 from strandcontact.algebra import (
@@ -29,7 +30,62 @@ from strandcontact.arcdiag import (
 from strandcontact.contact import ContactStructure, CubeData, ca_table, make_structure, stack
 from strandcontact.homology import HomSummand, NotACycle, gf2_in_span
 from strandcontact.isoverify import _diagram_ok, _pairings
-from strandcontact.strands import StrandDiagram, inversions
+from strandcontact.strands import Strands, inversions
+
+
+class StrandDiagram(tuple):
+    """A set of strands (p, phi(p)) with phi(p) >= p, within segments.
+
+    A (sizes, strands) tuple whose constructor checks the strands against
+    the segments.  Strands are stored sorted by start place, which is the
+    canonical form used for equality in GF(2) sums.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sizes: tuple[int, ...], strands: Strands) -> "StrandDiagram":
+        sizes = tuple(sizes)
+        strands = tuple(sorted(strands))
+        total = sum(sizes)
+        segment = tuple(j for j, n in enumerate(sizes) for _ in range(n))  # of each place
+        starts = [p for p, _ in strands]
+        ends = [q for _, q in strands]
+        if len(set(starts)) != len(starts):
+            raise ValueError("duplicate strand start")
+        if len(set(ends)) != len(ends):
+            raise ValueError("duplicate strand end")
+        for p, q in strands:
+            if not (1 <= p <= total and 1 <= q <= total):
+                raise ValueError(f"place out of range in strand {p}->{q}")
+            if q < p:
+                raise ValueError(f"strand {p}->{q} decreases")
+            if segment[p - 1] != segment[q - 1]:
+                raise ValueError(f"strand {p}->{q} crosses a segment boundary")
+        return tuple.__new__(cls, (sizes, strands))
+
+    sizes = property(itemgetter(0), doc="Number of places on each segment.")
+    strands = property(itemgetter(1), doc="The strands, sorted by start place.")
+
+    def __repr__(self) -> str:
+        return f"StrandDiagram(sizes={self.sizes!r}, strands={self.strands!r})"
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(f"{p}->{q}" for p, q in self.strands) + "}"
+
+    @property
+    def strand_count(self) -> int:
+        return len(self.strands)
+
+    @property
+    def source(self) -> frozenset[int]:
+        return frozenset(p for p, _ in self.strands)
+
+    @property
+    def target(self) -> frozenset[int]:
+        return frozenset(q for _, q in self.strands)
+
+    def image(self, p: int) -> int:
+        return dict(self.strands)[p]
 
 
 def enumerate_tight_pair(
@@ -119,7 +175,7 @@ def sections(d: ArcDiagram, s: frozenset[int]) -> list[frozenset[int]]:
 
 # ---------------------------------------------------------------------------
 # The chain kernel by the direct route: every diagram goes through the
-# validating StrandDiagram constructor, crossings are recounted as sets,
+# validating StrandDiagram constructor above, crossings are recounted as sets,
 # orbits are compared as sets and gradings are read off a concrete diagram.
 
 
@@ -150,7 +206,10 @@ def differential_by_recount(m: StrandDiagram) -> frozenset[StrandDiagram]:
 @functools.lru_cache(maxsize=None)
 def validating_expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ...]:
     """The 2^j concrete diagrams of a generator, each one validated and
-    each one required to be constrained."""
+    each one required to be constrained; a moving strand must not be
+    horizontal."""
+    if any(p == q for p, q in g.moving):
+        raise ValueError(f"{g} has a horizontal moving strand")
     out = []
     pairs = [d.pair(lab) for lab in g.dotted]
     for choice in itertools.product((0, 1), repeat=len(pairs)):

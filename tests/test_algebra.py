@@ -2,7 +2,16 @@ import itertools
 
 import pytest
 
-from oracles import all_diagrams, diff_sum, from_diagram, hom_vector, is_constrained, maslov2, sections
+from oracles import (
+    StrandDiagram,
+    all_diagrams,
+    diff_sum,
+    from_diagram,
+    hom_vector,
+    is_constrained,
+    maslov2,
+    sections,
+)
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.algebra import (
     SymGenerator,
@@ -18,7 +27,6 @@ from strandcontact.algebra import (
     mul_sums,
     start,
 )
-from strandcontact.strands import StrandDiagram
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))

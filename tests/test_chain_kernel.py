@@ -1,13 +1,14 @@
 """The strand kernel against the direct route in tests/oracles.py.
 
-The kernel validates a generator once, in expand, works on plain strand
-tuples from there on, counts crossings as an integer, resolves only the
-crossings that lose exactly one inversion and checks orbits by their
-size.  These tests compare it with the route that validates every diagram
-and recounts inversion sets, and pin the guards it keeps.  mul_generators
-multiplies only the expansions that meet, and is_boundary reads degree and
-closedness off the built summand; both are compared with the routes that
-do neither.
+The kernel checks a generator once, in expand, against the arc diagram
+itself, works on plain strand tuples from there on, counts crossings as
+an integer, resolves only the crossings that lose exactly one inversion
+and checks orbits by their size.  These tests compare it with the route
+that validates every diagram and recounts inversion sets, hold expand's
+check to that route on arbitrary generators, and pin the guards the
+kernel keeps.  mul_generators multiplies only the expansions that meet,
+and is_boundary reads degree and closedness off the built summand; both
+are compared with the routes that do neither.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    StrandDiagram,
     all_diagrams,
     diff_generator_by_recount,
     differential_by_recount,
@@ -49,7 +51,7 @@ from strandcontact.homology import (
     is_boundary,
 )
 from strandcontact.isoverify import corpus
-from strandcontact.strands import StrandDiagram, crossing_count, differential, inversions, multiply
+from strandcontact.strands import crossing_count, differential, inversions, multiply
 
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
@@ -215,6 +217,8 @@ def test_regroup_rejects_an_unconstrained_term(strands):
         (ANNULUS, SymGenerator(((3, 4),), ())),  # across the segment boundary
         (ANNULUS, SymGenerator(((2, 1),), ())),  # a decreasing strand
         (TORUS, SymGenerator(((1, 2), (3, 4)), ())),  # starts twice on label 1, ends twice on 2
+        (TORUS, SymGenerator(((1, 1),), ())),  # a horizontal strand among the moving ones
+        (TORUS, SymGenerator(((1, 9),), ())),  # the torus has places 1..4
     ],
     ids=[
         "dotted-touches-end",
@@ -223,6 +227,8 @@ def test_regroup_rejects_an_unconstrained_term(strands):
         "crosses-boundary",
         "decreasing",
         "unconstrained-moving",
+        "horizontal-moving",
+        "place-out-of-range",
     ],
 )
 def test_expand_rejects_what_validation_rejects(d, g):
@@ -230,3 +236,39 @@ def test_expand_rejects_what_validation_rejects(d, g):
         validating_expand(d, g)
     with pytest.raises(ValueError):
         expand(d, g)
+
+
+def arbitrary_generators(d):
+    """Any (moving, dotted) pair over a little more than the places and
+    labels of d: strands may decrease, stay horizontal, leave their
+    segment or leave the diagram, and labels may repeat or not exist."""
+    places = st.integers(0, 2 * d.k + 1)
+    rising = [(p, q) for p, q in itertools.combinations(range(1, 2 * d.k + 1), 2)
+              if d.segment_of(p) == d.segment_of(q)]
+    strand = st.sampled_from(rising) | st.tuples(places, places)
+    label = st.integers(1, d.k) | st.integers(0, d.k + 1)
+    return st.builds(
+        lambda moving, dotted: (d, SymGenerator(tuple(moving), tuple(dotted))),
+        st.lists(strand, max_size=2),
+        st.lists(label, max_size=2),
+    )
+
+
+def expansions_or_error(fn, d, g):
+    try:
+        return fn(d, g)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of([arbitrary_generators(d) for d in (TORUS, ANNULUS, K4_SLOWEST)]))
+def test_expand_checks_like_validation(case):
+    """expand, checking a generator against the diagram, accepts exactly
+    what the StrandDiagram route accepts, and then expands it the same."""
+    d, g = case
+    got = expansions_or_error(expand, d, g)
+    expected = expansions_or_error(validating_expand, d, g)
+    if expected is not ValueError:
+        expected = tuple(m.strands for m in expected)
+    assert got == expected

@@ -306,6 +306,26 @@ def test_verify_k5_diagram():
     assert report.ca_dim == report.homology_dim == 334
 
 
+def test_verify_grades_each_generator_once(monkeypatch):
+    """verify computes each generator's homological grading once: the ring
+    check takes a chain product's triple from its factors instead of
+    grading a term of it."""
+    d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+    calls = 0
+    real = algebra.hom_grading
+
+    def counting(diagram, g):
+        nonlocal calls
+        calls += 1
+        return real(diagram, g)
+
+    homology._basis_by_triple.cache_clear()
+    build_summand.cache_clear()
+    monkeypatch.setattr(algebra, "hom_grading", counting)
+    assert verify(d).success
+    assert calls == sum(len(enumerate_basis(d, i)) for i in range(d.k + 1)) == 1606
+
+
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 
 

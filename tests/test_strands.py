@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_diagrams, used_steps
-from strandcontact.strands import StrandDiagram, differential, inversions, multiply
+from oracles import StrandDiagram, all_diagrams, used_steps
+from strandcontact.strands import differential, inversions, multiply
 
 ONE_SEG = (4,)
 
