@@ -8,14 +8,18 @@ generator with j dotted labels expands to 2^j concrete diagrams; products
 and differentials are computed on the expansions and regrouped into the
 symmetrised basis, erroring loudly if the result ever failed to regroup.
 
-A generator is a (moving, dotted) tuple.  expand is the one check of a
-generator's strands: it checks them against the arc diagram itself the
-first time the generator is expanded.  Its expansions, their resolutions
-and their products are plain strand tuples sorted by start place
-(strands.Strands), valid by construction.  start, end, triple,
-hom_grading and generator_json do not check: they read only generators
-that are checked already, from enumerate_basis, from regroup or accepted
-by expand.
+A generator is a (moving, dotted) tuple, and many generators share one
+moving part.  The record of a moving part (_moving_part, cached per
+diagram and moving strands) is the one check of moving strands: it
+checks them against the arc diagram itself when it is first built, and
+holds their start and end labels as bitmasks, their homological grading
+and their crossing count.  start, end, triple, hom_grading,
+generator_maslov2 and generator_json read that record, so they raise
+ValueError on moving strands that fail the check.  expand adds the check
+of the dotted labels.  Its expansions, their resolutions and their
+products are plain strand tuples sorted by start place (strands.Strands),
+valid by construction.  Label sets are frozensets from one cache keyed
+by bitmask, so the summands' keys share them.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -28,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import itemgetter
-from typing import Optional
+from typing import AbstractSet, NamedTuple
 
 from .arcdiag import ArcDiagram, _step_from, interior_steps
 from .strands import Strands, crossing_count, differential, multiply
@@ -51,9 +55,9 @@ class SymGenerator(tuple):
 
     A (moving, dotted) tuple.  moving is sorted by start place and
     contains no horizontal strand; dotted lists, sorted, the labels
-    carrying a symmetrised horizontal pair.  The constructor only sorts:
-    expand is the one check of a generator's strands, and start, end,
-    triple, hom_grading and generator_json read only checked generators.
+    carrying a symmetrised horizontal pair.  The constructor only sorts.
+    The record of the moving part is the one check of the moving strands,
+    and expand adds the check of the dotted labels.
     """
 
     __slots__ = ()
@@ -79,12 +83,69 @@ class SymGenerator(tuple):
 _new = tuple.__new__
 
 
+class _Part(NamedTuple):
+    """The record of a checked moving part.  Label l is bit l of a mask."""
+
+    starts: int
+    ends: int
+    h: tuple[int, ...]
+    crossings: int
+
+
+@functools.lru_cache(maxsize=None)
+def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
+    """Check moving strands against d, then record what gradings read.
+
+    ValueError unless each moving strand p -> q has p < q on one segment
+    of d and no label repeats among the starts nor among the ends.
+    """
+    label = d.matching
+    step = _step_from(d)
+    h = [0] * len(interior_steps(d))
+    starts = ends = 0
+    for p, q in moving:
+        if p >= q or d.segment_of(p) != d.segment_of(q):  # raises off d
+            raise ValueError(f"moving strand {p}->{q} does not rise within a segment")
+        s, e = 1 << label[p - 1], 1 << label[q - 1]
+        if starts & s or ends & e:
+            raise ValueError(f"moving strands {moving} repeat a label among starts or ends")
+        starts |= s
+        ends |= e
+        for r in range(p, q):
+            h[step[r]] += 1
+    return _Part(starts, ends, tuple(h), crossing_count(moving))
+
+
+@functools.lru_cache(maxsize=None)
+def _label_set(mask: int) -> frozenset[int]:
+    """The labels whose bits are set in mask, one shared frozenset per mask."""
+    return frozenset([lab for lab in range(mask.bit_length()) if mask >> lab & 1])
+
+
+def _masks(d: ArcDiagram, g: SymGenerator) -> tuple[int, int, _Part]:
+    """(start mask, end mask, moving-part record) of a generator."""
+    part = _moving_part(d, g.moving)
+    dotted = 0
+    for lab in g.dotted:
+        dotted |= 1 << lab
+    return part.starts | dotted, part.ends | dotted, part
+
+
+@functools.lru_cache(maxsize=None)
+def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry lab: the horizontal strands (x, x) at the two places of label
+    lab, first place first (entry 0 unused)."""
+    return ((),) + tuple(
+        tuple([(x, x) for x in d.pair(lab)]) for lab in range(1, d.k + 1)
+    )
+
+
 def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return frozenset([d.matching[p - 1] for p, _ in g.moving]).union(g.dotted)
+    return _label_set(_masks(d, g)[0])
 
 
 def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return frozenset([d.matching[q - 1] for _, q in g.moving]).union(g.dotted)
+    return _label_set(_masks(d, g)[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,58 +154,70 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     strand tuples sorted by start place.
 
     ValueError unless the generator is constrained and every expansion is
-    a valid diagram: each moving strand p -> q has p < q on one segment of
-    d, no label repeats among the starts nor among the ends, and the
-    dotted labels are distinct and touch no moving strand.  Distinct
-    labels imply distinct places.
+    a valid diagram: the moving strands pass the check of their record,
+    and the dotted labels are labels of d, distinct, and touch no moving
+    strand.  Distinct labels imply distinct places.
     """
-    moving = g.moving
-    for p, q in moving:
-        if p >= q or d.segment_of(p) != d.segment_of(q):  # raises off d
-            raise ValueError(f"moving strand {p}->{q} does not rise within a segment")
-    label = d.matching
-    starts = {label[p - 1] for p, _ in moving}
-    ends = {label[q - 1] for _, q in moving}
-    if len(starts) != len(moving) or len(ends) != len(moving):
-        raise ValueError(f"moving strands {moving} repeat a label among starts or ends")
-    touched = starts | ends
-    if len(set(g.dotted)) != len(g.dotted) or not touched.isdisjoint(g.dotted):
-        raise ValueError(f"dotted labels {list(g.dotted)} clash with moving strands {moving}")
-    if not g.dotted:
+    moving, dotted = g
+    part = _moving_part(d, moving)
+    if not dotted:
         return (moving,)
-    pairs = [d.pair(lab) for lab in g.dotted]
+    touched = part.starts | part.ends
+    seen = 0
+    for lab in dotted:
+        if not 1 <= lab <= d.k:
+            raise ValueError(f"dotted label {lab} is not a label 1..{d.k} of the diagram")
+        bit = 1 << lab
+        if seen & bit or touched & bit:
+            raise ValueError(f"dotted labels {list(dotted)} clash with moving strands {moving}")
+        seen |= bit
+    horizontal = _horizontals(d)
     return tuple([
-        tuple(sorted(moving + tuple([(x, x) for x in places])))
-        for places in itertools.product(*pairs)
+        tuple(sorted(moving + chosen))
+        for chosen in itertools.product(*[horizontal[lab] for lab in dotted])
     ])
 
 
-def regroup(d: ArcDiagram, terms: frozenset[Strands]) -> frozenset[SymGenerator]:
+@functools.lru_cache(maxsize=None)
+def _place_labels(d: ArcDiagram) -> tuple[int, ...]:
+    """Entry p: the label at place p (entry 0 unused)."""
+    return (0,) + d.matching
+
+
+def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:
     """Rewrite a GF(2) sum of strand tuples in the symmetrised basis.
 
     A constrained term (no label twice among its starts, nor among its
     ends) lies in the expansion of exactly one generator: its moving
     strands, with its horizontal strands' labels dotted.  Each bucket is
     thus a subset of that expansion, and the orbit is complete iff the
-    bucket holds all 2^|dotted| of its diagrams.
+    bucket counts all 2^|dotted| of its diagrams.
     """
-    label = (0,) + d.matching  # label[p] is the label at place p
-    buckets: dict[tuple, list[Strands]] = {}
+    if not terms:
+        return frozenset()
+    label = _place_labels(d)
+    counts: dict[tuple, int] = {}
     for m in terms:
-        if len({label[p] for p, _ in m}) != len(m) or len({label[q] for _, q in m}) != len(m):
+        n = len(m)
+        if len({label[p] for p, _ in m}) != n or len({label[q] for _, q in m}) != n:
             raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
-        moving = tuple([strand for strand in m if strand[0] != strand[1]])
-        dotted = tuple(sorted([label[p] for p, q in m if p == q]))
-        buckets.setdefault((moving, dotted), []).append(m)
-    out = []
-    for key, got in buckets.items():
-        g = _new(SymGenerator, key)
-        if len(got) != 1 << len(g.dotted):
+        moving = []
+        dotted = []
+        for strand in m:
+            if strand[0] == strand[1]:
+                dotted.append(label[strand[0]])
+            else:
+                moving.append(strand)
+        dotted.sort()
+        key = (tuple(moving), tuple(dotted))
+        counts[key] = counts.get(key, 0) + 1
+    for key, count in counts.items():
+        if count != 1 << len(key[1]):
             raise NotInSymmetrisedSpan(
-                f"partial twin-swap orbit for generator {g}: {sorted(got)}"
+                f"partial twin-swap orbit for generator {_new(SymGenerator, key)}: "
+                f"{count} of its {1 << len(key[1])} expansions"
             )
-        out.append(g)
-    return frozenset(out)
+    return frozenset([_new(SymGenerator, key) for key in counts])
 
 
 def mul_generators(
@@ -156,7 +229,7 @@ def mul_generators(
     start places are its end places (the expansions of g2 differ in their
     starts), so only that pair is multiplied.
     """
-    if end(d, g1) != start(d, g2):
+    if _masks(d, g1)[1] != _masks(d, g2)[0]:
         return frozenset()
     by_starts = {tuple([p for p, _ in n]): n for n in expand(d, g2)}
     acc: set[Strands] = set()
@@ -166,15 +239,18 @@ def mul_generators(
             prod = multiply(m, n)
             if prod is not None:
                 acc ^= {prod}
-    return regroup(d, frozenset(acc))
+    return regroup(d, acc)
 
 
 def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     """Differential of a generator in the symmetrised basis."""
+    expansions = expand(d, g)
+    if len(expansions) == 1:
+        return regroup(d, differential(expansions[0]))
     acc: set[Strands] = set()
-    for m in expand(d, g):
+    for m in expansions:
         acc ^= differential(m)
-    return regroup(d, frozenset(acc))
+    return regroup(d, acc)
 
 
 def mul_sums(
@@ -189,101 +265,104 @@ def mul_sums(
 
 def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
     """Homological grading of a generator; dotted pairs contribute zero."""
-    step = _step_from(d)
-    h = [0] * len(interior_steps(d))
-    for p, q in g.moving:
-        for r in range(p, q):
-            h[step[r]] += 1
-    return tuple(h)
+    return _moving_part(d, g.moving).h
 
 
 def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     """The (s, t, h) summand a generator lives in."""
-    return (start(d, g), end(d, g), hom_grading(d, g))
+    s, t, part = _masks(d, g)
+    return (_label_set(s), _label_set(t), part.h)
 
 
-def generator_maslov2(
-    d: ArcDiagram, g: SymGenerator, h: Optional[tuple[int, ...]] = None
-) -> int:
+@functools.lru_cache(maxsize=None)
+def _sides(d: ArcDiagram) -> tuple[tuple[int, ...], ...]:
+    """Entry p: the interior steps either side of place p (entry 0 unused)."""
+    step = _step_from(d)
+    return ((),) + tuple(
+        tuple([i for i in (step[p - 1], step[p]) if i is not None])
+        for p in range(1, 2 * d.k + 1)
+    )
+
+
+def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     """Maslov grading of a generator (twin-swap invariant, kept doubled).
 
     Twice the crossings, minus the multiplicities of h on the steps either
     side of each start place, of the expansion with each dotted label at
     its first place x; the horizontal strand there crosses each moving
-    p -> q with p < x < q.  A caller that already holds the generator's
-    homological grading h passes it, so that it is not computed again.
+    p -> q with p < x < q.
     """
-    step = _step_from(d)
-    if h is None:
-        h = hom_grading(d, g)
-    dots = [d.pair(lab)[0] for lab in g.dotted]
-    crossings = crossing_count(g.moving)
-    for p, q in g.moving:
-        for x in dots:
-            if p < x < q:
-                crossings += 1
+    moving, dotted = g
+    _, _, h, crossings = _moving_part(d, moving)
+    sides = _sides(d)
     multiplicity = 0
-    for p in [p for p, _ in g.moving] + dots:
-        for i in (step[p - 1], step[p]):
-            if i is not None:
+    for p, _ in moving:
+        for i in sides[p]:
+            multiplicity += h[i]
+    if dotted:
+        horizontal = _horizontals(d)
+        for lab in dotted:
+            x = horizontal[lab][0][0]  # the strand (x, x) at the first place
+            for p, q in moving:
+                if p < x < q:
+                    crossings += 1
+            for i in sides[x]:
                 multiplicity += h[i]
     return 2 * crossings - multiplicity
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
-    """All symmetrised generators with i strands, deterministically ordered.
+def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
+    """Entry i: every generator with i strands, from one walk over the
+    moving parts.
 
     Moving parts are built by choosing strands in increasing start order,
-    keeping starts and ends injective on labels; dotted labels fill the
-    remaining strand count from labels untouched by the moving part.
+    keeping starts and ends injective on labels; the walk visits a part
+    before its extensions and tries strands in sorted order, so it meets
+    the parts sorted.  Each part fills every strand count from its own up
+    with the combinations of the labels it leaves untouched, so each entry
+    comes out sorted by (moving, dotted).
     """
-    if not 0 <= i <= d.k:
-        return ()
-    total = 2 * d.k
+    k = d.k
+    total = 2 * k
     label = d.matching
-    out: list[SymGenerator] = []
-
     candidates = [
         (p, q)
         for p in range(1, total + 1)
         for q in range(p + 1, total + 1)
         if d.segment_of(p) == d.segment_of(q)
     ]
+    out: list[list[SymGenerator]] = [[] for _ in range(k + 1)]
 
-    def fill_dotted(moving: tuple[tuple[int, int], ...], touched: set[int]):
-        free = [lab for lab in range(1, d.k + 1) if lab not in touched]
-        need = i - len(moving)
-        for dotted in itertools.combinations(free, need):
-            out.append(_new(SymGenerator, (moving, dotted)))
-
-    def extend(pos: int, chosen: list[tuple[int, int]], used_ends: set[int],
-               start_labels: set[int], end_labels: set[int]):
-        if len(chosen) <= i:
-            fill_dotted(tuple(chosen), start_labels | end_labels)
-        if len(chosen) == i:
-            return
+    def extend(pos: int, chosen: list[tuple[int, int]], starts: int, ends: int):
+        moving = tuple(chosen)
+        touched = starts | ends
+        free = [lab for lab in range(1, k + 1) if not touched >> lab & 1]
+        for need in range(len(free) + 1):
+            by_count = out[len(moving) + need]
+            for dotted in itertools.combinations(free, need):
+                by_count.append(_new(SymGenerator, (moving, dotted)))
         for idx in range(pos, len(candidates)):
             p, q = candidates[idx]
             if chosen and p <= chosen[-1][0]:
                 continue
-            if q in used_ends:
-                continue
-            lp, lq = label[p - 1], label[q - 1]
-            if lp in start_labels or lq in end_labels:
+            s, e = 1 << label[p - 1], 1 << label[q - 1]
+            if starts & s or ends & e:  # distinct end labels imply distinct ends
                 continue
             chosen.append((p, q))
-            used_ends.add(q)
-            start_labels.add(lp)
-            end_labels.add(lq)
-            extend(idx + 1, chosen, used_ends, start_labels, end_labels)
+            extend(idx + 1, chosen, starts | s, ends | e)
             chosen.pop()
-            used_ends.discard(q)
-            start_labels.discard(lp)
-            end_labels.discard(lq)
 
-    extend(0, [], set(), set(), set())
-    return tuple(sorted(out, key=lambda g: (g.moving, g.dotted)))
+    extend(0, [], 0, 0)
+    return tuple([tuple(gens) for gens in out])
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
+    """All symmetrised generators with i strands, sorted by (moving, dotted)."""
+    if not 0 <= i <= d.k:
+        return ()
+    return _basis(d)[i]
 
 
 def idempotent(d: ArcDiagram, s: frozenset[int]) -> SymGenerator:

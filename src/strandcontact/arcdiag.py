@@ -148,6 +148,8 @@ class ArcDiagram:
 
     def pair(self, lab: int) -> tuple[int, int]:
         """The two places of a label, in increasing order."""
+        if not 1 <= lab <= self.k:
+            raise ArcDiagramError(f"label {lab} out of range 1..{self.k}")
         v = self.matching.index(lab) + 1
         return v, self.twin(v)
 

@@ -171,9 +171,8 @@ def cmd_basis(args) -> int:
         for g in enumerate_basis(d, i):
             entry = generator_json(d, g)
             entry["strands"] = g.strand_count
-            h = hom_grading(d, g)
-            entry["maslov2"] = generator_maslov2(d, g, h)
-            entry["hom"] = list(h)
+            entry["maslov2"] = generator_maslov2(d, g)
+            entry["hom"] = list(hom_grading(d, g))
             gens.append(entry)
     payload = {"schema": 1, "count": len(gens), "generators": gens}
     pretty = [f"{len(gens)} generators"] + [

@@ -132,7 +132,7 @@ def build_summand(
         gens = _basis_by_triple(d, len(s)).get((s, t, h), ())
     by_degree: dict[int, list[SymGenerator]] = {}
     for g in gens:
-        by_degree.setdefault(generator_maslov2(d, g, h), []).append(g)
+        by_degree.setdefault(generator_maslov2(d, g), []).append(g)
     graded = {m: tuple(by_degree[m]) for m in sorted(by_degree)}
 
     boundary = {}

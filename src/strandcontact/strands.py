@@ -13,6 +13,7 @@ is symmetric difference (`^`); differential() returns one.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 # The strands (p, phi(p)) of a valid diagram, sorted by start place.
@@ -64,8 +65,10 @@ def multiply(m: Strands, n: Strands) -> Optional[Strands]:
     return composite
 
 
-def differential(m: Strands) -> frozenset[Strands]:
-    """Sum of single-crossing resolutions that lose exactly one inversion.
+@functools.lru_cache(maxsize=None)
+def _resolving_pairs(ends: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Index pairs (a, b) of the crossings whose swap loses exactly one
+    inversion, for strands with these end places in start order.
 
     Swapping the images of a crossing (i, j) loses exactly one inversion
     iff no strand starting between i and j has its image between theirs;
@@ -73,16 +76,27 @@ def differential(m: Strands) -> frozenset[Strands]:
     strands after i, below is the highest image under phi(i) seen so far,
     so a crossing strand j qualifies iff its image lies above it.
     """
-    ends = [q for _, q in m]
     out = []
     for a, fa in enumerate(ends):
         below = 0
         for b in range(a + 1, len(ends)):
             fb = ends[b]
             if below < fb < fa:
-                resolved = list(m)
-                resolved[a] = (m[a][0], fb)
-                resolved[b] = (m[b][0], fa)
-                out.append(tuple(resolved))
+                out.append((a, b))
                 below = fb
+    return tuple(out)
+
+
+def differential(m: Strands) -> frozenset[Strands]:
+    """Sum of single-crossing resolutions that lose exactly one inversion.
+
+    Which crossings resolve depends only on the order of the end places,
+    so it is looked up once per tuple of end places.
+    """
+    out = []
+    for a, b in _resolving_pairs(tuple([q for _, q in m])):
+        resolved = list(m)
+        resolved[a] = (m[a][0], m[b][1])
+        resolved[b] = (m[b][0], m[a][1])
+        out.append(tuple(resolved))
     return frozenset(out)

@@ -13,6 +13,7 @@ from strandcontact.algebra import (
     NotInSymmetrisedSpan,
     SymGenerator,
     Triple,
+    _new,
     diff_generator,
     end,
     generator_maslov2,
@@ -219,6 +220,64 @@ def validating_expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ..
             raise ValueError(f"expansion {m} of {g} is not constrained")
         out.append(m)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_basis_per_count(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
+    """All symmetrised generators with i strands, deterministically ordered:
+    the enumeration that walks the moving parts again for each strand count
+    i, which algebra.enumerate_basis replaced by one walk per diagram.
+
+    Moving parts are built by choosing strands in increasing start order,
+    keeping starts and ends injective on labels; dotted labels fill the
+    remaining strand count from labels untouched by the moving part.
+    """
+    if not 0 <= i <= d.k:
+        return ()
+    total = 2 * d.k
+    label = d.matching
+    out: list[SymGenerator] = []
+
+    candidates = [
+        (p, q)
+        for p in range(1, total + 1)
+        for q in range(p + 1, total + 1)
+        if d.segment_of(p) == d.segment_of(q)
+    ]
+
+    def fill_dotted(moving: tuple[tuple[int, int], ...], touched: set[int]):
+        free = [lab for lab in range(1, d.k + 1) if lab not in touched]
+        need = i - len(moving)
+        for dotted in itertools.combinations(free, need):
+            out.append(_new(SymGenerator, (moving, dotted)))
+
+    def extend(pos: int, chosen: list[tuple[int, int]], used_ends: set[int],
+               start_labels: set[int], end_labels: set[int]):
+        if len(chosen) <= i:
+            fill_dotted(tuple(chosen), start_labels | end_labels)
+        if len(chosen) == i:
+            return
+        for idx in range(pos, len(candidates)):
+            p, q = candidates[idx]
+            if chosen and p <= chosen[-1][0]:
+                continue
+            if q in used_ends:
+                continue
+            lp, lq = label[p - 1], label[q - 1]
+            if lp in start_labels or lq in end_labels:
+                continue
+            chosen.append((p, q))
+            used_ends.add(q)
+            start_labels.add(lp)
+            end_labels.add(lq)
+            extend(idx + 1, chosen, used_ends, start_labels, end_labels)
+            chosen.pop()
+            used_ends.discard(q)
+            start_labels.discard(lp)
+            end_labels.discard(lq)
+
+    extend(0, [], set(), set(), set())
+    return tuple(sorted(out, key=lambda g: (g.moving, g.dotted)))
 
 
 def is_constrained(d: ArcDiagram, m: StrandDiagram) -> bool:

@@ -21,6 +21,7 @@ from oracles import (
     all_diagrams,
     diff_generator_by_recount,
     differential_by_recount,
+    enumerate_basis_per_count,
     generator_maslov2_of_expansion,
     is_boundary_by_rederiving,
     mul_generators_by_recount,
@@ -37,6 +38,7 @@ from strandcontact.algebra import (
     enumerate_basis,
     expand,
     generator_maslov2,
+    hom_grading,
     mul_generators,
     regroup,
     start,
@@ -57,6 +59,8 @@ TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+K6_A = ArcDiagram((3, 9), (3, 4, 2, 6, 4, 1, 5, 6, 1, 5, 3, 2))  # perfbench/inputs/homology-k6-a.arc
+K6_B = ArcDiagram((5, 7), (4, 6, 2, 4, 5, 6, 1, 5, 3, 2, 3, 1))  # perfbench/inputs/homology-k6-b.arc
 
 
 def generators(d):
@@ -73,6 +77,21 @@ def test_generators_match_direct_route(d):
         assert diff_generator(d, g) == diff_generator_by_recount(d, g)
         assert generator_maslov2(d, g) == generator_maslov2_of_expansion(d, g)
         assert triple(d, g) == triple_of_expansion(d, g)
+
+
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
+def test_basis_walk_matches_per_count_enumeration(d):
+    """One walk over the moving parts fills every strand count with the
+    generators, in the order, of a walk per strand count."""
+    for i in range(-1, d.k + 2):
+        got = enumerate_basis(d, i)
+        assert got == enumerate_basis_per_count(d, i)
+        assert all(type(g) is SymGenerator for g in got)
+
+
+@pytest.mark.parametrize("d, total", [(K6_A, 16380), (K6_B, 10802)], ids=["k6-a", "k6-b"])
+def test_k6_generator_totals(d, total):
+    assert sum(len(enumerate_basis(d, i)) for i in range(d.k + 1)) == total
 
 
 @pytest.mark.parametrize("d", [TORUS, ANNULUS, K4_SLOWEST], ids=name)
@@ -208,34 +227,53 @@ def test_regroup_rejects_an_unconstrained_term(strands):
         regroup(TORUS, frozenset({StrandDiagram(TORUS.segment_sizes, strands).strands}))
 
 
-@pytest.mark.parametrize(
-    "d, g",
-    [
-        (TORUS, SymGenerator(((1, 2),), (2,))),  # the moving strand ends on label 2
-        (TORUS, SymGenerator(((1, 2),), (1,))),  # the moving strand starts on label 1
-        (TORUS, SymGenerator((), (1, 1))),  # a dotted label twice
-        (ANNULUS, SymGenerator(((3, 4),), ())),  # across the segment boundary
-        (ANNULUS, SymGenerator(((2, 1),), ())),  # a decreasing strand
-        (TORUS, SymGenerator(((1, 2), (3, 4)), ())),  # starts twice on label 1, ends twice on 2
-        (TORUS, SymGenerator(((1, 1),), ())),  # a horizontal strand among the moving ones
-        (TORUS, SymGenerator(((1, 9),), ())),  # the torus has places 1..4
-    ],
-    ids=[
-        "dotted-touches-end",
-        "dotted-touches-start",
-        "dotted-twice",
-        "crosses-boundary",
-        "decreasing",
-        "unconstrained-moving",
-        "horizontal-moving",
-        "place-out-of-range",
-    ],
-)
-def test_expand_rejects_what_validation_rejects(d, g):
-    with pytest.raises(ValueError):
+# id: (diagram, generator, the label the error must name or None)
+REJECTED = {
+    # the moving strand ends on label 2
+    "dotted-touches-end": (TORUS, SymGenerator(((1, 2),), (2,)), None),
+    # the moving strand starts on label 1
+    "dotted-touches-start": (TORUS, SymGenerator(((1, 2),), (1,)), None),
+    "dotted-twice": (TORUS, SymGenerator((), (1, 1)), None),
+    "crosses-boundary": (ANNULUS, SymGenerator(((3, 4),), ()), None),
+    "decreasing": (ANNULUS, SymGenerator(((2, 1),), ()), None),
+    # starts twice on label 1, ends twice on label 2
+    "unconstrained-moving": (TORUS, SymGenerator(((1, 2), (3, 4)), ()), None),
+    # a horizontal strand among the moving ones
+    "horizontal-moving": (TORUS, SymGenerator(((1, 1),), ()), None),
+    # the torus has places 1..4
+    "place-out-of-range": (TORUS, SymGenerator(((1, 9),), ()), None),
+    # the torus has labels 1..2
+    "dotted-off-diagram": (TORUS, SymGenerator((), (5,)), r"label 5\b"),
+    "dotted-zero": (TORUS, SymGenerator((), (0,)), r"label 0\b"),
+}
+MOVING_STRAND_FAULTS = [
+    "crosses-boundary",
+    "decreasing",
+    "unconstrained-moving",
+    "horizontal-moving",
+    "place-out-of-range",
+]
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_expand_rejects_what_validation_rejects(case):
+    d, g, names = REJECTED[case]
+    with pytest.raises(ValueError, match=names):
         validating_expand(d, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=names):
         expand(d, g)
+
+
+@pytest.mark.parametrize(
+    "reader", [start, end, triple, hom_grading, generator_maslov2], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("case", MOVING_STRAND_FAULTS)
+def test_readers_check_moving_strands(case, reader):
+    """Whatever reads a generator's gradings or label sets reads the record
+    of its moving part, and building that record checks the strands."""
+    d, g, _ = REJECTED[case]
+    with pytest.raises(ValueError):
+        reader(d, g)
 
 
 def arbitrary_generators(d):

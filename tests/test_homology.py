@@ -250,23 +250,17 @@ def test_differential_image_is_boundary():
             assert is_boundary(summand, image)
 
 
-def test_summands_grade_each_generator_once(monkeypatch):
-    """Building every summand computes each generator's homological grading
-    once: build_summand hands the h of its triple to generator_maslov2."""
-    calls = 0
-    real = algebra.hom_grading
-
-    def counting(d, g):
-        nonlocal calls
-        calls += 1
-        return real(d, g)
-
+def test_summands_grade_each_generator_once():
+    """Building every summand checks and grades each moving part once: the
+    record of a moving part is built on its first use and read by triple,
+    generator_maslov2 and expand for every generator that shares it."""
     homology._basis_by_triple.cache_clear()
     build_summand.cache_clear()
-    monkeypatch.setattr(algebra, "hom_grading", counting)
+    algebra._moving_part.cache_clear()
     for trip in algebra_triples(K5):
         build_summand(K5, *trip)
-    assert calls == sum(len(enumerate_basis(K5, i)) for i in range(K5.k + 1))
+    moving_parts = {g.moving for i in range(K5.k + 1) for g in enumerate_basis(K5, i)}
+    assert algebra._moving_part.cache_info().misses == len(moving_parts) == 741
 
 
 @pytest.mark.parametrize("d", [TORUS, ANNULUS, K5])

@@ -306,24 +306,17 @@ def test_verify_k5_diagram():
     assert report.ca_dim == report.homology_dim == 334
 
 
-def test_verify_grades_each_generator_once(monkeypatch):
-    """verify computes each generator's homological grading once: the ring
-    check takes a chain product's triple from its factors instead of
-    grading a term of it."""
+def test_verify_grades_each_generator_once():
+    """verify checks and grades each moving part once, 741 records for 1,606
+    generators: the ring check takes a chain product's triple from its
+    factors instead of grading a term of it."""
     d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
-    calls = 0
-    real = algebra.hom_grading
-
-    def counting(diagram, g):
-        nonlocal calls
-        calls += 1
-        return real(diagram, g)
-
     homology._basis_by_triple.cache_clear()
     build_summand.cache_clear()
-    monkeypatch.setattr(algebra, "hom_grading", counting)
+    algebra._moving_part.cache_clear()
     assert verify(d).success
-    assert calls == sum(len(enumerate_basis(d, i)) for i in range(d.k + 1)) == 1606
+    assert algebra._moving_part.cache_info().misses == 741
+    assert sum(len(enumerate_basis(d, i)) for i in range(d.k + 1)) == 1606
 
 
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
@@ -348,7 +341,7 @@ def _maslov_off_on_dotted(monkeypatch):
     monkeypatch.setattr(
         homology,
         "generator_maslov2",
-        lambda d, g, h=None: real(d, g, h) + (2 if g.dotted else 0),
+        lambda d, g: real(d, g) + (2 if g.dotted else 0),
     )
 
 
