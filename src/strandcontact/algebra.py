@@ -16,10 +16,12 @@ holds their start and end labels as bitmasks, their homological grading
 and their crossing count.  start, end, triple, hom_grading,
 generator_maslov2 and generator_json read that record, so they raise
 ValueError on moving strands that fail the check.  expand adds the check
-of the dotted labels.  Its expansions, their resolutions and their
-products are plain strand tuples sorted by start place (strands.Strands),
-valid by construction.  Label sets are frozensets from one cache keyed
-by bitmask, so the summands' keys share them.
+of the dotted labels (generator_maslov2 checks only that they lie in
+1..k; start, end and triple do not check them).  Its expansions, their
+resolutions and their products are plain strand tuples sorted by start
+place (strands.Strands), valid by construction.  Label sets are
+frozensets from one cache keyed by bitmask, so the summands' keys share
+them.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -178,12 +180,6 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     ])
 
 
-@functools.lru_cache(maxsize=None)
-def _place_labels(d: ArcDiagram) -> tuple[int, ...]:
-    """Entry p: the label at place p (entry 0 unused)."""
-    return (0,) + d.matching
-
-
 def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:
     """Rewrite a GF(2) sum of strand tuples in the symmetrised basis.
 
@@ -193,9 +189,7 @@ def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerato
     thus a subset of that expansion, and the orbit is complete iff the
     bucket counts all 2^|dotted| of its diagrams.
     """
-    if not terms:
-        return frozenset()
-    label = _place_labels(d)
+    label = (0,) + d.matching  # label[p] is the label at place p
     counts: dict[tuple, int] = {}
     for m in terms:
         n = len(m)
@@ -245,10 +239,8 @@ def mul_generators(
 def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     """Differential of a generator in the symmetrised basis."""
     expansions = expand(d, g)
-    if len(expansions) == 1:
-        return regroup(d, differential(expansions[0]))
-    acc: set[Strands] = set()
-    for m in expansions:
+    acc = differential(expansions[0])
+    for m in expansions[1:]:
         acc ^= differential(m)
     return regroup(d, acc)
 
@@ -274,39 +266,34 @@ def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     return (_label_set(s), _label_set(t), part.h)
 
 
-@functools.lru_cache(maxsize=None)
-def _sides(d: ArcDiagram) -> tuple[tuple[int, ...], ...]:
-    """Entry p: the interior steps either side of place p (entry 0 unused)."""
-    step = _step_from(d)
-    return ((),) + tuple(
-        tuple([i for i in (step[p - 1], step[p]) if i is not None])
-        for p in range(1, 2 * d.k + 1)
-    )
-
-
 def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     """Maslov grading of a generator (twin-swap invariant, kept doubled).
 
     Twice the crossings, minus the multiplicities of h on the steps either
     side of each start place, of the expansion with each dotted label at
     its first place x; the horizontal strand there crosses each moving
-    p -> q with p < x < q.
+    p -> q with p < x < q.  ValueError on a dotted label outside 1..k;
+    the other checks of dotted labels are expand's.
     """
     moving, dotted = g
     _, _, h, crossings = _moving_part(d, moving)
-    sides = _sides(d)
-    multiplicity = 0
-    for p, _ in moving:
-        for i in sides[p]:
-            multiplicity += h[i]
+    step = _step_from(d)
+    places = [p for p, _ in moving]
     if dotted:
+        k = d.k
         horizontal = _horizontals(d)
         for lab in dotted:
+            if not 1 <= lab <= k:
+                raise ValueError(f"dotted label {lab} is not a label 1..{k} of the diagram")
             x = horizontal[lab][0][0]  # the strand (x, x) at the first place
             for p, q in moving:
                 if p < x < q:
                     crossings += 1
-            for i in sides[x]:
+            places.append(x)
+    multiplicity = 0
+    for p in places:
+        for i in (step[p - 1], step[p]):
+            if i is not None:
                 multiplicity += h[i]
     return 2 * crossings - multiplicity
 

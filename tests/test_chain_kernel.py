@@ -245,6 +245,7 @@ REJECTED = {
     # the torus has labels 1..2
     "dotted-off-diagram": (TORUS, SymGenerator((), (5,)), r"label 5\b"),
     "dotted-zero": (TORUS, SymGenerator((), (0,)), r"label 0\b"),
+    "dotted-negative": (TORUS, SymGenerator((), (-1,)), r"label -1\b"),
 }
 MOVING_STRAND_FAULTS = [
     "crosses-boundary",
@@ -274,6 +275,15 @@ def test_readers_check_moving_strands(case, reader):
     d, g, _ = REJECTED[case]
     with pytest.raises(ValueError):
         reader(d, g)
+
+
+@pytest.mark.parametrize("case", ["dotted-off-diagram", "dotted-zero", "dotted-negative"])
+def test_maslov2_checks_dotted_range(case):
+    """generator_maslov2 reads a dotted label's first place, so it rejects
+    a label outside 1..k by name, as expand does."""
+    d, g, names = REJECTED[case]
+    with pytest.raises(ValueError, match=names):
+        generator_maslov2(d, g)
 
 
 def arbitrary_generators(d):

@@ -251,16 +251,20 @@ def test_differential_image_is_boundary():
 
 
 def test_summands_grade_each_generator_once():
-    """Building every summand checks and grades each moving part once: the
-    record of a moving part is built on its first use and read by triple,
-    generator_maslov2 and expand for every generator that shares it."""
+    """Building every summand checks each moving part once and grades each
+    generator once: the record of a moving part is built on its first use,
+    and triple, generator_maslov2 and expand each look it up once per
+    generator."""
     homology._basis_by_triple.cache_clear()
     build_summand.cache_clear()
+    algebra.expand.cache_clear()
     algebra._moving_part.cache_clear()
     for trip in algebra_triples(K5):
         build_summand(K5, *trip)
-    moving_parts = {g.moving for i in range(K5.k + 1) for g in enumerate_basis(K5, i)}
-    assert algebra._moving_part.cache_info().misses == len(moving_parts) == 741
+    generators = [g for i in range(K5.k + 1) for g in enumerate_basis(K5, i)]
+    info = algebra._moving_part.cache_info()
+    assert info.misses == len({g.moving for g in generators}) == 741
+    assert info.hits + info.misses == 3 * len(generators) == 3 * 1606
 
 
 @pytest.mark.parametrize("d", [TORUS, ANNULUS, K5])

@@ -306,17 +306,33 @@ def test_verify_k5_diagram():
     assert report.ca_dim == report.homology_dim == 334
 
 
-def test_verify_grades_each_generator_once():
-    """verify checks and grades each moving part once, 741 records for 1,606
-    generators: the ring check takes a chain product's triple from its
-    factors instead of grading a term of it."""
+def test_verify_grades_each_generator_once(monkeypatch):
+    """verify checks each moving part once, 741 records for 1,606
+    generators, and grades each generator once: the ring check takes a
+    chain product's triple from its factors instead of grading a term of
+    it.  Every reader of a generator looks its record up, so the lookups
+    count the reads: one each by triple, generator_maslov2 and expand per
+    generator, and two by each product of generators (its idempotent
+    test)."""
     d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+    products = 0
+    real = algebra.mul_generators
+
+    def counting(diagram, g1, g2):
+        nonlocal products
+        products += 1
+        return real(diagram, g1, g2)
+
     homology._basis_by_triple.cache_clear()
     build_summand.cache_clear()
+    algebra.expand.cache_clear()
     algebra._moving_part.cache_clear()
+    monkeypatch.setattr(algebra, "mul_generators", counting)
     assert verify(d).success
-    assert algebra._moving_part.cache_info().misses == 741
-    assert sum(len(enumerate_basis(d, i)) for i in range(d.k + 1)) == 1606
+    generators = sum(len(enumerate_basis(d, i)) for i in range(d.k + 1))
+    info = algebra._moving_part.cache_info()
+    assert (info.misses, generators, products) == (741, 1606, 3186)
+    assert info.hits + info.misses == 3 * generators + 2 * products
 
 
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
