@@ -31,12 +31,11 @@ stay exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from operator import itemgetter
 from typing import AbstractSet, NamedTuple
 
-from .arcdiag import ArcDiagram, _step_from, interior_steps
+from .arcdiag import ArcDiagram, _step_from, cached, interior_steps
 from .strands import Strands, crossing_count, differential, multiply
 from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
@@ -94,7 +93,7 @@ class _Part(NamedTuple):
     crossings: int
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
     """Check moving strands against d, then record what gradings read.
 
@@ -118,7 +117,7 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
     return _Part(starts, ends, tuple(h), crossing_count(moving))
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _label_set(mask: int) -> frozenset[int]:
     """The labels whose bits are set in mask, one shared frozenset per mask."""
     return frozenset([lab for lab in range(mask.bit_length()) if mask >> lab & 1])
@@ -133,7 +132,7 @@ def _masks(d: ArcDiagram, g: SymGenerator) -> tuple[int, int, _Part]:
     return part.starts | dotted, part.ends | dotted, part
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Entry lab: the horizontal strands (x, x) at the two places of label
     lab, first place first (entry 0 unused)."""
@@ -150,7 +149,7 @@ def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
     return _label_set(_masks(d, g)[1])
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     """The 2^j concrete diagrams of a generator with j dotted labels, as
     strand tuples sorted by start place.
@@ -298,7 +297,7 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     return 2 * crossings - multiplicity
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
     """Entry i: every generator with i strands, from one walk over the
     moving parts.
@@ -344,7 +343,7 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
     return tuple([tuple(gens) for gens in out])
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
     """All symmetrised generators with i strands, sorted by (moving, dotted)."""
     if not 0 <= i <= d.k:

@@ -9,6 +9,9 @@ surface (Euler characteristic, genus, boundary components) are computed
 here by a purely combinatorial boundary walk; the surface may be
 disconnected, so its genus is summed over its components.
 
+Every memoized function of the package is declared with `cached`, and
+release_caches empties all their caches.
+
 Places are numbered 1..2k, segment-major.  Segments and interior steps are
 0-based.
 """
@@ -19,6 +22,22 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
+
+_caches: list = []
+
+
+def cached(fn):
+    """Memoize fn without bound, in a cache that release_caches empties."""
+    wrapper = functools.lru_cache(maxsize=None)(fn)
+    _caches.append(wrapper)
+    return wrapper
+
+
+def release_caches() -> None:
+    """Empty every cache made by `cached`: a loop over many diagrams calls
+    this after each one, so its memory stays that of one diagram."""
+    for cache in _caches:
+        cache.cache_clear()
 
 
 class ArcDiagramError(ValueError):
@@ -87,7 +106,7 @@ class ArcDiagram:
 
     @functools.cached_property
     def _hash(self) -> int:
-        # every lru_cache keyed on a diagram hashes it on each call
+        # every cache keyed on a diagram hashes it on each call
         return hash((self.segment_sizes, self.matching))
 
     @property
@@ -162,7 +181,7 @@ def label_subsets(d: ArcDiagram) -> tuple[frozenset[int], ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def interior_steps(d: ArcDiagram) -> tuple[int, ...]:
     """The interior steps, in ascending order, each named by its start place.
 
@@ -173,7 +192,7 @@ def interior_steps(d: ArcDiagram) -> tuple[int, ...]:
     return tuple(p for j in range(d.l) for p in d.segment_places(j)[:-1])
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _step_from(d: ArcDiagram) -> tuple[Optional[int], ...]:
     """Entry p: index of the interior step from p to p + 1, or None."""
     index = {p: i for i, p in enumerate(interior_steps(d))}
@@ -268,22 +287,6 @@ class Square:
     w: int
     sides: tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
 
-    @property
-    def after_v(self) -> Optional[int]:
-        return self.sides[0]
-
-    @property
-    def before_w(self) -> Optional[int]:
-        return self.sides[1]
-
-    @property
-    def after_w(self) -> Optional[int]:
-        return self.sides[2]
-
-    @property
-    def before_v(self) -> Optional[int]:
-        return self.sides[3]
-
 
 SideRef = tuple[int, int]  # (square label, side index in SIDE_NAMES order)
 
@@ -301,11 +304,8 @@ class QuadSurface:
     marked_point_count: int
     index: int
 
-    def square(self, label: int) -> Square:
-        return self.squares[label - 1]
 
-
-@functools.lru_cache(maxsize=None)
+@cached
 def to_quad_surface(d: ArcDiagram) -> QuadSurface:
     """Build the quadrangulated surface of a valid diagram.
 

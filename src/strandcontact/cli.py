@@ -12,12 +12,13 @@ from .arcdiag import (
     ParseError,
     interior_steps,
     parse_arc_diagram,
+    release_caches,
     require_valid,
     surgery_circle,
     to_quad_surface,
 )
 from .algebra import enumerate_basis, generator_json, generator_maslov2, hom_grading
-from .contact import ca_table, structure_json
+from .contact import StackNotInBasis, ca_table, structure_json
 from .homology import (
     algebra_triples,
     build_summand,
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
     except InvalidDiagramError as exc:
         print(f"invalid diagram: {exc}", file=sys.stderr)
         return FAILURE
-    except SfhMismatch as exc:
+    except (SfhMismatch, StackNotInBasis) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     except ArcDiagramError as exc:
@@ -273,6 +274,8 @@ def cmd_corpus(args) -> int:
             ok, dim, mismatches = report.success, report.ca_dim, report.mismatches
         except Exception as exc:  # one failing diagram must not end the run
             ok, dim, mismatches = False, None, [f"raised {type(exc).__name__}: {exc}"]
+        finally:
+            release_caches()  # no diagram reuses another's cached work
         all_ok = all_ok and ok
         results.append(
             {

@@ -10,7 +10,6 @@ structures and collapses overtwisted results to zero.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -72,15 +71,6 @@ def _used_sides(sq: Square, used_arcs: frozenset[int]) -> tuple[bool, bool, bool
         after_v in used_arcs,
         before_w in used_arcs,
         after_w in used_arcs,
-    )
-
-
-def cube_data(surface: QuadSurface, xi: ContactStructure, square: int) -> CubeData:
-    """Extract one cube's face data from a contact structure."""
-    return CubeData(
-        square in xi.bottom,
-        square in xi.top,
-        *_used_sides(surface.square(square), xi.used_arcs),
     )
 
 
@@ -187,7 +177,10 @@ class CATable:
     identities: tuple[int, ...]  # indices of the identity structures
 
 
-@functools.lru_cache(maxsize=None)
+class StackNotInBasis(RuntimeError):
+    """Stacking gave a tight structure that enumerate_tight did not list."""
+
+
 def ca_table(d: ArcDiagram) -> CATable:
     """Basis and multiplication table of the contact category algebra."""
     surface = to_quad_surface(d)
@@ -200,7 +193,9 @@ def ca_table(d: ArcDiagram) -> CATable:
     for i, x0 in enumerate(basis):
         for j in by_bottom.get(x0.top, ()):
             prod = stack(surface, x0, basis[j])
-            products[(i, j)] = position[prod] if prod is not None else None
+            if prod is not None and prod not in position:
+                raise StackNotInBasis(f"stacked {structure_json(d, prod)} is not in the basis")
+            products[(i, j)] = position.get(prod)
     identities = tuple(
         i for i, xi in enumerate(basis) if xi.bottom == xi.top and not xi.used_arcs
     )

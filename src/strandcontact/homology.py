@@ -13,12 +13,11 @@ matched pair says which summands survive.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arcdiag import ArcDiagram, step_after, step_before
+from .arcdiag import ArcDiagram, cached, step_after, step_before
 from .algebra import (
     SymGenerator,
     Triple,
@@ -102,7 +101,7 @@ class HomSummand:
     boundary: dict[int, tuple[int, ...]]
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _basis_by_triple(
     d: ArcDiagram, i: int
 ) -> dict[Triple, tuple[SymGenerator, ...]]:
@@ -118,7 +117,7 @@ def algebra_triples(d: ArcDiagram) -> list[Triple]:
     return [trip for i in range(d.k + 1) for trip in _basis_by_triple(d, i)]
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def build_summand(
     d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
 ) -> HomSummand:
@@ -291,7 +290,7 @@ def local_case(
     return None
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def summand_nonzero(
     d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
 ) -> bool:

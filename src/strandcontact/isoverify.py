@@ -149,9 +149,9 @@ def verify(d: ArcDiagram) -> IsoReport:
     mismatches: list[str] = []
 
     # -- basis check: contact count vs local table vs chain dimension
+    basis_triples = [phi(d, xi) for xi in table.basis]
     contact_triples: dict[Triple, ContactStructure] = {}
-    for xi in table.basis:
-        trip = phi(d, xi)
+    for xi, trip in zip(table.basis, basis_triples):
         if trip in contact_triples:
             mismatches.append(f"phi not injective at {triple_json(trip)}")
         contact_triples[trip] = xi
@@ -223,7 +223,6 @@ def verify(d: ArcDiagram) -> IsoReport:
     # mul_generators all compare the idempotents first), which
     # tests/oracles.dense_products pins.
     products_checked = len(table.basis) ** 2
-    basis_triples = [phi(d, xi) for xi in table.basis]
     for (i, j), stacked in table.products.items():
         t0j, t1j = basis_triples[i], basis_triples[j]
         contact_side = basis_triples[stacked] if stacked is not None else None
@@ -249,14 +248,14 @@ def verify(d: ArcDiagram) -> IsoReport:
 
     # -- unit check: identity structures against symmetrised idempotents
     unit_ok = True
-    identity_triples = {basis_triples[e] for e in table.identities}
+    identity_at = {table.basis[e].bottom: e for e in table.identities}
     zero_h = tuple(0 for _ in interior_steps(d))
     for s in label_subsets(d):
-        trip = (s, s, zero_h)
-        if trip not in identity_triples:
+        if s not in identity_at:
             unit_ok = False
             mismatches.append(f"missing identity structure for {sorted(s)}")
             continue
+        trip = (s, s, zero_h)
         gen = idempotent(d, s)
         try:
             killed = is_boundary(build_summand(d, *trip), frozenset({gen}))
@@ -270,22 +269,22 @@ def verify(d: ArcDiagram) -> IsoReport:
             unit_ok = False
             mismatches.append(f"idempotent of {sorted(s)} is a boundary")
     # the identity at x.bottom fixes x from the left, the one at x.top from
-    # the right, and every other identity kills x
-    for e in table.identities:
-        s = table.basis[e].bottom
-        for i, xi in enumerate(table.basis):
-            for side, got, fixes in (
-                ("left", table.products.get((e, i)), xi.bottom == s),
-                ("right", table.products.get((i, e)), xi.top == s),
-            ):
-                if got != (i if fixes else None):
-                    unit_ok = False
-                    mismatches.append(
-                        "identity structures do not act as a unit: the identity "
-                        f"of {sorted(s)} on the {side} of "
-                        f"{triple_json(basis_triples[i])} gives "
-                        f"{triple_json(basis_triples[got]) if got is not None else None}"
-                    )
+    # the right; no other identity composes with x, so table.products has
+    # no such pair and the product is zero
+    for i, xi in enumerate(table.basis):
+        for side, s in (("left", xi.bottom), ("right", xi.top)):
+            e = identity_at.get(s)
+            if e is None:
+                continue  # reported above as a missing identity structure
+            got = table.products.get((e, i) if side == "left" else (i, e))
+            if got != i:
+                unit_ok = False
+                mismatches.append(
+                    "identity structures do not act as a unit: the identity "
+                    f"of {sorted(s)} on the {side} of "
+                    f"{triple_json(basis_triples[i])} gives "
+                    f"{triple_json(basis_triples[got]) if got is not None else None}"
+                )
 
     # -- grading check: Euler class against strand count, per summand block
     by_i: dict[int, dict[str, int]] = {}

@@ -13,8 +13,9 @@ is symmetric difference (`^`); differential() returns one.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
+
+from .arcdiag import cached
 
 # The strands (p, phi(p)) of a valid diagram, sorted by start place.
 Strands = tuple[tuple[int, int], ...]
@@ -65,7 +66,7 @@ def multiply(m: Strands, n: Strands) -> Optional[Strands]:
     return composite
 
 
-@functools.lru_cache(maxsize=None)
+@cached
 def _resolving_pairs(ends: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Index pairs (a, b) of the crossings whose swap loses exactly one
     inversion, for strands with these end places in start order.

@@ -439,6 +439,14 @@ def corpus_validate_first(max_k: int, max_l: int) -> list[ArcDiagram]:
     return out
 
 
+def cube_data(surface: QuadSurface, xi: ContactStructure, square: int) -> CubeData:
+    """One cube's face data, read off the square's side slots (after_v,
+    before_w, after_w, before_v); an exterior slot is never used."""
+    after_v, before_w, after_w, before_v = surface.squares[square - 1].sides
+    used = [i is not None and i in xi.used_arcs for i in (before_v, after_v, before_w, after_w)]
+    return CubeData(square in xi.bottom, square in xi.top, *used)
+
+
 def swap_vw(c: CubeData) -> CubeData:
     """The same cube with the roles of the twins v and w exchanged."""
     return CubeData(

@@ -1,7 +1,11 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import strandcontact
+from strandcontact import arcdiag, contact
 from strandcontact.arcdiag import (
     ArcDiagram,
     ArcDiagramError,
@@ -251,3 +255,19 @@ def test_slot_binding(k, l):
             assert kinds == [0, 1]  # one after-slot, one before-slot
         glued = {ref for pair in surf.gluings for ref in pair}
         assert len(glued) == 2 * len(surf.gluings)
+
+
+def test_every_cache_is_registered():
+    """Every memoized function of the package, found by its cache_clear, is
+    in the registry that release_caches empties; ca_table is not memoized."""
+    found = set()
+    for info in pkgutil.iter_modules(strandcontact.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"strandcontact.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            found |= {v for v in (value, *members) if hasattr(v, "cache_clear")}
+    assert found == set(arcdiag._caches)
+    assert len(arcdiag._caches) == 13
+    assert not hasattr(contact.ca_table, "cache_clear")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strandcontact import cli, contact, isoverify
+from strandcontact import arcdiag, cli, contact, isoverify
 
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
@@ -160,11 +160,7 @@ def test_sfh_table_disagreement_exits_1(write, monkeypatch, capsys):
     # counts structures that homology does not have
     real = contact.cube_tight
     monkeypatch.setattr(contact, "cube_tight", lambda c: c.used_count == 0 or real(c))
-    contact.ca_table.cache_clear()
-    try:
-        code = cli.main(["sfh-table", write(TORUS)])
-    finally:
-        contact.ca_table.cache_clear()
+    code = cli.main(["sfh-table", write(TORUS)])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
@@ -205,6 +201,46 @@ def test_corpus_reports_a_raising_diagram(monkeypatch, capsys):
             "mismatches": ["raised ValueError: boom"],
         }
     ]
+
+
+def test_corpus_releases_the_caches_after_each_diagram(monkeypatch, capsys):
+    """Each diagram starts on empty caches, also after one that raised, and
+    the run leaves every registered cache empty."""
+    arcdiag.release_caches()
+    bad = isoverify.corpus(3, 3)[1]
+    real = cli.verify
+    held = []
+
+    def verify(d):
+        held.append(sum(cache.cache_info().currsize for cache in arcdiag._caches))
+        report = real(d)
+        if d == bad:
+            raise ValueError("boom")
+        return report
+
+    monkeypatch.setattr(cli, "verify", verify)
+    assert cli.main(["corpus", "--max-k", "3", "--max-l", "3"]) == 1
+    capsys.readouterr()
+    assert len(held) == len(isoverify.corpus(3, 3)) and not any(held)
+    assert all(cache.cache_info().currsize == 0 for cache in arcdiag._caches)
+
+
+def test_stack_outside_the_basis_exits_1(write, monkeypatch, capsys):
+    # the enumeration loses the structures with two used arcs, and stacking
+    # two structures with one used arc each reaches one of them
+    real = contact.enumerate_tight
+    monkeypatch.setattr(
+        contact,
+        "enumerate_tight",
+        lambda surface: tuple(xi for xi in real(surface) if len(xi.used_arcs) != 2),
+    )
+    code = cli.main(["verify", write(TORUS)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: stacked {'bottom': ")
+    assert err.endswith("is not in the basis\n")
+    assert "Traceback" not in err
 
 
 def test_corpus_with_disconnected_surfaces():

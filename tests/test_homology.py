@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strandcontact import algebra, homology
-from strandcontact.arcdiag import ArcDiagram, interior_steps
+from strandcontact.arcdiag import ArcDiagram, interior_steps, release_caches
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
@@ -255,10 +255,7 @@ def test_summands_grade_each_generator_once():
     generator once: the record of a moving part is built on its first use,
     and triple, generator_maslov2 and expand each look it up once per
     generator."""
-    homology._basis_by_triple.cache_clear()
-    build_summand.cache_clear()
-    algebra.expand.cache_clear()
-    algebra._moving_part.cache_clear()
+    release_caches()
     for trip in algebra_triples(K5):
         build_summand(K5, *trip)
     generators = [g for i in range(K5.k + 1) for g in enumerate_basis(K5, i)]

@@ -6,8 +6,8 @@ import pytest
 
 from oracles import canonical_key_all_orders, corpus_validate_first, diff_sum
 from strandcontact import algebra, contact, homology, isoverify, strands
-from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis, expand
-from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, to_quad_surface
+from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis
+from strandcontact.arcdiag import ArcDiagram, InvalidDiagramError, release_caches, to_quad_surface
 from strandcontact.contact import ca_table
 from strandcontact.homology import build_summand, representative, summand_nonzero
 from strandcontact.isoverify import (
@@ -187,23 +187,14 @@ def test_ca_dim_multiplies_over_disjoint_union():
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the caches that a patched table or kernel would otherwise poison."""
-    caches = (
-        ca_table,
-        summand_nonzero,
-        build_summand,
-        homology._basis_by_triple,
-        expand,
-        enumerate_basis,
-    )
-    for cache in caches:
-        cache.cache_clear()
+    """Empty the caches, which a patched local table or chain kernel would
+    otherwise poison; no cache holds contact-side results."""
+    release_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    release_caches()
 
 
-def test_verify_reports_contact_side_disagreement(monkeypatch, fresh_caches):
+def test_verify_reports_contact_side_disagreement(monkeypatch):
     # every cube with no used side becomes tight: extra contact-side basis
     # elements that the chain side has no representative for
     real = contact.cube_tight
@@ -222,7 +213,7 @@ def test_verify_catches_a_missing_local_row(monkeypatch, fresh_caches, row):
     assert any(not verify(d).success for d in corpus(3, 3))
 
 
-def test_verify_reports_a_missing_identity(monkeypatch, fresh_caches):
+def test_verify_reports_a_missing_identity(monkeypatch):
     # the unused cube with both faces off is no longer tight, so the empty
     # dividing set has no identity structure
     real = contact.cube_tight
@@ -238,7 +229,7 @@ def test_verify_reports_a_missing_identity(monkeypatch, fresh_caches):
 
 
 @pytest.fixture
-def identities_kill(monkeypatch, fresh_caches):
+def identities_kill(monkeypatch):
     """Stacking an identity under a structure with used arcs gives zero."""
     real = contact.stack
 
@@ -268,6 +259,32 @@ def test_unit_mismatches_name_identity_side_and_triple(identities_kill):
     assert unit
     assert len(set(unit)) == len(unit)
     assert all("'h': [" in m and " on the left of " in m for m in unit)
+
+
+@pytest.fixture
+def identities_kill_on_the_right(monkeypatch):
+    """Stacking a structure with used arcs under an identity gives zero."""
+    real = contact.stack
+
+    def stack(surface, x0, x1):
+        if x1.bottom == x1.top and not x1.used_arcs and x0.used_arcs:
+            return None
+        return real(surface, x0, x1)
+
+    monkeypatch.setattr(contact, "stack", stack)
+
+
+def test_unit_mismatches_on_the_right(identities_kill_on_the_right):
+    report = verify(TORUS)
+    assert not report.unit_ok
+    unit = [
+        m
+        for m in report.mismatches
+        if m.startswith("identity structures do not act as a unit")
+    ]
+    assert unit
+    assert len(set(unit)) == len(unit)
+    assert all("'h': [" in m and " on the right of " in m for m in unit)
 
 
 def test_verify_reports_a_raising_chain_product(monkeypatch):
@@ -323,10 +340,7 @@ def test_verify_grades_each_generator_once(monkeypatch):
         products += 1
         return real(diagram, g1, g2)
 
-    homology._basis_by_triple.cache_clear()
-    build_summand.cache_clear()
-    algebra.expand.cache_clear()
-    algebra._moving_part.cache_clear()
+    release_caches()
     monkeypatch.setattr(algebra, "mul_generators", counting)
     assert verify(d).success
     generators = sum(len(enumerate_basis(d, i)) for i in range(d.k + 1))
