@@ -166,6 +166,8 @@ def cmd_info(args) -> int:
 
 def cmd_basis(args) -> int:
     d = load(args)
+    if args.strands is not None and not 0 <= args.strands <= d.k:
+        raise ArcDiagramError(f"--strands {args.strands} is out of range 0..{d.k}")
     counts = [args.strands] if args.strands is not None else range(d.k + 1)
     gens = []
     for i in counts:
@@ -265,6 +267,9 @@ def cmd_sfh(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    for flag, value in (("--max-k", args.max_k), ("--max-l", args.max_l)):
+        if value < 1:
+            raise ArcDiagramError(f"{flag} {value} is below 1")
     diagrams = corpus(args.max_k, args.max_l)
     results = []
     all_ok = True

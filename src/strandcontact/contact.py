@@ -6,6 +6,11 @@ structure between two basic sets is determined by which decomposing arcs
 cube's data appears in the ten-case table, so the tight structures are
 enumerated cube by cube, one used-arc set at a time.  Stacking composes
 structures and collapses overtwisted results to zero.
+
+A cube's data is six flags, so every verdict is read from a 64-entry
+table that _cube_table builds by asking cube_tight about each cube.  The
+table is looked up for the module's cube_tight at each call, so a
+replaced cube_tight reaches every verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .arcdiag import (
     ArcDiagram,
     QuadSurface,
     Square,
+    cached,
     interior_steps,
     label_subsets,
     to_quad_surface,
@@ -60,17 +66,18 @@ class ContactStructure:
     tight: bool
 
 
-def _used_sides(sq: Square, used_arcs: frozenset[int]) -> tuple[bool, bool, bool, bool]:
-    """Used flags of a square's (before_v, after_v, before_w, after_w) sides.
+def _side_index(sq: Square, used_arcs: frozenset[int]) -> int:
+    """Used flags of a square's (before_v, after_v, before_w, after_w) sides,
+    as the bits 3..0 of an int: the low four bits of a _cube_table index.
 
     An exterior slot holds None, which is never a used arc.
     """
     after_v, before_w, after_w, before_v = sq.sides
     return (
-        before_v in used_arcs,
-        after_v in used_arcs,
-        before_w in used_arcs,
-        after_w in used_arcs,
+        (before_v in used_arcs) << 3
+        | (after_v in used_arcs) << 2
+        | (before_w in used_arcs) << 1
+        | (after_w in used_arcs)
     )
 
 
@@ -98,14 +105,26 @@ def cube_tight(c: CubeData) -> bool:
     return bottom and top  # before and after distinct vertices
 
 
+@cached
+def _cube_table(tight) -> tuple[bool, ...]:
+    """tight on all 64 cubes; entry i is the cube whose CubeData fields,
+    in order, are the bits 5..0 of i.
+
+    Keyed on the predicate, so a replaced cube_tight gets its own table.
+    """
+    cubes = (CubeData(*(bool(i >> b & 1) for b in range(5, -1, -1))) for i in range(64))
+    return tuple(tight(c) for c in cubes)
+
+
 def make_structure(
     surface: QuadSurface,
     bottom: frozenset[int],
     top: frozenset[int],
     used_arcs: frozenset[int],
 ) -> ContactStructure:
+    table = _cube_table(cube_tight)
     tight = all(
-        cube_tight(CubeData(sq.label in bottom, sq.label in top, *_used_sides(sq, used_arcs)))
+        table[(sq.label in bottom) << 5 | (sq.label in top) << 4 | _side_index(sq, used_arcs)]
         for sq in surface.squares
     )
     return ContactStructure(bottom, top, used_arcs, tight)
@@ -124,18 +143,19 @@ def enumerate_tight(surface: QuadSurface) -> tuple[ContactStructure, ...]:
     d = surface.diagram
     n = len(interior_steps(d))
     rank = {s: i for i, s in enumerate(label_subsets(d))}
+    table = _cube_table(cube_tight)
     found = []
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)
         choices = []
         for sq in surface.squares:
-            sides = _used_sides(sq, used)
+            sides = _side_index(sq, used)
             choices.append(
                 [
                     (sq.label, b, t)
                     for b in (False, True)
                     for t in (False, True)
-                    if cube_tight(CubeData(b, t, *sides))
+                    if table[b << 5 | t << 4 | sides]
                 ]
             )
         for picks in itertools.product(*choices):

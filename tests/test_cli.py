@@ -68,8 +68,32 @@ def test_info_torus(write):
 
 
 def test_basis_strand_filter(write):
-    payload = run_json("basis", write(TORUS), "--strands", "1")
-    assert payload["count"] == 8
+    path = write(TORUS)
+    for strands, count in ((0, 1), (1, 8), (2, 7)):  # 0 and k are in range
+        payload = run_json("basis", path, "--strands", str(strands))
+        assert payload["count"] == count
+
+
+@pytest.mark.parametrize(
+    "verb, flags",
+    [
+        ("basis", ["--strands", "-1"]),
+        ("basis", ["--strands", "3"]),
+        ("basis", ["--strands", "99"]),
+        ("corpus", ["--max-k", "-1"]),
+        ("corpus", ["--max-k", "0"]),
+        ("corpus", ["--max-l", "0"]),
+    ],
+)
+def test_integer_arguments_out_of_range_exit_2(write, capsys, verb, flags):
+    # an empty count here would be a vacuous success, not an answer
+    argv = [verb, write(TORUS), *flags] if verb == "basis" else [verb, *flags]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_homology_methods_agree(write):

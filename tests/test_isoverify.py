@@ -204,6 +204,20 @@ def test_verify_reports_contact_side_disagreement(monkeypatch):
     assert any("{'s': [], 't': [1], 'h': [0, 0, 0]}" in m for m in report.mismatches)
 
 
+def test_cube_table_follows_cube_tight(monkeypatch):
+    """Every verdict is read from _cube_table(cube_tight): the table is
+    cube_tight on all 64 cubes, and a replaced cube_tight gets a table of
+    its own, so a stale table would let the second verify succeed."""
+    table = contact._cube_table(contact.cube_tight)
+    for bits in itertools.product((False, True), repeat=6):
+        index = sum(bit << (5 - i) for i, bit in enumerate(bits))
+        assert table[index] == contact.cube_tight(contact.CubeData(*bits)), bits
+    assert verify(TORUS).success
+    real = contact.cube_tight
+    monkeypatch.setattr(contact, "cube_tight", lambda c: c.used_count == 0 or real(c))
+    assert not verify(TORUS).success
+
+
 @pytest.mark.parametrize(
     "row", sorted(homology._ALLOWED_HALF), ids=lambda row: "-".join(row)
 )
