@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -431,6 +432,9 @@ def parse_arc_diagram(text: str) -> ArcDiagram:
         raise ParseError(str(exc), lineno, 1) from exc
 
 
+_NUMBER = re.compile(r"-?[0-9]+")
+
+
 def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]:
     lineno, line = entry
     stripped = line.lstrip()
@@ -445,8 +449,10 @@ def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]
     for token in rest.split():
         col = rest.index(token, col)
         try:
+            if not _NUMBER.fullmatch(token):  # int() alone reads 2_2, +4 and non-ASCII digits
+                raise ValueError(token)
             out.append((int(token), base + col + 1))
-        except ValueError:
+        except ValueError:  # int() also refuses more digits than its limit
             raise ParseError(f"not a number: {token!r}", lineno, base + col + 1) from None
         col += len(token)
     if not out:

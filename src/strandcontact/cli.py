@@ -22,8 +22,8 @@ from .contact import StackNotInBasis, ca_table, structure_json
 from .homology import (
     algebra_triples,
     build_summand,
-    crossingless_generators,
     homology_dims,
+    summand_maslov2,
     summand_nonzero,
 )
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
@@ -205,11 +205,10 @@ def cmd_homology(args) -> int:
         s, t, h = trip
         if args.method == "chain":
             dims = homology_dims(build_summand(d, s, t, h))
+        elif summand_nonzero(d, s, t, h):
+            dims = {summand_maslov2(d, s, t, h): 1}
         else:
             dims = {}
-            if summand_nonzero(d, s, t, h):
-                witness = crossingless_generators(d, s, t, h)[0]
-                dims = {generator_maslov2(d, witness): 1}
         if dims:
             row = triple_json(trip)
             row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}

@@ -8,12 +8,11 @@ by 2 and each boundary map stored as a tuple of column bitmasks.  One
 column reduction gives ranks, kernels and span tests, hence dimensions,
 boundary tests and representatives.  Independently of all that, the
 closed-form local classification of the data of (h, s, t) near each
-matched pair says which summands survive.
+matched pair says which summands survive and in which degree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -220,16 +219,13 @@ START_ONLY = "start_only"
 END_ONLY = "end_only"
 NEITHER = "neither"
 
+# Indexed by (step before used) << 1 | (step after used).
+_PLACE_CLASSES = (OUT, NEG_BDY, POS_BDY, INTERIOR)
+# Indexed by (label in s) << 1 | (label in t).
+_MEMBERSHIPS = (NEITHER, END_ONLY, START_ONLY, BOTH)
 
-@dataclass(frozen=True)
-class LocalCase:
-    """Data of (h, s, t) near a matched pair: twin positions and membership."""
-
-    v_class: str
-    w_class: str
-    membership: str
-
-
+# (v_class, w_class, membership) of the data of (h, s, t) near one
+# matched pair (v, w).
 _ALLOWED_HALF = {
     (OUT, OUT, BOTH),
     (OUT, OUT, NEITHER),
@@ -242,7 +238,7 @@ _ALLOWED_HALF = {
     (INTERIOR, INTERIOR, NEITHER),
     (INTERIOR, INTERIOR, BOTH),
 }
-ALLOWED_CASES = _ALLOWED_HALF | {(w, v, m) for v, w, m in _ALLOWED_HALF}
+ALLOWED_CASES = frozenset(_ALLOWED_HALF | {(w, v, m) for v, w, m in _ALLOWED_HALF})
 
 
 def _place_class(d: ArcDiagram, h: tuple[int, ...], place: int) -> str:
@@ -250,23 +246,7 @@ def _place_class(d: ArcDiagram, h: tuple[int, ...], place: int) -> str:
     after = step_after(d, place)
     used_before = before is not None and h[before] > 0
     used_after = after is not None and h[after] > 0
-    if used_before and used_after:
-        return INTERIOR
-    if used_before:
-        return POS_BDY
-    if used_after:
-        return NEG_BDY
-    return OUT
-
-
-def _membership(s: frozenset[int], t: frozenset[int], lab: int) -> str:
-    if lab in s and lab in t:
-        return BOTH
-    if lab in s:
-        return START_ONLY
-    if lab in t:
-        return END_ONLY
-    return NEITHER
+    return _PLACE_CLASSES[used_before << 1 | used_after]
 
 
 def local_case(
@@ -275,19 +255,19 @@ def local_case(
     s: frozenset[int],
     t: frozenset[int],
     lab: int,
-) -> Optional[LocalCase]:
+) -> Optional[tuple[str, str, str]]:
     """Classify one matched pair against supp h and the idempotents.
 
-    h must be 0/1-valued.  Returns None when the data falls outside the
-    allowed table.
+    h must be 0/1-valued.  Returns the (v_class, w_class, membership)
+    case, or None when it falls outside the allowed table.
     """
     v, w = d.pair(lab)
-    case = LocalCase(
-        _place_class(d, h, v), _place_class(d, h, w), _membership(s, t, lab)
+    case = (
+        _place_class(d, h, v),
+        _place_class(d, h, w),
+        _MEMBERSHIPS[(lab in s) << 1 | (lab in t)],
     )
-    if (case.v_class, case.w_class, case.membership) in ALLOWED_CASES:
-        return case
-    return None
+    return case if case in ALLOWED_CASES else None
 
 
 @cached
@@ -298,6 +278,27 @@ def summand_nonzero(
     if any(mult not in (0, 1) for mult in h):
         return False
     return all(local_case(d, h, s, t, lab) is not None for lab in range(1, d.k + 1))
+
+
+def summand_maslov2(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> int:
+    """Closed form: the doubled Maslov degree of a nonzero summand's homology.
+
+    A crossingless generator has no crossings, so its degree is minus the
+    multiplicity of h around its starts: one strand starts at each run
+    start of supp h (a neg_bdy place, h = 1 on one side), and one at an
+    interior twin of each (interior, interior, both) label (h = 1 on both
+    sides).  Its dotted labels lie away from supp h.
+    """
+    run_starts = sum(
+        _place_class(d, h, p) == NEG_BDY for p in range(1, 2 * d.k + 1)
+    )
+    interior_both = sum(
+        local_case(d, h, s, t, lab) == (INTERIOR, INTERIOR, BOTH)
+        for lab in range(1, d.k + 1)
+    )
+    return -(run_starts + 2 * interior_both)
 
 
 def ring_product(
@@ -317,55 +318,3 @@ def ring_product(
     if not summand_nonzero(d, s0, t1, h):
         return None
     return (s0, t1, h)
-
-
-def crossingless_generators(
-    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
-) -> tuple[SymGenerator, ...]:
-    """All generators of a nonzero summand with no crossings in any expansion.
-
-    Built directly from the local data: each maximal run of supp h is
-    covered by a chain of strands broken exactly at the interior twins
-    whose label lies in both s and t (one twin choice per such label);
-    dotted labels are those in s and t away from the support.
-    """
-    if not summand_nonzero(d, s, t, h):
-        return ()
-    dotted = []
-    choice_labels = []
-    for lab in sorted(s & t):
-        v, w = d.pair(lab)
-        classes = (_place_class(d, h, v), _place_class(d, h, w))
-        if classes == (OUT, OUT):
-            dotted.append(lab)
-        elif classes == (INTERIOR, INTERIOR):
-            choice_labels.append(lab)
-
-    # Maximal runs of used steps per segment, as place intervals.
-    runs: list[tuple[int, int]] = []
-    for j in range(d.l):
-        places = d.segment_places(j)
-        run_start = None
-        for a in places[:-1]:
-            used = h[step_after(d, a)] > 0
-            if used and run_start is None:
-                run_start = a
-            if not used and run_start is not None:
-                runs.append((run_start, a))
-                run_start = None
-        if run_start is not None:
-            runs.append((run_start, places[-1]))
-
-    out = []
-    for choice in itertools.product((0, 1), repeat=len(choice_labels)):
-        breakpoints = {
-            d.pair(lab)[c] for lab, c in zip(choice_labels, choice)
-        }
-        moving = []
-        for lo, hi in runs:
-            stops = [lo] + sorted(
-                p for p in breakpoints if lo < p < hi and d.segment_of(p) == d.segment_of(lo)
-            ) + [hi]
-            moving.extend(zip(stops, stops[1:]))
-        out.append(SymGenerator(tuple(moving), tuple(dotted)))
-    return tuple(out)

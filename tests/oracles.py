@@ -29,7 +29,15 @@ from strandcontact.arcdiag import (
     to_quad_surface,
 )
 from strandcontact.contact import ContactStructure, CubeData, ca_table, make_structure, stack
-from strandcontact.homology import HomSummand, NotACycle, gf2_in_span
+from strandcontact.homology import (
+    INTERIOR,
+    OUT,
+    HomSummand,
+    NotACycle,
+    _place_class,
+    gf2_in_span,
+    summand_nonzero,
+)
 from strandcontact.isoverify import _diagram_ok, _pairings
 from strandcontact.strands import Strands, inversions
 
@@ -352,6 +360,59 @@ def is_boundary_by_rederiving(summand: HomSummand, cycle: frozenset[SymGenerator
     index = {g: i for i, g in enumerate(summand.graded_basis[m])}
     vec = sum(1 << index[g] for g in cycle)
     return gf2_in_span(vec, summand.boundary.get(m + 2, ()))
+
+
+def crossingless_generators(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> tuple[SymGenerator, ...]:
+    """All generators of a nonzero summand with no crossings in any expansion,
+    the witnesses that homology.summand_maslov2 reads its degree off.
+
+    Built directly from the local data: each maximal run of supp h is
+    covered by a chain of strands broken exactly at the interior twins
+    whose label lies in both s and t (one twin choice per such label);
+    dotted labels are those in s and t away from the support.
+    """
+    if not summand_nonzero(d, s, t, h):
+        return ()
+    dotted = []
+    choice_labels = []
+    for lab in sorted(s & t):
+        v, w = d.pair(lab)
+        classes = (_place_class(d, h, v), _place_class(d, h, w))
+        if classes == (OUT, OUT):
+            dotted.append(lab)
+        elif classes == (INTERIOR, INTERIOR):
+            choice_labels.append(lab)
+
+    # Maximal runs of used steps per segment, as place intervals.
+    runs: list[tuple[int, int]] = []
+    for j in range(d.l):
+        places = d.segment_places(j)
+        run_start = None
+        for a in places[:-1]:
+            used = h[step_after(d, a)] > 0
+            if used and run_start is None:
+                run_start = a
+            if not used and run_start is not None:
+                runs.append((run_start, a))
+                run_start = None
+        if run_start is not None:
+            runs.append((run_start, places[-1]))
+
+    out = []
+    for choice in itertools.product((0, 1), repeat=len(choice_labels)):
+        breakpoints = {
+            d.pair(lab)[c] for lab, c in zip(choice_labels, choice)
+        }
+        moving = []
+        for lo, hi in runs:
+            # a run lies in one segment, and places are numbered segment
+            # by segment, so lo < p < hi puts p on the run's segment
+            stops = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+            moving.extend(zip(stops, stops[1:]))
+        out.append(SymGenerator(tuple(moving), tuple(dotted)))
+    return tuple(out)
 
 
 def hom_vector(d: ArcDiagram, m: StrandDiagram) -> tuple[int, ...]:

@@ -13,7 +13,12 @@ import time
 
 import pytest
 
-from oracles import CalibrationUnresolved, diff_sum, dividing_curve_components
+from oracles import (
+    CalibrationUnresolved,
+    crossingless_generators,
+    diff_sum,
+    dividing_curve_components,
+)
 from strandcontact.arcdiag import (
     ArcDiagram,
     interior_steps,
@@ -36,7 +41,6 @@ from strandcontact.homology import (
     BOTH,
     algebra_triples,
     build_summand,
-    crossingless_generators,
     homology_dims,
     is_boundary,
     local_case,
@@ -163,10 +167,7 @@ def test_criterion_6_homologous_realisations():
             interior_both = [
                 lab
                 for lab in range(1, d.k + 1)
-                if (case := local_case(d, h, s, t, lab)) is not None
-                and case.v_class == INTERIOR
-                and case.w_class == INTERIOR
-                and case.membership == BOTH
+                if local_case(d, h, s, t, lab) == (INTERIOR, INTERIOR, BOTH)
             ]
             if not interior_both:
                 continue

@@ -43,9 +43,15 @@ def test_parse_label_count_error():
         parse_arc_diagram("segments: 2\nmatching: 1 1 1")
 
 
-def test_parse_bad_token_position():
-    with pytest.raises(ParseError) as exc:
-        parse_arc_diagram("segments: 1 x\nmatching: 1 1")
+@pytest.mark.parametrize(
+    "token",
+    ["x", "2_2", "\u0664", "+4"],
+    ids=["letter", "underscore", "arabic-indic-digit", "plus-sign"],
+)
+def test_parse_bad_token_position(token):
+    # numbers are ASCII decimal, not Python's integer syntax
+    with pytest.raises(ParseError, match="not a number") as exc:
+        parse_arc_diagram(f"segments: 1 {token}\nmatching: 1 1")
     assert exc.value.line == 1
     assert exc.value.col == 13
 

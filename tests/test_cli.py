@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strandcontact import arcdiag, cli, contact, isoverify
+from strandcontact import arcdiag, cli, contact, homology, isoverify
 
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
@@ -96,11 +96,50 @@ def test_integer_arguments_out_of_range_exit_2(write, capsys, verb, flags):
     assert err.count("\n") == 1
 
 
-def test_homology_methods_agree(write):
+def diagram_text(d):
+    return (
+        f"segments: {' '.join(map(str, d.segment_sizes))}\n"
+        f"matching: {' '.join(map(str, d.matching))}\n"
+    )
+
+
+def diagram_id(d):
+    return "-".join(map(str, d.segment_sizes)) + "_" + "".join(map(str, d.matching))
+
+
+def homology_summands(path, method, capsys):
+    assert cli.main(["homology", path, "--method", method]) == 0
+    return json.loads(capsys.readouterr().out)["summands"]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the caches around a test whose patched grading would poison them."""
+    arcdiag.release_caches()
+    yield
+    arcdiag.release_caches()
+
+
+# corpus(3, 3) includes the torus, as 4_1212
+@pytest.mark.parametrize("d", isoverify.corpus(3, 3), ids=diagram_id)
+def test_homology_methods_agree(write, capsys, d):
+    path = write(diagram_text(d))
+    chain = homology_summands(path, "chain", capsys)
+    assert chain == homology_summands(path, "local", capsys)
+
+
+def test_local_degree_is_not_read_from_the_chain_grading(
+    write, capsys, monkeypatch, fresh_caches
+):
+    # a grading shifted on every generator moves the chain method's degrees;
+    # the local method reads its degree off the local table, so it must not move
+    real = homology.generator_maslov2
+    shifted = lambda d, g: real(d, g) + 2
+    monkeypatch.setattr(homology, "generator_maslov2", shifted)
+    monkeypatch.setattr(cli, "generator_maslov2", shifted)
     path = write(TORUS)
-    chain = run_json("homology", path, "--method", "chain")
-    local = run_json("homology", path, "--method", "local")
-    assert chain["summands"] == local["summands"]
+    chain = homology_summands(path, "chain", capsys)
+    assert chain != homology_summands(path, "local", capsys)
 
 
 def test_homology_summand_filter(write):

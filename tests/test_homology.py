@@ -18,11 +18,9 @@ from strandcontact.algebra import (
 )
 from strandcontact.homology import (
     HomSummand,
-    LocalCase,
     NotACycle,
     algebra_triples,
     build_summand,
-    crossingless_generators,
     gf2_in_span,
     gf2_kernel_basis,
     gf2_rank,
@@ -31,6 +29,7 @@ from strandcontact.homology import (
     local_case,
     representative,
     ring_product,
+    summand_maslov2,
     summand_nonzero,
     total_dim,
 )
@@ -154,11 +153,11 @@ def test_local_case_examples():
     zero = (0, 0, 0)
     # nothing used, label absent from s and t
     case = local_case(d, zero, frozenset(), frozenset(), 1)
-    assert case == LocalCase("out", "out", "neither")
+    assert case == ("out", "out", "neither")
     # strand begins at v=1 and ends at w=3 with label in both
     h = (1, 1, 0)
     case = local_case(d, h, frozenset({1}), frozenset({1}), 1)
-    assert case == LocalCase("neg_bdy", "pos_bdy", "both")
+    assert case == ("neg_bdy", "pos_bdy", "both")
     # both twins at the positive boundary is disallowed
     h2 = (1, 0, 1)
     assert local_case(d, h2, frozenset({2}), frozenset({2}), 2) is None
@@ -291,8 +290,10 @@ def test_representative_is_generating_cycle(d):
             assert not is_boundary(summand, rep)
 
 
-@pytest.mark.parametrize("d", [SQUARE, TORUS, ANNULUS])
+@pytest.mark.parametrize("d", [SQUARE, TORUS, ANNULUS, K5])
 def test_crossingless_generators_realise_summands(d):
+    from oracles import crossingless_generators
+
     for (s, t, h) in triples_of(d):
         summand = build_summand(d, s, t, h)
         gens = crossingless_generators(d, s, t, h)
@@ -303,6 +304,7 @@ def test_crossingless_generators_realise_summands(d):
         basis_all = {g for basis in summand.graded_basis.values() for g in basis}
         for g in gens:
             assert g in basis_all
+            assert generator_maslov2(d, g) == summand_maslov2(d, s, t, h)
             assert diff_generator(d, g) == frozenset()
             assert not is_boundary(summand, frozenset({g}))
         # all crossingless realisations are homologous
