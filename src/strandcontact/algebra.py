@@ -13,15 +13,15 @@ moving part.  The record of a moving part (_moving_part, cached per
 diagram and moving strands) is the one check of moving strands: it
 checks them against the arc diagram itself when it is first built, and
 holds their start and end labels as bitmasks, their homological grading
-and their crossing count.  start, end, triple, hom_grading,
-generator_maslov2 and generator_json read that record, so they raise
-ValueError on moving strands that fail the check.  expand adds the check
-of the dotted labels (generator_maslov2 checks only that they lie in
-1..k; start, end and triple do not check them).  Its expansions, their
-resolutions and their products are plain strand tuples sorted by start
-place (strands.Strands), valid by construction.  Label sets are
-frozensets from one cache keyed by bitmask, so the summands' keys share
-them.
+and their doubled Maslov degree, negated.  start, end, triple,
+hom_grading, generator_maslov2 and generator_json read that record, so
+they raise ValueError on moving strands that fail the check.  expand
+adds the check of the dotted labels (generator_maslov2 checks only that
+they lie in 1..k; start, end and triple do not check them).  Its
+expansions, their resolutions and their products are plain strand tuples
+sorted by start place (strands.Strands), valid by construction.  Label
+sets are frozensets from one cache keyed by bitmask, so the summands'
+keys share them.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -85,12 +85,19 @@ _new = tuple.__new__
 
 
 class _Part(NamedTuple):
-    """The record of a checked moving part.  Label l is bit l of a mask."""
+    """The record of a checked moving part.  Label l is bit l of a mask.
+
+    neg_maslov2 is minus the doubled Maslov degree of the moving strands
+    alone: h summed over the steps either side of each start place, less
+    twice the crossings.  Each crossing nests a start place inside a
+    strand that covers both its steps, so it is never negative, and held
+    this way it is a small int that Python shares, not one per record.
+    """
 
     starts: int
     ends: int
     h: tuple[int, ...]
-    crossings: int
+    neg_maslov2: int
 
 
 @cached
@@ -114,7 +121,12 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
         ends |= e
         for r in range(p, q):
             h[step[r]] += 1
-    return _Part(starts, ends, tuple(h), crossing_count(moving))
+    neg_maslov2 = -2 * crossing_count(moving)
+    for p, _ in moving:
+        for i in (step[p - 1], step[p]):
+            if i is not None:
+                neg_maslov2 += h[i]
+    return _Part(starts, ends, tuple(h), neg_maslov2)
 
 
 @cached
@@ -186,23 +198,25 @@ def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerato
     ends) lies in the expansion of exactly one generator: its moving
     strands, with its horizontal strands' labels dotted.  Each bucket is
     thus a subset of that expansion, and the orbit is complete iff the
-    bucket counts all 2^|dotted| of its diagrams.
+    bucket counts all 2^|dotted| of its diagrams.  One pass over a term
+    takes its start and end labels as bitmasks (constrained iff each has
+    one bit per strand) and its horizontal strands' labels.
     """
     label = (0,) + d.matching  # label[p] is the label at place p
     counts: dict[tuple, int] = {}
     for m in terms:
-        n = len(m)
-        if len({label[p] for p, _ in m}) != n or len({label[q] for _, q in m}) != n:
-            raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
-        moving = []
+        starts = ends = 0
         dotted = []
-        for strand in m:
-            if strand[0] == strand[1]:
-                dotted.append(label[strand[0]])
-            else:
-                moving.append(strand)
+        for p, q in m:
+            starts |= 1 << label[p]
+            ends |= 1 << label[q]
+            if p == q:
+                dotted.append(label[p])
+        n = len(m)
+        if starts.bit_count() != n or ends.bit_count() != n:
+            raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
         dotted.sort()
-        key = (tuple(moving), tuple(dotted))
+        key = (tuple([strand for strand in m if strand[0] != strand[1]]), tuple(dotted))
         counts[key] = counts.get(key, 0) + 1
     for key, count in counts.items():
         if count != 1 << len(key[1]):
@@ -270,31 +284,31 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
 
     Twice the crossings, minus the multiplicities of h on the steps either
     side of each start place, of the expansion with each dotted label at
-    its first place x; the horizontal strand there crosses each moving
-    p -> q with p < x < q.  ValueError on a dotted label outside 1..k;
-    the other checks of dotted labels are expand's.
+    its first place x.  The record holds this for the moving strands; the
+    horizontal strand at x adds a crossing with each moving p -> q with
+    p < x < q, and x a start place.  ValueError on a dotted label outside
+    1..k; the other checks of dotted labels are expand's.
     """
     moving, dotted = g
-    _, _, h, crossings = _moving_part(d, moving)
+    part = _moving_part(d, moving)
+    maslov2 = -part.neg_maslov2
+    if not dotted:
+        return maslov2
+    h = part.h
+    k = d.k
     step = _step_from(d)
-    places = [p for p, _ in moving]
-    if dotted:
-        k = d.k
-        horizontal = _horizontals(d)
-        for lab in dotted:
-            if not 1 <= lab <= k:
-                raise ValueError(f"dotted label {lab} is not a label 1..{k} of the diagram")
-            x = horizontal[lab][0][0]  # the strand (x, x) at the first place
-            for p, q in moving:
-                if p < x < q:
-                    crossings += 1
-            places.append(x)
-    multiplicity = 0
-    for p in places:
-        for i in (step[p - 1], step[p]):
+    horizontal = _horizontals(d)
+    for lab in dotted:
+        if not 1 <= lab <= k:
+            raise ValueError(f"dotted label {lab} is not a label 1..{k} of the diagram")
+        x = horizontal[lab][0][0]  # the strand (x, x) at the first place
+        for p, q in moving:
+            if p < x < q:
+                maslov2 += 2
+        for i in (step[x - 1], step[x]):
             if i is not None:
-                multiplicity += h[i]
-    return 2 * crossings - multiplicity
+                maslov2 -= h[i]
+    return maslov2
 
 
 @cached

@@ -136,9 +136,10 @@ class ArcDiagram:
 
     def segment_of(self, place: int) -> int:
         """0-based segment index containing a global place."""
-        if not 1 <= place <= 2 * self.k:
+        table = self._segment_table
+        if not 0 < place < len(table):
             raise ArcDiagramError(f"place {place} out of range")
-        return self._segment_table[place]
+        return table[place]
 
     def local_index(self, place: int) -> int:
         """0-based position of a place within its segment."""
@@ -400,19 +401,30 @@ def parse_arc_diagram(text: str) -> ArcDiagram:
 
     '#' starts a comment; blank lines are skipped.  The first content line
     must read `segments: n1 n2 ...` and the second `matching: m1 m2 ...`.
-    Raises ParseError with 1-based line/column on bad input.
+    Lines end only at \n, \r\n or \r, and only spaces and tabs separate
+    tokens; any other whitespace outside a comment is an error.  Raises
+    ParseError with 1-based line/column on bad input.
     """
+    lines = _LINE_END.split(text)
+    if not lines[-1]:
+        lines.pop()  # a final line end starts no line
     content: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        if line.strip():
+        other = _OTHER_SPACE.search(line)
+        if other:
+            raise ParseError(
+                f"whitespace U+{ord(other[0]):04X} is neither a space nor a tab",
+                lineno,
+                other.start() + 1,
+            )
+        if line.strip(" \t"):
             content.append((lineno, line))
     if len(content) < 2:
-        last = len(text.splitlines()) + 1
-        raise ParseError("expected `segments:` and `matching:` lines", last, 1)
+        raise ParseError("expected `segments:` and `matching:` lines", len(lines) + 1, 1)
     if len(content) > 2:
         lineno, line = content[2]
-        raise ParseError("unexpected extra line", lineno, len(line) - len(line.lstrip()) + 1)
+        raise ParseError("unexpected extra line", lineno, len(line) - len(line.lstrip(" \t")) + 1)
 
     sizes = _parse_numbers(content[0], "segments")
     matching = _parse_numbers(content[1], "matching")
@@ -432,12 +444,15 @@ def parse_arc_diagram(text: str) -> ArcDiagram:
         raise ParseError(str(exc), lineno, 1) from exc
 
 
+_LINE_END = re.compile(r"\r\n|\r|\n")
+_OTHER_SPACE = re.compile(r"[^\S \t]")  # whitespace other than a space or a tab
+_TOKEN = re.compile(r"[^ \t]+")
 _NUMBER = re.compile(r"-?[0-9]+")
 
 
 def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]:
     lineno, line = entry
-    stripped = line.lstrip()
+    stripped = line.lstrip(" \t")
     indent = len(line) - len(stripped)
     prefix = header + ":"
     if not stripped.startswith(prefix):
@@ -445,16 +460,14 @@ def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]
     rest = stripped[len(prefix):]
     base = indent + len(prefix)
     out = []
-    col = 0
-    for token in rest.split():
-        col = rest.index(token, col)
+    for match in _TOKEN.finditer(rest):
+        token, col = match[0], base + match.start() + 1
         try:
             if not _NUMBER.fullmatch(token):  # int() alone reads 2_2, +4 and non-ASCII digits
                 raise ValueError(token)
-            out.append((int(token), base + col + 1))
+            out.append((int(token), col))
         except ValueError:  # int() also refuses more digits than its limit
-            raise ParseError(f"not a number: {token!r}", lineno, base + col + 1) from None
-        col += len(token)
+            raise ParseError(f"not a number: {token!r}", lineno, col) from None
     if not out:
         raise ParseError(f"`{prefix}` lists no numbers", lineno, base + 1)
     return out

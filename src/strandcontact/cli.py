@@ -23,8 +23,8 @@ from .homology import (
     algebra_triples,
     build_summand,
     homology_dims,
+    nonzero_triples,
     summand_maslov2,
-    summand_nonzero,
 )
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
@@ -187,8 +187,11 @@ def cmd_basis(args) -> int:
     return OK
 
 
-def _summand_triples(d, selector):
-    triples = sorted(algebra_triples(d), key=triple_key)
+def _summand_triples(d, selector, method):
+    """The triples a homology report visits: every triple of the basis for
+    the chain method, only the closed form's nonzero ones for the local."""
+    found = algebra_triples(d) if method == "chain" else nonzero_triples(d)
+    triples = sorted(found, key=triple_key)
     if selector is None:
         return triples
     s_token, _, t_token = selector.partition(";")
@@ -201,14 +204,11 @@ def _summand_triples(d, selector):
 def cmd_homology(args) -> int:
     d = load(args)
     rows = []
-    for trip in _summand_triples(d, args.summand):
-        s, t, h = trip
+    for trip in _summand_triples(d, args.summand, args.method):
         if args.method == "chain":
-            dims = homology_dims(build_summand(d, s, t, h))
-        elif summand_nonzero(d, s, t, h):
-            dims = {summand_maslov2(d, s, t, h): 1}
+            dims = homology_dims(build_summand(d, *trip))
         else:
-            dims = {}
+            dims = {summand_maslov2(d, *trip): 1}
         if dims:
             row = triple_json(trip)
             row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}

@@ -13,10 +13,11 @@ matched pair says which summands survive and in which degree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arcdiag import ArcDiagram, cached, step_after, step_before
+from .arcdiag import ArcDiagram, cached, interior_steps, step_after, step_before
 from .algebra import (
     SymGenerator,
     Triple,
@@ -138,12 +139,15 @@ def build_summand(
         target = {g: i for i, g in enumerate(graded.get(m - 2, ()))}
         columns = []
         for g in basis:
-            terms = diff_generator(d, g)
-            if not terms <= target.keys():
-                raise ValueError(
-                    f"differential of {g} leaves degree {m - 2} of its summand"
-                )
-            columns.append(sum(1 << target[term] for term in terms))
+            column = 0
+            for term in diff_generator(d, g):
+                i = target.get(term)
+                if i is None:
+                    raise ValueError(
+                        f"differential of {g} leaves degree {m - 2} of its summand"
+                    )
+                column |= 1 << i
+            columns.append(column)
         boundary[m] = tuple(columns)
     return HomSummand(d, s, t, h, graded, boundary)
 
@@ -299,6 +303,31 @@ def summand_maslov2(
         for lab in range(1, d.k + 1)
     )
     return -(run_starts + 2 * interior_both)
+
+
+def nonzero_triples(d: ArcDiagram) -> list[Triple]:
+    """Closed form: every (s, t, h) that summand_nonzero accepts.
+
+    For each 0/1 vector h over the interior steps, each label admits the
+    memberships that ALLOWED_CASES lists for the classes of its two
+    places; the triples are the products of those choices.
+    """
+    labels = range(1, d.k + 1)
+    out = []
+    for h in itertools.product((0, 1), repeat=len(interior_steps(d))):
+        # entry i of _MEMBERSHIPS is (label in s) << 1 | (label in t)
+        admitted = []
+        for lab in labels:
+            v, w = d.pair(lab)
+            case = (_place_class(d, h, v), _place_class(d, h, w))
+            admitted.append([
+                i for i, member in enumerate(_MEMBERSHIPS) if (*case, member) in ALLOWED_CASES
+            ])
+        for choice in itertools.product(*admitted):
+            s = frozenset([lab for lab, i in zip(labels, choice) if i & 2])
+            t = frozenset([lab for lab, i in zip(labels, choice) if i & 1])
+            out.append((s, t, h))
+    return out
 
 
 def ring_product(

@@ -56,6 +56,38 @@ def test_parse_bad_token_position(token):
     assert exc.value.col == 13
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("segments: 4\nmatching: 1\u00a02 1 2\n", 2, 12),
+        ("segments: 4\nmatching: 1 2\u20031 2\n", 2, 14),
+        ("\u3000segments: 4\nmatching: 1 2 1 2\n", 1, 1),
+        ("segments: 4\u2028matching: 1 2 1 2\n", 1, 12),
+        ("segments: 4\x0cmatching: 1 2 1 2\n", 1, 12),
+    ],
+    ids=["no-break-space", "em-space", "ideographic-indent", "line-separator", "form-feed"],
+)
+def test_parse_only_ascii_separators(text, line, col):
+    # lines end only at \n, \r\n or \r, and only spaces and tabs separate
+    with pytest.raises(ParseError, match="neither a space nor a tab") as exc:
+        parse_arc_diagram(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "segments:\t4\nmatching:\t1\t2 1\t2\n",
+        "segments: 4\r\nmatching: 1 2 1 2\r\n",
+        "segments: 4\rmatching: 1 2 1 2\r",
+        "# caf\u00e9\u00a0notes\nsegments: 4\nmatching: 1 2 1 2\n",
+    ],
+    ids=["tabs", "crlf", "cr", "comment"],
+)
+def test_parse_tabs_line_ends_and_comments(text):
+    assert parse_arc_diagram(text) == TORUS
+
+
 def test_parse_empty_segment():
     with pytest.raises(ParseError):
         parse_arc_diagram("segments: 0 2\nmatching: 1 1")

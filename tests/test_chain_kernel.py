@@ -26,6 +26,7 @@ from oracles import (
     is_boundary_by_rederiving,
     mul_generators_by_recount,
     multiply_by_recount,
+    regroup_by_sets,
     triple_of_expansion,
     validating_expand,
 )
@@ -71,12 +72,27 @@ def name(d):
     return " ".join(map(str, d.segment_sizes)) + "|" + " ".join(map(str, d.matching))
 
 
-@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
-def test_generators_match_direct_route(d):
-    for g in generators(d):
+def assert_direct_route(d, gens):
+    for g in gens:
         assert diff_generator(d, g) == diff_generator_by_recount(d, g)
         assert generator_maslov2(d, g) == generator_maslov2_of_expansion(d, g)
         assert triple(d, g) == triple_of_expansion(d, g)
+
+
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
+def test_generators_match_direct_route(d):
+    assert_direct_route(d, generators(d))
+
+
+def test_k6_slice_matches_direct_route():
+    """A deterministic slice of the k=6 basis: every generator with at
+    least 3 dotted labels, whose degree adds most to the record's, plus
+    every 50th other generator."""
+    gens = generators(K6_A)
+    dotted = [g for g in gens if len(g.dotted) >= 3]
+    others = [g for g in gens if len(g.dotted) < 3][::50]
+    assert (len(dotted), len(others)) == (591, 316)
+    assert_direct_route(K6_A, dotted + others)
 
 
 @pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
@@ -207,24 +223,80 @@ def test_crossing_count_and_differential_match_recount(m):
     assert differential(m.strands) == {r.strands for r in differential_by_recount(m)}
 
 
+def strand_diagrams_of(d, terms):
+    return frozenset(StrandDiagram(d.segment_sizes, m) for m in terms)
+
+
+def orbits(d, gens):
+    """The GF(2) sum of the expansions of the given generators."""
+    terms = set()
+    for g in gens:
+        terms ^= set(expand(d, g))
+    return frozenset(terms)
+
+
+def k5_generators(dotted):
+    return [g for g in generators(K5) if len(g.dotted) == dotted]
+
+
+# id: (the generators whose orbits are summed, how many terms have a
+# horizontal strand)
+REGROUP_SUMS = {
+    # each term is its own moving part
+    "no-horizontals": (lambda: k5_generators(0)[::7], "none"),
+    # whole orbits of one and of two dotted labels
+    "horizontals": (lambda: k5_generators(1)[::5] + k5_generators(2)[::5], "all"),
+    # both kinds in one sum, as a differential gives them
+    "mixed": (lambda: generators(K5)[::11], "some"),
+}
+
+
+@pytest.mark.parametrize("case", list(REGROUP_SUMS))
+def test_regroup_matches_regrouping_by_sets(case):
+    gens, horizontals = REGROUP_SUMS[case]
+    terms = orbits(K5, gens())
+    with_horizontal = sum(any(p == q for p, q in m) for m in terms)
+    assert len(terms) > 20
+    assert {0: "none", len(terms): "all"}.get(with_horizontal, "some") == horizontals
+    assert regroup(K5, terms) == regroup_by_sets(K5, strand_diagrams_of(K5, terms))
+
+
 def test_regroup_rejects_a_truncated_orbit():
-    g = SymGenerator(((1, 3),), (2,))
-    orbit = frozenset(expand(TORUS, g))
-    assert len(orbit) == 2
-    assert regroup(TORUS, orbit) == {g}
-    for m in orbit:
-        with pytest.raises(NotInSymmetrisedSpan, match="partial twin-swap orbit"):
-            regroup(TORUS, orbit - {m})
+    # one dotted label on the torus; two on K5, beside a moving strand
+    for d, g in [
+        (TORUS, SymGenerator(((1, 3),), (2,))),
+        (K5, SymGenerator(((1, 2),), (3, 4))),
+    ]:
+        orbit = frozenset(expand(d, g))
+        n = 1 << len(g.dotted)
+        assert len(orbit) == n
+        assert regroup(d, orbit) == {g}
+        for m in orbit:
+            with pytest.raises(NotInSymmetrisedSpan, match="partial twin-swap orbit"):
+                regroup_by_sets(d, strand_diagrams_of(d, orbit - {m}))
+            with pytest.raises(NotInSymmetrisedSpan) as got:
+                regroup(d, orbit - {m})
+            assert str(got.value) == (
+                f"partial twin-swap orbit for generator {g}: {n - 1} of its {n} expansions"
+            )
 
 
 @pytest.mark.parametrize(
     "strands",
-    [((1, 2), (3, 4)), ((1, 2), (4, 4))],
-    ids=["label-1-starts-twice", "label-2-ends-twice"],
+    [((1, 2), (3, 4)), ((1, 2), (4, 4)), ((1, 1), (3, 4)), ((1, 4), (2, 2))],
+    ids=[
+        "label-1-starts-twice",
+        "label-2-ends-twice",
+        "horizontal-label-1-starts-twice",
+        "horizontal-label-2-ends-twice",
+    ],
 )
 def test_regroup_rejects_an_unconstrained_term(strands):
-    with pytest.raises(NotInSymmetrisedSpan, match="not constrained"):
-        regroup(TORUS, frozenset({StrandDiagram(TORUS.segment_sizes, strands).strands}))
+    # a horizontal strand counts among the starts and the ends
+    m = StrandDiagram(TORUS.segment_sizes, strands).strands
+    with pytest.raises(NotInSymmetrisedSpan) as got:
+        regroup(TORUS, frozenset({m}))
+    assert str(got.value) == f"diagram {m} is not constrained"
 
 
 # id: (diagram, generator, the label the error must name or None)

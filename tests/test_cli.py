@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strandcontact import arcdiag, cli, contact, homology, isoverify
+from strandcontact import algebra, arcdiag, cli, contact, homology, isoverify
 
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
@@ -140,6 +140,27 @@ def test_local_degree_is_not_read_from_the_chain_grading(
     path = write(TORUS)
     chain = homology_summands(path, "chain", capsys)
     assert chain != homology_summands(path, "local", capsys)
+
+
+def test_local_triples_are_not_read_from_the_basis(
+    write, capsys, monkeypatch, fresh_caches
+):
+    # an enumerate_basis that drops every generator of one nonzero triple
+    # removes that row from the chain method; the local method lists the
+    # closed form's triples, so it keeps the row
+    path = write(TORUS)
+    rows = homology_summands(path, "chain", capsys)
+    row = rows[-1]
+    dropped = (frozenset(row["s"]), frozenset(row["t"]), tuple(row["h"]))
+    real = homology.enumerate_basis
+    monkeypatch.setattr(
+        homology,
+        "enumerate_basis",
+        lambda d, i: tuple(g for g in real(d, i) if algebra.triple(d, g) != dropped),
+    )
+    arcdiag.release_caches()
+    assert homology_summands(path, "chain", capsys) == rows[:-1]
+    assert homology_summands(path, "local", capsys) == rows
 
 
 def test_homology_summand_filter(write):
