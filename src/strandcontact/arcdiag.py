@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _caches: list = []
 
@@ -62,22 +61,25 @@ class InvalidDiagramError(ArcDiagramError):
         self.circle = circle
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class _ArcDiagramFields(NamedTuple):
+    segment_sizes: tuple[int, ...]
+    matching: tuple[int, ...]
+
+
+class ArcDiagram(_ArcDiagramFields):
     """Oriented segments with places matched 2-to-1 by labels.
 
     segment_sizes lists the number of places on each segment, in order;
     matching assigns a label in 1..k to each of the 2k global places.
     Construction checks structural well-formedness only; circle-freeness
     under surgery is checked separately by surgery_circle/require_valid.
+    An immutable tuple of its two fields, with a __dict__ for the
+    cached tables below.  Build one with the constructor: _make and
+    _replace skip its checks.
     """
 
-    segment_sizes: tuple[int, ...]
-    matching: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "segment_sizes", tuple(self.segment_sizes))
-        object.__setattr__(self, "matching", tuple(self.matching))
+    def __new__(cls, segment_sizes, matching):
+        self = super().__new__(cls, tuple(segment_sizes), tuple(matching))
         if not self.segment_sizes:
             raise ArcDiagramError("diagram needs at least one segment")
         for j, n in enumerate(self.segment_sizes):
@@ -101,14 +103,7 @@ class ArcDiagram:
                 raise ArcDiagramError(
                     f"label {lab} occurs {counts.get(lab, 0)} times, expected 2"
                 )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        # every cache keyed on a diagram hashes it on each call
-        return hash((self.segment_sizes, self.matching))
+        return self
 
     @property
     def k(self) -> int:
@@ -276,8 +271,7 @@ def require_valid(d: ArcDiagram) -> None:
 SIDE_NAMES = ("after_v", "before_w", "after_w", "before_v")
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(NamedTuple):
     """One square of the quadrangulation, for the matched pair of a label.
 
     sides holds the interior-step index bound to each slot, in the cyclic
@@ -293,8 +287,7 @@ class Square:
 SideRef = tuple[int, int]  # (square label, side index in SIDE_NAMES order)
 
 
-@dataclass(frozen=True)
-class QuadSurface:
+class QuadSurface(NamedTuple):
     """The square complex of a valid arc diagram, with derived invariants."""
 
     diagram: ArcDiagram

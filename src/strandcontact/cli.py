@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arcdiag import (
+    _NUMBER,
     ArcDiagramError,
     InvalidDiagramError,
     ParseError,
@@ -35,7 +37,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises here
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so that
+        # the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAILURE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
@@ -110,16 +119,35 @@ def emit(args, payload: dict, pretty_lines=None) -> None:
         for line in pretty_lines:
             print(line)
     else:
-        print(json.dumps(payload))
+        # One dumps per top-level value and per slice of 64 elements of a
+        # list value, joined as json.dumps(payload) joins them: the encoder
+        # never holds the fragments of the whole report at once, and the
+        # slices keep the number of dumps calls small.
+        write = sys.stdout.write
+        sep = "{"
+        for key, value in payload.items():
+            write(f"{sep}{json.dumps(key)}: ")
+            if isinstance(value, list):
+                write("[")
+                for i in range(0, len(value), 64):
+                    write((", " if i else "") + json.dumps(value[i:i + 64])[1:-1])
+                write("]")
+            else:
+                write(json.dumps(value))
+            sep = ", "
+        write("}\n" if payload else "{}\n")
 
 
 def parse_subset(token: str, k: int) -> frozenset[int]:
     """Comma-separated labels in 1..k; `-` is the empty set."""
     if token == "-":
         return frozenset()
+    tokens = token.split(",")
     try:
-        labels = frozenset(int(x) for x in token.split(","))
-    except ValueError:
+        if not all(_NUMBER.fullmatch(x) for x in tokens):  # as the arc parser reads numbers
+            raise ValueError(token)
+        labels = frozenset(int(x) for x in tokens)
+    except ValueError:  # int() also refuses more digits than its limit
         raise ArcDiagramError(f"bad subset syntax: {token!r}") from None
     for lab in sorted(labels):
         if not 1 <= lab <= k:

@@ -16,8 +16,7 @@ replaced cube_tight reaches every verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arcdiag import (
     ArcDiagram,
@@ -30,8 +29,7 @@ from .arcdiag import (
 )
 
 
-@dataclass(frozen=True)
-class CubeData:
+class CubeData(NamedTuple):
     """On/off state of a cube's top and bottom plus used flags of its sides.
 
     The cyclic side order around the cube is (after_v, before_w, after_w,
@@ -52,8 +50,7 @@ class CubeData:
         )
 
 
-@dataclass(frozen=True)
-class ContactStructure:
+class ContactStructure(NamedTuple):
     """(bottom, top, used arcs) with the tightness verdict of its cubes.
 
     bottom and top are basic dividing sets, given by the labels of the
@@ -182,8 +179,7 @@ def stack(
     return xi if xi.tight else None
 
 
-@dataclass(frozen=True)
-class CATable:
+class CATable(NamedTuple):
     """The contact category algebra on its basis of tight structures.
 
     products holds exactly the composable pairs (x0.top == x1.bottom):

@@ -14,8 +14,7 @@ matched pair says which summands survive and in which degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arcdiag import ArcDiagram, cached, interior_steps, step_after, step_before
 from .algebra import (
@@ -84,8 +83,7 @@ def gf2_in_span(vec: int, columns: Sequence[int]) -> bool:
 # Summands
 
 
-@dataclass(frozen=True)
-class HomSummand:
+class HomSummand(NamedTuple):
     """One (s, t, h) summand: graded basis plus boundary maps.
 
     Both dicts are keyed by doubled Maslov degree, in ascending order.

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arcdiag import (
     ArcDiagram,
@@ -75,8 +74,7 @@ def phi_inv(
     return xi
 
 
-@dataclass
-class IsoReport:
+class IsoReport(NamedTuple):
     """Outcome of the three-way check on one diagram."""
 
     segment_sizes: tuple[int, ...]
@@ -90,8 +88,8 @@ class IsoReport:
     homology_dim: int
     products_checked: int
     unit_ok: bool
-    mismatches: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    mismatches: list[str]
+    elapsed_s: float
 
     @property
     def success(self) -> bool:
@@ -331,8 +329,7 @@ def verify(d: ArcDiagram) -> IsoReport:
     )
 
 
-@dataclass(frozen=True)
-class SfhTable:
+class SfhTable(NamedTuple):
     """Tight-structure counts over pairs of basic dividing sets.
 
     Entry (i, j) reports the dimension attributed to the thickened surface

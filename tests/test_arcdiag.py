@@ -107,6 +107,15 @@ def test_constructor_rejects_bad_labels():
         ArcDiagram((0, 2), (1, 1))
 
 
+def test_diagram_is_an_immutable_tuple_of_its_fields():
+    d = ArcDiagram([4], [1, 2, 1, 2])
+    assert d == TORUS == ((4,), (1, 2, 1, 2))
+    assert hash(d) == hash((d.segment_sizes, d.matching))
+    with pytest.raises(AttributeError):
+        d.matching = (1, 1, 2, 2)
+    assert d.matching == (1, 2, 1, 2)
+
+
 def test_validate_loop_is_invalid():
     circle = surgery_circle(LOOP)
     assert set(circle) == {1, 2}

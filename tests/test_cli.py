@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from strandcontact import algebra, arcdiag, cli, contact, homology, isoverify
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
 LOOP = "segments: 2\nmatching: 1 1\n"
+K5 = "segments: 3 7\nmatching: 1 2 3 1 4 5 3 5 2 4\n"  # perfbench/inputs/verify-k5-a.arc
 
 
 @pytest.fixture
@@ -183,6 +185,24 @@ def test_labels_out_of_range_exit_2(write, verb, flags):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "token", ["\u0662", "+1", "1_0", " 1"], ids=["arabic-2", "plus", "underscore", "space"]
+)
+@pytest.mark.parametrize(
+    "verb, flags",
+    [("contact", ["--from", "{}"]), ("homology", ["--summand", "{};-"])],
+    ids=["contact", "homology"],
+)
+def test_label_syntax_exit_2(write, capsys, verb, flags, token):
+    """Labels are read by the arc parser's number rule: int() alone would
+    take each of these tokens."""
+    code = cli.main([verb, write(TORUS), *(f.format(token) for f in flags)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: bad subset syntax: ")
+    assert out == ""
+
+
 FILE_VERBS = ["validate", "info", "basis", "homology", "contact", "verify", "sfh-table"]
 
 
@@ -351,3 +371,55 @@ def test_pretty_mode(write):
     proc = run("info", write(TORUS), "--pretty")
     assert proc.returncode == 0
     assert "euler_char: -1" in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost: compared with a bare interpreter, so that modules a
+    site hook loads do not count."""
+
+    def loaded(code):
+        argv = [sys.executable, "-c", code + "; import sys; print(*sys.modules)"]
+        return set(subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split())
+
+    added = loaded("import strandcontact.cli") - loaded("pass")
+    assert "strandcontact.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_emit_writes_what_one_dumps_writes(capsys):
+    payload = {
+        "schema": 1,
+        "none": [],
+        "rows": [{"s": [1, 2], "dims": {"-2": 1}}, {}, [], "\u00e9"],
+        "long": [{"i": i, "h": [i % 2]} for i in range(129)],  # more than two slices
+        "one": [None] * 64,
+        "nested": {"a": {"b": [1, 2.5, None, True]}},
+        "ok": False,
+    }
+    for value in (payload, {}):
+        cli.emit(argparse.Namespace(pretty=False), value)
+        assert capsys.readouterr().out == json.dumps(value) + "\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["-m", "strandcontact"],
+        ["-c", "import sys; from strandcontact.cli import main; sys.exit(main())"],
+    ],
+    ids=["module", "script"],
+)
+def test_closed_stdout_exits_1_quietly(write, entry):
+    """A reader that leaves after one byte of a 232 KB report: exit 1, with
+    nothing on stderr (no traceback, no `Exception ignored`)."""
+    proc = subprocess.Popen(
+        [sys.executable, *entry, "basis", write(K5)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -113,6 +113,13 @@ def test_cube_data_binding():
     assert not c2.used_before_w and not c2.used_after_w
 
 
+def test_structure_fields_are_read_only():
+    xi = make_structure(to_quad_surface(TORUS), frozenset(), frozenset(), frozenset())
+    with pytest.raises(AttributeError):
+        xi.tight = False
+    assert xi.tight
+
+
 @pytest.mark.parametrize("d", [TORUS, K4_SLOWEST], ids=["torus", "verify-k4-slowest"])
 def test_make_structure_reads_every_cube(d):
     """make_structure's verdict is the cube table on the cube_data of every

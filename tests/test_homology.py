@@ -118,6 +118,13 @@ def test_build_summand_square_idempotent():
     assert homology_dims(summand) == {0: 1}
 
 
+def test_summand_fields_are_read_only():
+    summand = build_summand(SQUARE, frozenset({1}), frozenset({1}), ())
+    with pytest.raises(AttributeError):
+        summand.h = (1,)
+    assert summand.h == ()
+
+
 def test_square_total_homology_dimension():
     total = 0
     for (s, t, h) in triples_of(SQUARE):
