@@ -234,10 +234,10 @@ def mul_generators(
 
     An expansion of g1 composes at most with the one expansion of g2 whose
     start places are its end places (the expansions of g2 differ in their
-    starts), so only that pair is multiplied.
+    starts), so only that pair is multiplied.  Places determine labels, so
+    when the end idempotent of g1 is not the start idempotent of g2 no
+    pair matches and the product is empty.
     """
-    if _masks(d, g1)[1] != _masks(d, g2)[0]:
-        return frozenset()
     by_starts = {tuple([p for p, _ in n]): n for n in expand(d, g2)}
     acc: set[Strands] = set()
     for m in expand(d, g1):

@@ -443,6 +443,15 @@ _TOKEN = re.compile(r"[^ \t]+")
 _NUMBER = re.compile(r"-?[0-9]+")
 
 
+def read_int(token: str) -> int:
+    """The integer a token spells as an optional `-` and ASCII digits;
+    ValueError otherwise.  int() alone also reads 2_2, +4, ` 4` and
+    non-ASCII digits, and it refuses more digits than its limit."""
+    if not _NUMBER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]:
     lineno, line = entry
     stripped = line.lstrip(" \t")
@@ -456,10 +465,8 @@ def _parse_numbers(entry: tuple[int, str], header: str) -> list[tuple[int, int]]
     for match in _TOKEN.finditer(rest):
         token, col = match[0], base + match.start() + 1
         try:
-            if not _NUMBER.fullmatch(token):  # int() alone reads 2_2, +4 and non-ASCII digits
-                raise ValueError(token)
-            out.append((int(token), col))
-        except ValueError:  # int() also refuses more digits than its limit
+            out.append((read_int(token), col))
+        except ValueError:
             raise ParseError(f"not a number: {token!r}", lineno, col) from None
     if not out:
         raise ParseError(f"`{prefix}` lists no numbers", lineno, base + 1)

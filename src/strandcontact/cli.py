@@ -8,12 +8,12 @@ import os
 import sys
 
 from .arcdiag import (
-    _NUMBER,
     ArcDiagramError,
     InvalidDiagramError,
     ParseError,
     interior_steps,
     parse_arc_diagram,
+    read_int,
     release_caches,
     require_valid,
     surgery_circle,
@@ -21,13 +21,7 @@ from .arcdiag import (
 )
 from .algebra import enumerate_basis, generator_json, generator_maslov2, hom_grading
 from .contact import StackNotInBasis, ca_table, structure_json
-from .homology import (
-    algebra_triples,
-    build_summand,
-    homology_dims,
-    nonzero_triples,
-    summand_maslov2,
-)
+from .homology import algebra_triples, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
@@ -78,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("info", cmd_info)
 
     p = add("basis", cmd_basis)
-    p.add_argument("--strands", type=int, default=None)
+    p.add_argument("--strands", default=None)
 
     p = add("homology", cmd_homology)
     p.add_argument("--method", choices=["chain", "local"], default="chain")
@@ -92,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("sfh-table", cmd_sfh)
 
     p = add("corpus", cmd_corpus, needs_file=False)
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--max-l", type=int, default=3)
+    p.add_argument("--max-k", default="3")
+    p.add_argument("--max-l", default="3")
     return parser
 
 
@@ -138,16 +132,21 @@ def emit(args, payload: dict, pretty_lines=None) -> None:
         write("}\n" if payload else "{}\n")
 
 
+def read_option(flag: str, token: str) -> int:
+    """An integer option's value, read as the arc parser reads numbers."""
+    try:
+        return read_int(token)
+    except ValueError:
+        raise ArcDiagramError(f"{flag} wants an integer, not {token!r}") from None
+
+
 def parse_subset(token: str, k: int) -> frozenset[int]:
     """Comma-separated labels in 1..k; `-` is the empty set."""
     if token == "-":
         return frozenset()
-    tokens = token.split(",")
     try:
-        if not all(_NUMBER.fullmatch(x) for x in tokens):  # as the arc parser reads numbers
-            raise ValueError(token)
-        labels = frozenset(int(x) for x in tokens)
-    except ValueError:  # int() also refuses more digits than its limit
+        labels = frozenset(read_int(x) for x in token.split(","))
+    except ValueError:
         raise ArcDiagramError(f"bad subset syntax: {token!r}") from None
     for lab in sorted(labels):
         if not 1 <= lab <= k:
@@ -194,9 +193,12 @@ def cmd_info(args) -> int:
 
 def cmd_basis(args) -> int:
     d = load(args)
-    if args.strands is not None and not 0 <= args.strands <= d.k:
-        raise ArcDiagramError(f"--strands {args.strands} is out of range 0..{d.k}")
-    counts = [args.strands] if args.strands is not None else range(d.k + 1)
+    counts = range(d.k + 1)
+    if args.strands is not None:
+        strands = read_option("--strands", args.strands)
+        if not 0 <= strands <= d.k:
+            raise ArcDiagramError(f"--strands {strands} is out of range 0..{d.k}")
+        counts = [strands]
     gens = []
     for i in counts:
         for g in enumerate_basis(d, i):
@@ -218,7 +220,7 @@ def cmd_basis(args) -> int:
 def _summand_triples(d, selector, method):
     """The triples a homology report visits: every triple of the basis for
     the chain method, only the closed form's nonzero ones for the local."""
-    found = algebra_triples(d) if method == "chain" else nonzero_triples(d)
+    found = algebra_triples(d) if method == "chain" else closed_form(d)
     triples = sorted(found, key=triple_key)
     if selector is None:
         return triples
@@ -236,7 +238,7 @@ def cmd_homology(args) -> int:
         if args.method == "chain":
             dims = homology_dims(build_summand(d, *trip))
         else:
-            dims = {summand_maslov2(d, *trip): 1}
+            dims = {closed_form(d)[trip]: 1}
         if dims:
             row = triple_json(trip)
             row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}
@@ -294,10 +296,12 @@ def cmd_sfh(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    for flag, value in (("--max-k", args.max_k), ("--max-l", args.max_l)):
+    max_k = read_option("--max-k", args.max_k)
+    max_l = read_option("--max-l", args.max_l)
+    for flag, value in (("--max-k", max_k), ("--max-l", max_l)):
         if value < 1:
             raise ArcDiagramError(f"{flag} {value} is below 1")
-    diagrams = corpus(args.max_k, args.max_l)
+    diagrams = corpus(max_k, max_l)
     results = []
     all_ok = True
     for d in diagrams:
@@ -320,8 +324,8 @@ def cmd_corpus(args) -> int:
         )
     payload = {
         "schema": 1,
-        "max_k": args.max_k,
-        "max_l": args.max_l,
+        "max_k": max_k,
+        "max_l": max_l,
         "diagrams": len(diagrams),
         "all_ok": all_ok,
         "results": results,

@@ -6,9 +6,10 @@ grouping is cached.  Each summand is a finite GF(2) chain complex graded
 by the doubled Maslov degree, with the differential dropping that degree
 by 2 and each boundary map stored as a tuple of column bitmasks.  One
 column reduction gives ranks, kernels and span tests, hence dimensions,
-boundary tests and representatives.  Independently of all that, the
-closed-form local classification of the data of (h, s, t) near each
-matched pair says which summands survive and in which degree.
+boundary tests and representatives.  Independently of all that, one
+table, built from the closed-form local classification of the data of
+(h, s, t) near each matched pair, says which summands survive and in
+which degree.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .arcdiag import ArcDiagram, cached, interior_steps, step_after, step_before
 from .algebra import (
     SymGenerator,
     Triple,
+    _label_set,
     diff_generator,
     enumerate_basis,
     generator_maslov2,
@@ -251,81 +253,55 @@ def _place_class(d: ArcDiagram, h: tuple[int, ...], place: int) -> str:
     return _PLACE_CLASSES[used_before << 1 | used_after]
 
 
-def local_case(
-    d: ArcDiagram,
-    h: tuple[int, ...],
-    s: frozenset[int],
-    t: frozenset[int],
-    lab: int,
-) -> Optional[tuple[str, str, str]]:
-    """Classify one matched pair against supp h and the idempotents.
-
-    h must be 0/1-valued.  Returns the (v_class, w_class, membership)
-    case, or None when it falls outside the allowed table.
-    """
-    v, w = d.pair(lab)
-    case = (
-        _place_class(d, h, v),
-        _place_class(d, h, w),
-        _MEMBERSHIPS[(lab in s) << 1 | (lab in t)],
-    )
-    return case if case in ALLOWED_CASES else None
-
-
 @cached
-def summand_nonzero(
-    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
-) -> bool:
-    """Closed form: the summand survives iff h is 0/1 and all pairs allowed."""
-    if any(mult not in (0, 1) for mult in h):
-        return False
-    return all(local_case(d, h, s, t, lab) is not None for lab in range(1, d.k + 1))
+def closed_form(d: ArcDiagram) -> dict[Triple, int]:
+    """Closed form: every nonzero summand (s, t, h), mapped to the doubled
+    Maslov degree of its homology.
 
-
-def summand_maslov2(
-    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
-) -> int:
-    """Closed form: the doubled Maslov degree of a nonzero summand's homology.
-
-    A crossingless generator has no crossings, so its degree is minus the
+    For each 0/1 vector h over the interior steps, each label admits the
+    memberships that ALLOWED_CASES lists for the classes of its two
+    places; the nonzero triples are the products of those choices.  A
+    crossingless generator has no crossings, so its degree is minus the
     multiplicity of h around its starts: one strand starts at each run
     start of supp h (a neg_bdy place, h = 1 on one side), and one at an
     interior twin of each (interior, interior, both) label (h = 1 on both
     sides).  Its dotted labels lie away from supp h.
     """
-    run_starts = sum(
-        _place_class(d, h, p) == NEG_BDY for p in range(1, 2 * d.k + 1)
-    )
-    interior_both = sum(
-        local_case(d, h, s, t, lab) == (INTERIOR, INTERIOR, BOTH)
-        for lab in range(1, d.k + 1)
-    )
-    return -(run_starts + 2 * interior_both)
-
-
-def nonzero_triples(d: ArcDiagram) -> list[Triple]:
-    """Closed form: every (s, t, h) that summand_nonzero accepts.
-
-    For each 0/1 vector h over the interior steps, each label admits the
-    memberships that ALLOWED_CASES lists for the classes of its two
-    places; the triples are the products of those choices.
-    """
-    labels = range(1, d.k + 1)
-    out = []
+    # (v class, w class) -> the admitted (in s, in t, degree drop) of a
+    # label; entry i of _MEMBERSHIPS is (label in s) << 1 | (label in t)
+    admitted = {
+        (a, b): [
+            (i >> 1, i & 1, 2 if a == b == INTERIOR and member == BOTH else 0)
+            for i, member in enumerate(_MEMBERSHIPS)
+            if (a, b, member) in ALLOWED_CASES
+        ]
+        for a in _PLACE_CLASSES
+        for b in _PLACE_CLASSES
+    }
+    pairs = [d.pair(lab) for lab in range(1, d.k + 1)]
+    places = range(1, 2 * d.k + 1)
+    table = {}
     for h in itertools.product((0, 1), repeat=len(interior_steps(d))):
-        # entry i of _MEMBERSHIPS is (label in s) << 1 | (label in t)
-        admitted = []
-        for lab in labels:
-            v, w = d.pair(lab)
-            case = (_place_class(d, h, v), _place_class(d, h, w))
-            admitted.append([
-                i for i, member in enumerate(_MEMBERSHIPS) if (*case, member) in ALLOWED_CASES
-            ])
-        for choice in itertools.product(*admitted):
-            s = frozenset([lab for lab, i in zip(labels, choice) if i & 2])
-            t = frozenset([lab for lab, i in zip(labels, choice) if i & 1])
-            out.append((s, t, h))
-    return out
+        classes = [None, *[_place_class(d, h, p) for p in places]]  # places from 1
+        # partial choices over the labels so far: (s mask, t mask, degree)
+        choices = [(0, 0, -classes.count(NEG_BDY))]
+        for lab, (v, w) in enumerate(pairs, 1):
+            bit = 1 << lab
+            choices = [
+                (s | bit * in_s, t | bit * in_t, m - drop)
+                for s, t, m in choices
+                for in_s, in_t, drop in admitted[classes[v], classes[w]]
+            ]
+        for s, t, m in choices:
+            table[(_label_set(s), _label_set(t), h)] = m
+    return table
+
+
+def summand_nonzero(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> bool:
+    """Closed form: whether the (s, t, h) summand survives."""
+    return (s, t, h) in closed_form(d)
 
 
 def ring_product(

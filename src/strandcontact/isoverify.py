@@ -217,9 +217,9 @@ def verify(d: ArcDiagram) -> IsoReport:
 
     # -- ring check: stacking vs closed form vs chain-level classes.  Only
     # composable pairs (x0.top == x1.bottom) are visited: on any other pair
-    # each side is zero at its first line (stack, ring_product and
-    # mul_generators all compare the idempotents first), which
-    # tests/oracles.dense_products pins.
+    # each side is zero (stack and ring_product compare the idempotents
+    # first, and mul_generators finds no expansions whose places match),
+    # which tests/oracles.dense_products pins.
     products_checked = len(table.basis) ** 2
     for (i, j), stacked in table.products.items():
         t0j, t1j = basis_triples[i], basis_triples[j]

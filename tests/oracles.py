@@ -29,9 +29,15 @@ from strandcontact.arcdiag import (
     to_quad_surface,
 )
 from strandcontact.contact import ContactStructure, CubeData, ca_table, make_structure, stack
+from strandcontact import homology
 from strandcontact.homology import (
+    BOTH,
+    END_ONLY,
     INTERIOR,
+    NEG_BDY,
+    NEITHER,
     OUT,
+    START_ONLY,
     HomSummand,
     NotACycle,
     _place_class,
@@ -362,11 +368,60 @@ def is_boundary_by_rederiving(summand: HomSummand, cycle: frozenset[SymGenerator
     return gf2_in_span(vec, summand.boundary.get(m + 2, ()))
 
 
+def local_case(
+    d: ArcDiagram,
+    h: tuple[int, ...],
+    s: frozenset[int],
+    t: frozenset[int],
+    lab: int,
+) -> Optional[tuple[str, str, str]]:
+    """Classify one matched pair against supp h and the idempotents.
+
+    h must be 0/1-valued.  Returns the (v_class, w_class, membership)
+    case, or None when it falls outside homology.ALLOWED_CASES.
+    """
+    v, w = d.pair(lab)
+    membership = {
+        (True, True): BOTH,
+        (True, False): START_ONLY,
+        (False, True): END_ONLY,
+        (False, False): NEITHER,
+    }[lab in s, lab in t]
+    case = (_place_class(d, h, v), _place_class(d, h, w), membership)
+    return case if case in homology.ALLOWED_CASES else None
+
+
+def local_nonzero(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> bool:
+    """The local table read one triple at a time: the summand survives iff
+    h is 0/1 and every matched pair falls in an allowed case."""
+    if any(mult not in (0, 1) for mult in h):
+        return False
+    return all(local_case(d, h, s, t, lab) is not None for lab in range(1, d.k + 1))
+
+
+def local_maslov2(
+    d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
+) -> int:
+    """The doubled Maslov degree of a nonzero summand's homology, counted
+    per triple: minus the run starts of supp h (neg_bdy places) and twice
+    the (interior, interior, both) labels."""
+    run_starts = sum(
+        _place_class(d, h, p) == NEG_BDY for p in range(1, 2 * d.k + 1)
+    )
+    interior_both = sum(
+        local_case(d, h, s, t, lab) == (INTERIOR, INTERIOR, BOTH)
+        for lab in range(1, d.k + 1)
+    )
+    return -(run_starts + 2 * interior_both)
+
+
 def crossingless_generators(
     d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
 ) -> tuple[SymGenerator, ...]:
     """All generators of a nonzero summand with no crossings in any expansion,
-    the witnesses that homology.summand_maslov2 reads its degree off.
+    the witnesses that homology.closed_form reads its degree off.
 
     Built directly from the local data: each maximal run of supp h is
     covered by a chain of strands broken exactly at the interior twins

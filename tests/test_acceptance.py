@@ -18,6 +18,7 @@ from oracles import (
     crossingless_generators,
     diff_sum,
     dividing_curve_components,
+    local_case,
 )
 from strandcontact.arcdiag import (
     ArcDiagram,
@@ -43,7 +44,6 @@ from strandcontact.homology import (
     build_summand,
     homology_dims,
     is_boundary,
-    local_case,
     summand_nonzero,
     total_dim,
 )

@@ -98,6 +98,23 @@ def test_integer_arguments_out_of_range_exit_2(write, capsys, verb, flags):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "token", ["\u0662", "+1", "1_0", " 1"], ids=["arabic-2", "plus", "underscore", "space"]
+)
+@pytest.mark.parametrize(
+    "verb, flag", [("basis", "--strands"), ("corpus", "--max-k"), ("corpus", "--max-l")]
+)
+def test_integer_argument_syntax_exit_2(write, capsys, verb, flag, token):
+    """Integer options are read by the arc parser's number rule: argparse's
+    int would take each of these tokens."""
+    argv = [verb, write(TORUS), flag, token] if verb == "basis" else [verb, flag, token]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} wants an integer, not {token!r}\n"
+
+
 def diagram_text(d):
     return (
         f"segments: {' '.join(map(str, d.segment_sizes))}\n"

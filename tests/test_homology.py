@@ -21,18 +21,19 @@ from strandcontact.homology import (
     NotACycle,
     algebra_triples,
     build_summand,
+    closed_form,
     gf2_in_span,
     gf2_kernel_basis,
     gf2_rank,
     homology_dims,
     is_boundary,
-    local_case,
     representative,
     ring_product,
-    summand_maslov2,
     summand_nonzero,
     total_dim,
 )
+from strandcontact.isoverify import corpus
+from oracles import local_case, local_maslov2, local_nonzero
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -311,7 +312,7 @@ def test_crossingless_generators_realise_summands(d):
         basis_all = {g for basis in summand.graded_basis.values() for g in basis}
         for g in gens:
             assert g in basis_all
-            assert generator_maslov2(d, g) == summand_maslov2(d, s, t, h)
+            assert generator_maslov2(d, g) == closed_form(d)[(s, t, h)]
             assert diff_generator(d, g) == frozenset()
             assert not is_boundary(summand, frozenset({g}))
         # all crossingless realisations are homologous
@@ -409,6 +410,45 @@ def test_local_table_matches_three_conditions(d):
                 assert summand_nonzero(d, s, t, h) == survives_by_three_conditions(
                     d, s, t, h
                 ), (sorted(s), sorted(t), h)
+
+
+@pytest.mark.parametrize("d", [SQUARE, TORUS, ANNULUS])
+def test_closed_form_matches_per_triple_oracle(d):
+    """The table holds exactly the triples that the local table accepts
+    one matched pair at a time, with their per-triple degree; zero
+    summands and gradings with a 2 are absent."""
+    table = closed_form(d)
+    labels = range(1, d.k + 1)
+    subsets = [frozenset(c) for r in range(d.k + 1) for c in itertools.combinations(labels, r)]
+    n = len(interior_steps(d))
+    seen = 0
+    for s in subsets:
+        for t in subsets:
+            for h in itertools.product((0, 1, 2), repeat=n):
+                nonzero = local_nonzero(d, s, t, h)
+                assert summand_nonzero(d, s, t, h) == nonzero, (sorted(s), sorted(t), h)
+                if nonzero:
+                    assert table[(s, t, h)] == local_maslov2(d, s, t, h)
+                    seen += 1
+    assert seen == len(table)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [*corpus(3, 3), K5],
+    ids=lambda d: "-".join(map(str, d.segment_sizes)) + "_" + "".join(map(str, d.matching)),
+)
+def test_closed_form_equals_chain_homology(d):
+    """Chain = local as a tier-1 test: the table maps each summand whose
+    chain homology is one-dimensional to that dimension's degree."""
+    chain = {}
+    for trip in algebra_triples(d):
+        dims = homology_dims(build_summand(d, *trip))
+        if dims:
+            ((m, dim),) = dims.items()
+            assert dim == 1, trip
+            chain[trip] = m
+    assert closed_form(d) == chain
 
 
 def test_ring_product_associative():
