@@ -354,6 +354,9 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
             chosen.pop()
 
     extend(0, [], 0, 0)
+    # extend refers to itself through its closure; without this the cycle
+    # would hold the walk's lists until the cyclic collector ran
+    del extend
     return tuple([tuple(gens) for gens in out])
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -19,9 +20,15 @@ from .arcdiag import (
     surgery_circle,
     to_quad_surface,
 )
-from .algebra import enumerate_basis, generator_json, generator_maslov2, hom_grading
+from .algebra import (
+    NotInSymmetrisedSpan,
+    enumerate_basis,
+    generator_json,
+    generator_maslov2,
+    hom_grading,
+)
 from .contact import StackNotInBasis, ca_table, structure_json
-from .homology import algebra_triples, build_summand, closed_form, homology_dims
+from .homology import DegreeError, algebra_triples, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
@@ -30,6 +37,11 @@ OK, FAILURE, USAGE = 0, 1, 2
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package leaves no reference cycles (tests/test_gc.py pins this),
+    # so the cyclic collector would only rescan the large acyclic heap that
+    # the caches hold and free nothing.  It is paused while the verb runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout raises here
@@ -45,12 +57,15 @@ def main(argv=None) -> int:
     except InvalidDiagramError as exc:
         print(f"invalid diagram: {exc}", file=sys.stderr)
         return FAILURE
-    except (SfhMismatch, StackNotInBasis) as exc:
+    except (SfhMismatch, StackNotInBasis, NotInSymmetrisedSpan, DegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     except ArcDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def build_parser() -> argparse.ArgumentParser:

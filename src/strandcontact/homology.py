@@ -33,6 +33,10 @@ class NotACycle(ValueError):
     """is_boundary was handed an element with nonzero differential."""
 
 
+class DegreeError(ValueError):
+    """build_summand met a differential that leaves its degree m - 2."""
+
+
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on column bitmasks
 
@@ -123,8 +127,8 @@ def build_summand(
 ) -> HomSummand:
     """Assemble the chain complex of one (s, t, h) summand.
 
-    ValueError when the differential of a generator leaves the summand or
-    does not lower the doubled Maslov degree by exactly 2.
+    DegreeError, a ValueError, when the differential of a generator leaves
+    the summand or does not lower the doubled Maslov degree by exactly 2.
     """
     gens: tuple[SymGenerator, ...] = ()
     if len(s) == len(t):
@@ -143,7 +147,7 @@ def build_summand(
             for term in diff_generator(d, g):
                 i = target.get(term)
                 if i is None:
-                    raise ValueError(
+                    raise DegreeError(
                         f"differential of {g} leaves degree {m - 2} of its summand"
                     )
                 column |= 1 << i

@@ -1,15 +1,18 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from faults import drop_a_resolution, maslov_off_on_dotted
 from strandcontact import algebra, arcdiag, cli, contact, homology, isoverify
 
 SQUARE = "segments: 1 1\nmatching: 1 1\n"
 TORUS = "segments: 4\nmatching: 1 2 1 2\n"
 LOOP = "segments: 2\nmatching: 1 1\n"
+K4_SLOWEST = "segments: 8\nmatching: 1 2 1 3 4 3 4 2\n"  # perfbench/inputs/verify-k4-slowest.arc
 K5 = "segments: 3 7\nmatching: 1 2 3 1 4 5 3 5 2 4\n"  # perfbench/inputs/verify-k5-a.arc
 
 
@@ -362,6 +365,41 @@ def test_stack_outside_the_basis_exits_1(write, monkeypatch, capsys):
     assert err.startswith("error: stacked {'bottom': ")
     assert err.endswith("is not in the basis\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["homology", "sfh-table"])
+@pytest.mark.parametrize(
+    "inject, message",
+    [
+        (
+            lambda monkeypatch: drop_a_resolution(monkeypatch, everywhere=True),
+            "partial twin-swap orbit for generator ",
+        ),
+        (maslov_off_on_dotted, "leaves degree -1 of its summand"),
+    ],
+    ids=["differential-drops-a-resolution", "maslov2-off-by-2-when-dotted"],
+)
+def test_chain_side_fault_exits_1_without_traceback(
+    write, monkeypatch, capsys, fresh_caches, verb, inject, message
+):
+    """A summand build that leaves the symmetrised span or its degree ends
+    the verb with exit 1 and one stderr line, and leaves no cyclic garbage
+    behind (the parser, which holds cycles of its own, is built first)."""
+    inject(monkeypatch)
+    path = write(K4_SLOWEST)
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main([verb, path])
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    out, err = capsys.readouterr()
+    assert (code, out, garbage) == (1, "", 0)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_corpus_with_disconnected_surfaces():

@@ -1,0 +1,134 @@
+"""The package leaves no reference cycles, and the CLI pauses the cyclic
+collector while a verb runs.
+
+With no cycles the collector has nothing to free: it would only rescan
+the generators, summands and tables that the caches hold.  So `cli.main`
+disables it around the verb's handler.  These tests keep that safe: each
+piece of work below, run on empty caches with the collector paused, must
+leave no unreachable object for `gc.collect()` to find.  A new cycle in
+the package fails here instead of growing a paused process.
+"""
+
+import gc
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from strandcontact import cli
+from strandcontact.algebra import enumerate_basis
+from strandcontact.arcdiag import ArcDiagram, ArcDiagramError, release_caches
+from strandcontact.contact import ca_table
+from strandcontact.homology import algebra_triples, build_summand, homology_dims
+from strandcontact.isoverify import SfhMismatch, corpus, sfh_table, verify
+
+K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+DIAGRAMS = corpus(3, 3) + [K5]
+PEAK_RSS = Path(__file__).with_name("peak_rss.py")
+
+
+def cyclic_garbage(work) -> int:
+    """What gc.collect() finds after work() runs on empty caches, with the
+    collector paused from one warm-up collection on."""
+    release_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+        release_caches()
+
+
+def every_basis(d):
+    for i in range(d.k + 1):
+        enumerate_basis(d, i)
+
+
+def chain_homology(d):
+    for trip in algebra_triples(d):
+        homology_dims(build_summand(d, *trip))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [verify, sfh_table, ca_table, every_basis, chain_homology],
+    ids=["verify", "sfh_table", "ca_table", "enumerate_basis", "chain_homology"],
+)
+def test_no_reference_cycles(job):
+    assert cyclic_garbage(lambda: [job(d) for d in DIAGRAMS]) == 0
+
+
+def test_corpus_loop_makes_no_reference_cycles():
+    def loop():
+        for d in corpus(3, 3):
+            verify(d)
+            release_caches()
+
+    assert cyclic_garbage(loop) == 0
+
+
+def test_verify_verb_makes_no_reference_cycles(tmp_path, monkeypatch, capsys):
+    # argparse's parser holds cycles of its own, so it is built first
+    path = tmp_path / "k5.arc"
+    path.write_text("segments: 3 7\nmatching: 1 2 3 1 4 5 3 5 2 4\n")
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert cyclic_garbage(lambda: cli.main(["verify", str(path)])) == 0
+    assert '"success": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "outcome, code",
+    [(None, 0), (SfhMismatch("x"), 1), (ArcDiagramError("x"), 2), (KeyError("x"), None)],
+    ids=["returns", "maps-to-1", "maps-to-2", "raises"],
+)
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, enabled, outcome, code):
+    """The handler runs with the collector off, and main hands it back as it
+    found it, whether the handler returns, raises an error that main maps
+    to an exit code, or raises one that main lets through."""
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        if outcome is not None:
+            raise outcome
+        return cli.OK
+
+    monkeypatch.setattr(cli, "cmd_corpus", handler)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(KeyError):
+                cli.main(["corpus"])
+        else:
+            assert cli.main(["corpus"]) == code
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert after is enabled
+
+
+@pytest.mark.parametrize(
+    "ceiling, code, status",
+    [
+        ("100000", "print('out')", 0),
+        ("1", "print('out')", 1),
+        ("100000", "import sys; print('out'); sys.exit(3)", 3),
+    ],
+    ids=["within", "above", "child-fails"],
+)
+def test_peak_rss_wrapper(ceiling, code, status):
+    """CI caps the memory of its long runs with tests/peak_rss.py, since a
+    cycle under the paused collector would show only as growth."""
+    proc = subprocess.run(
+        [sys.executable, str(PEAK_RSS), ceiling, sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (status, "out\n")
+    assert proc.stderr.startswith("peak RSS ") and proc.stderr.endswith(f"ceiling {ceiling} MB\n")

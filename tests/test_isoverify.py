@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from faults import drop_a_resolution, maslov_off_on_dotted, reduce_ignoring_a_pivot
 from oracles import canonical_key_all_orders, corpus_validate_first, diff_sum
-from strandcontact import algebra, contact, homology, isoverify, strands
+from strandcontact import algebra, contact, homology, isoverify
 from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis
 from strandcontact.arcdiag import (
     ArcDiagram,
@@ -372,52 +373,9 @@ def test_verify_grades_each_generator_once(monkeypatch):
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 
 
-def _drop_a_resolution(monkeypatch):
-    # without horizontal strands every orbit is a single diagram, so the
-    # sum still regroups, only one term short
-    real = strands.differential
-
-    def differential(m):
-        out = real(m)
-        if out and all(p != q for p, q in m):
-            return out - {min(out)}
-        return out
-
-    monkeypatch.setattr(algebra, "differential", differential)
-
-
-def _maslov_off_on_dotted(monkeypatch):
-    real = algebra.generator_maslov2
-    monkeypatch.setattr(
-        homology,
-        "generator_maslov2",
-        lambda d, g: real(d, g) + (2 if g.dotted else 0),
-    )
-
-
-def _reduce_ignoring_a_pivot(monkeypatch):
-    def _reduce(columns):
-        pivots, kernel, ignored = {}, [], False
-        for c, col in enumerate(columns):
-            combo = 1 << c
-            while col and (col & -col) in pivots:
-                pivot_col, pivot_combo = pivots[col & -col]
-                col ^= pivot_col
-                combo ^= pivot_combo
-            if col and not ignored:
-                ignored = True
-            elif col:
-                pivots[col & -col] = (col, combo)
-            else:
-                kernel.append(combo)
-        return pivots, kernel
-
-    monkeypatch.setattr(homology, "_reduce", _reduce)
-
-
 @pytest.mark.parametrize(
     "inject",
-    [_drop_a_resolution, _maslov_off_on_dotted, _reduce_ignoring_a_pivot],
+    [drop_a_resolution, maslov_off_on_dotted, reduce_ignoring_a_pivot],
     ids=["differential-drops-a-resolution", "maslov2-off-by-2-when-dotted", "reduce-ignores-a-pivot"],
 )
 def test_verify_catches_a_chain_side_fault(monkeypatch, fresh_caches, inject):
