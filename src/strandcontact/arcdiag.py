@@ -136,10 +136,6 @@ class ArcDiagram(_ArcDiagramFields):
             raise ArcDiagramError(f"place {place} out of range")
         return table[place]
 
-    def local_index(self, place: int) -> int:
-        """0-based position of a place within its segment."""
-        return place - self._seg_starts[self.segment_of(place)]
-
     def segment_places(self, segment: int) -> range:
         start = self._seg_starts[segment]
         return range(start, start + self.segment_sizes[segment])
@@ -212,47 +208,49 @@ def surgery_circle(d: ArcDiagram) -> Optional[tuple[int, ...]]:
     The segments, cut at all places, fall into directed sub-arcs.  Surgery
     at a pair {v, w} reconnects the sub-arc coming into v with the sub-arc
     leaving w, and vice versa.  Returns None when every component is an
-    arc; otherwise one circle as a cyclic sequence of places, normalised to
-    start at its smallest place.
+    arc; otherwise one circle as a cyclic sequence of (in, out) places,
+    normalised to start at the smallest place it enters.
     """
-    # Sub-arc (j, i) is the piece of segment j ending at local place i
-    # (for i < n) and starting at local place i - 1 (for i > 0).
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for p in range(1, 2 * d.k + 1):
-        q = d.twin(p)
-        succ[(d.segment_of(p), d.local_index(p))] = (
-            d.segment_of(q),
-            d.local_index(q) + 1,
-        )
-    visited: set[tuple[int, int]] = set()
-    for j, n in enumerate(d.segment_sizes):
-        arc = (j, 0)
+    return surgery_circle_of(d.segment_sizes, d._twins)
+
+
+def surgery_circle_of(segment_sizes, twin) -> Optional[tuple[int, ...]]:
+    """surgery_circle on raw tables: the segment sizes, and twin[p] for
+    each place p (entry 0 unused).
+
+    A sub-arc is named by the place it enters; the last one of a segment
+    enters none.  Surgery joins the sub-arc entering p to the one leaving
+    q = twin[p], which enters q + 1 unless q ends its segment.  The walks
+    from the segment starts trace every arc, so a place they miss lies on
+    a circle; the smallest such place starts the circle, (in, out) pair by
+    pair.
+    """
+    last = bytearray(len(twin))
+    starts = []
+    end = 0
+    for n in segment_sizes:
+        starts.append(end + 1)
+        end += n
+        last[end] = 1
+    seen = bytearray(len(twin))
+    for p in starts:
         while True:
-            visited.add(arc)
-            if arc[1] == d.segment_sizes[arc[0]]:
-                break  # reached a segment end: this component is an arc
-            arc = succ[arc]
-    leftovers = sorted(
-        (j, i)
-        for j, n in enumerate(d.segment_sizes)
-        for i in range(n + 1)
-        if (j, i) not in visited
-    )
-    if not leftovers:
+            seen[p] = 1
+            q = twin[p]
+            if last[q]:
+                break
+            p = q + 1
+    start = seen.find(0, 1)
+    if start < 0:
         return None
-    start = leftovers[0]
     circle: list[int] = []
-    arc = start
+    p = start
     while True:
-        in_place = d._seg_starts[arc[0]] + arc[1]
-        circle.append(in_place)
-        circle.append(d.twin(in_place))
-        arc = succ[arc]
-        if arc == start:
-            break
-    # Rotate by whole (in, out) pairs so the alternation survives.
-    pivot = min(range(0, len(circle), 2), key=lambda i: circle[i])
-    return tuple(circle[pivot:] + circle[:pivot])
+        q = twin[p]
+        circle += (p, q)
+        p = q + 1
+        if p == start:
+            return tuple(circle)
 
 
 def is_valid(d: ArcDiagram) -> bool:

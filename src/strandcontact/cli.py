@@ -34,9 +34,14 @@ from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, 
 OK, FAILURE, USAGE = 0, 1, 2
 
 
+_parser = None  # built by the first call of main, kept for the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()  # it holds reference cycles of its own
+    args = _parser.parse_args(argv)
     # The package leaves no reference cycles (tests/test_gc.py pins this),
     # so the cyclic collector would only rescan the large acyclic heap that
     # the caches hold and free nothing.  It is paused while the verb runs.
@@ -65,6 +70,11 @@ def main(argv=None) -> int:
         return USAGE
     finally:
         if collecting:
+            if not gc.get_freeze_count():
+                # what the verb left moves to the oldest generation, so the
+                # next young collection does not scan all of it
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -16,10 +16,10 @@ from typing import NamedTuple, Optional
 
 from .arcdiag import (
     ArcDiagram,
-    InvalidDiagramError,
     interior_steps,
     label_subsets,
     require_valid,
+    surgery_circle_of,
     to_quad_surface,
 )
 from .algebra import (
@@ -383,35 +383,44 @@ def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
     permutation class, deterministically ordered.
 
     In the lexicographic order of compositions, a class is first met at its
-    non-decreasing composition, so only those compositions are visited.
+    non-decreasing composition, so only those compositions are visited, and
+    a class is listed by its first valid pairing there.  Validity does not
+    depend on the segment order, so it is tested first, on the raw tables.
+    A composition whose parts all differ has one ascending segment order,
+    and pairings are labelled in first-occurrence order, so each of its
+    pairings is a class of its own and needs no key.
     """
     out: list[ArcDiagram] = []
-    seen: set = set()
     for k in range(1, max_k + 1):
-        places = list(range(1, 2 * k + 1))
+        candidates = _matchings(k)
         for l in range(1, min(max_l, 2 * k) + 1):
             for comp in _partitions(2 * k, l):
-                for pairing in _pairings(places):
-                    matching = [0] * (2 * k)
-                    for lab, (v, w) in enumerate(pairing, start=1):
-                        matching[v - 1] = matching[w - 1] = lab
-                    d = ArcDiagram(tuple(comp), tuple(matching))
-                    key = _canonical_key(d)
-                    if key in seen:
+                # keys of different compositions differ in their sizes
+                seen = set() if len(set(comp)) < l else None
+                for matching, twin in candidates:
+                    if surgery_circle_of(comp, twin) is not None:
                         continue
-                    seen.add(key)
-                    # validity is shared by the whole class of the key
-                    if _diagram_ok(d):
-                        out.append(d)
+                    if seen is not None:
+                        key = _canonical_key((comp, matching))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    out.append(ArcDiagram(comp, matching))
     return out
 
 
-def _diagram_ok(d: ArcDiagram) -> bool:
-    try:
-        require_valid(d)
-    except InvalidDiagramError:
-        return False
-    return True
+def _matchings(k: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each pairing of the places 1..2k as its matching, labelled in
+    pairing order, and its twin table (entry 0 unused)."""
+    out = []
+    for pairing in _pairings(list(range(1, 2 * k + 1))):
+        matching = [0] * (2 * k)
+        twin = [0] * (2 * k + 1)
+        for lab, (v, w) in enumerate(pairing, start=1):
+            matching[v - 1] = matching[w - 1] = lab
+            twin[v], twin[w] = w, v
+        out.append((tuple(matching), twin))
+    return out
 
 
 def _partitions(total: int, parts: int, smallest: int = 1):
@@ -437,16 +446,19 @@ def _pairings(items: list[int]):
             yield ((first, items[i]),) + sub
 
 
-def _canonical_key(d: ArcDiagram):
-    """Minimal (sizes, matching) encoding over segment permutations.
+def _canonical_key(d):
+    """Minimal (sizes, matching) encoding over segment permutations, of a
+    (segment sizes, matching) pair such as an ArcDiagram.
 
     Sizes compare first, so the minimum puts them in ascending order; only
     the orders that do so, permuting segments of equal size, are tried.
     """
-    segments = [[d.label(p) for p in d.segment_places(j)] for j in range(d.l)]
-    sizes = tuple(sorted(d.segment_sizes))
+    segment_sizes, labels = d
+    ends = itertools.accumulate(segment_sizes)
+    segments = [labels[end - n:end] for n, end in zip(segment_sizes, ends)]
+    sizes = tuple(sorted(segment_sizes))
     groups = [
-        [j for j in range(d.l) if d.segment_sizes[j] == n] for n in sorted(set(sizes))
+        [j for j, m in enumerate(segment_sizes) if m == n] for n in sorted(set(sizes))
     ]
 
     def matching(orders) -> tuple[int, ...]:

@@ -44,7 +44,7 @@ from strandcontact.homology import (
     gf2_in_span,
     summand_nonzero,
 )
-from strandcontact.isoverify import _diagram_ok, _pairings
+from strandcontact.isoverify import _pairings
 from strandcontact.strands import Strands, inversions
 
 
@@ -505,6 +505,48 @@ def triple_of_expansion(d: ArcDiagram, g: SymGenerator) -> Triple:
 # The corpus, validating every candidate before deduplicating
 
 
+def surgery_circle_by_sub_arcs(d: ArcDiagram) -> Optional[tuple[int, ...]]:
+    """surgery_circle by a walk over sub-arcs named (segment, local index):
+    sub-arc (j, i) is the piece of segment j ending at its local place i
+    (for i < n) and starting at its local place i - 1 (for i > 0)."""
+    def local_index(p: int) -> int:
+        return p - d.segment_places(d.segment_of(p)).start
+
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for p in range(1, 2 * d.k + 1):
+        q = d.twin(p)
+        succ[(d.segment_of(p), local_index(p))] = (d.segment_of(q), local_index(q) + 1)
+    visited: set[tuple[int, int]] = set()
+    for j in range(d.l):
+        arc = (j, 0)
+        while True:
+            visited.add(arc)
+            if arc[1] == d.segment_sizes[arc[0]]:
+                break  # reached a segment end: this component is an arc
+            arc = succ[arc]
+    leftovers = sorted(
+        (j, i)
+        for j, n in enumerate(d.segment_sizes)
+        for i in range(n + 1)
+        if (j, i) not in visited
+    )
+    if not leftovers:
+        return None
+    start = leftovers[0]
+    circle: list[int] = []
+    arc = start
+    while True:
+        in_place = d.segment_places(arc[0])[arc[1]]
+        circle.append(in_place)
+        circle.append(d.twin(in_place))
+        arc = succ[arc]
+        if arc == start:
+            break
+    # Rotate by whole (in, out) pairs so the alternation survives.
+    pivot = min(range(0, len(circle), 2), key=lambda i: circle[i])
+    return tuple(circle[pivot:] + circle[:pivot])
+
+
 def compositions(total: int, parts: int):
     """Every composition of total into parts, in lexicographic order."""
     if parts == 1:
@@ -545,7 +587,7 @@ def corpus_validate_first(max_k: int, max_l: int) -> list[ArcDiagram]:
                     for lab, (v, w) in enumerate(pairing, start=1):
                         matching[v - 1] = matching[w - 1] = lab
                     d = ArcDiagram(tuple(comp), tuple(matching))
-                    if not _diagram_ok(d):
+                    if surgery_circle_by_sub_arcs(d) is not None:
                         continue
                     key = canonical_key_all_orders(d)
                     if key in seen:

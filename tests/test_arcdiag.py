@@ -22,6 +22,8 @@ from strandcontact.arcdiag import (
 )
 from strandcontact.isoverify import corpus
 
+from oracles import surgery_circle_by_sub_arcs
+
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
@@ -262,6 +264,19 @@ def pairings(items):
         rest = items[1:i] + items[i + 1:]
         for sub in pairings(rest):
             yield ((first, partner),) + sub
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_surgery_circle_matches_the_sub_arc_walk(k):
+    """On every composition and pairing with l <= 4, surgery_circle gives
+    the circle, or None, that the (segment, local index) walk gives."""
+    outcomes = set()
+    for l in range(1, min(4, 2 * k) + 1):
+        for d in all_diagrams(k, l):
+            circle = surgery_circle(d)
+            assert circle == surgery_circle_by_sub_arcs(d), d
+            outcomes.add(circle is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])

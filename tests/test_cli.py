@@ -1,8 +1,11 @@
 import argparse
 import gc
+import glob
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,22 @@ def test_validate_invalid_exit_1(write):
     payload = run_json("validate", write(LOOP), expect=1)
     assert payload["valid"] is False
     assert set(payload["circle"]) == {1, 2}
+
+
+def test_validate_on_every_diagram_file_is_pinned(monkeypatch, capsys):
+    """validate on each diagrams/*.arc and perfbench/inputs/*.arc, its report
+    followed by `<file>: exit <code>`, is the stream that CI hashes against
+    tests/validate.sha256 (recorded before surgery became one place walk)."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    stream = []
+    for pattern in ("diagrams/*.arc", "perfbench/inputs/*.arc"):
+        for f in sorted(glob.glob(pattern)):
+            code = cli.main(["validate", f])
+            stream.append(f"{capsys.readouterr().out}{f}: exit {code}\n")
+    assert "diagrams/loop.arc: exit 1\n" in stream[1]
+    digest = (root / "tests" / "validate.sha256").read_text().split()[0]
+    assert hashlib.sha256("".join(stream).encode()).hexdigest() == digest
 
 
 def test_parse_error_exit_2(write):
@@ -384,11 +403,11 @@ def test_chain_side_fault_exits_1_without_traceback(
 ):
     """A summand build that leaves the symmetrised span or its degree ends
     the verb with exit 1 and one stderr line, and leaves no cyclic garbage
-    behind (the parser, which holds cycles of its own, is built first)."""
+    behind."""
     inject(monkeypatch)
     path = write(K4_SLOWEST)
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert cli.main(["validate", path]) == 0  # builds the parser that main keeps
+    capsys.readouterr()
     gc.collect()
     gc.disable()
     try:

@@ -24,6 +24,7 @@ from strandcontact.homology import algebra_triples, build_summand, homology_dims
 from strandcontact.isoverify import SfhMismatch, corpus, sfh_table, verify
 
 K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+K5_TEXT = "segments: 3 7\nmatching: 1 2 3 1 4 5 3 5 2 4\n"
 DIAGRAMS = corpus(3, 3) + [K5]
 PEAK_RSS = Path(__file__).with_name("peak_rss.py")
 
@@ -70,14 +71,44 @@ def test_corpus_loop_makes_no_reference_cycles():
     assert cyclic_garbage(loop) == 0
 
 
-def test_verify_verb_makes_no_reference_cycles(tmp_path, monkeypatch, capsys):
-    # argparse's parser holds cycles of its own, so it is built first
+def test_verify_verb_makes_no_reference_cycles(tmp_path, capsys):
+    """The first call of main builds the parser, which holds cycles of its
+    own, and keeps it; the second call leaves nothing for the collector."""
     path = tmp_path / "k5.arc"
-    path.write_text("segments: 3 7\nmatching: 1 2 3 1 4 5 3 5 2 4\n")
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path.write_text(K5_TEXT)
+    cli.main(["verify", str(path)])
     assert cyclic_garbage(lambda: cli.main(["verify", str(path)])) == 0
-    assert '"success": true' in capsys.readouterr().out
+    assert capsys.readouterr().out.count('"success": true') == 2
+
+
+def test_main_hands_back_an_empty_young_generation(tmp_path, capsys):
+    """What the verb left is moved to the oldest generation before main
+    re-enables the collector, so the next young collection is cheap."""
+    path = tmp_path / "k5.arc"
+    path.write_text(K5_TEXT)
+    gc.collect()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    try:
+        assert cli.main(["verify", str(path)]) == 0
+        young = len(gc.get_objects(0))
+    finally:
+        release_caches()
+    assert young < 100
+
+
+def test_main_leaves_a_frozen_set_alone(tmp_path, capsys):
+    path = tmp_path / "k5.arc"
+    path.write_text(K5_TEXT)
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main(["verify", str(path)]) == 0
+        assert gc.get_freeze_count() == frozen
+        assert len(gc.get_objects(0)) > 1000
+    finally:
+        gc.unfreeze()
+        release_caches()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -99,6 +130,7 @@ def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, enabled,
         return cli.OK
 
     monkeypatch.setattr(cli, "cmd_corpus", handler)
+    monkeypatch.setattr(cli, "_parser", None)  # so main builds one around the handler
     (gc.enable if enabled else gc.disable)()
     try:
         if code is None:

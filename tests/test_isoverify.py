@@ -429,6 +429,18 @@ def test_corpus_k5_l4_is_pinned():
     )
 
 
+def test_corpus_k6_l2_is_pinned():
+    """corpus(6, 2), listed as for corpus(5, 4), hashes to the digest recorded
+    when corpus still built a diagram and a segment-order key for every
+    composition and pairing."""
+    diagrams = corpus(6, 2)
+    text = json.dumps([[list(d.segment_sizes), list(d.matching)] for d in diagrams])
+    assert len(diagrams) == 10548
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "52c0a33ab2a1e50a59b0faa18928c304d5d899514ab3ee6d2f7118a2c3c27e8a"
+    )
+
+
 def test_canonical_key_tries_only_ascending_orders():
     for d in corpus_validate_first(3, 4):
         for perm in itertools.permutations(range(d.l)):
