@@ -41,6 +41,9 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()  # it holds reference cycles of its own
+        # argparse also drops a formatter and its section, which refer to
+        # each other, per argument it adds: free them while they are young
+        gc.collect(0)
     args = _parser.parse_args(argv)
     # The package leaves no reference cycles (tests/test_gc.py pins this),
     # so the cyclic collector would only rescan the large acyclic heap that

@@ -1,11 +1,15 @@
 """Mechanical verification that the contact and strand sides agree.
 
 The bijection sends a tight structure from one basic dividing set to
-another to the triple (bottom on-set, top on-set, used-arc indicator);
+another to the triple (bottom on-set, top on-set, used-arc indicator).
 verify() checks, for one arc diagram, that this is an isomorphism of
 unital GF(2) algebras three ways: tight-structure counts, the closed-form
-local description, and GF(2) chain homology, including the full
-multiplication table with its zero pattern.
+local description, and GF(2) chain homology.  It makes four passes, each
+over the objects its checks are about: the basis structures, the triples
+(dimensions, round trips, Euler-class blocks), the composable pairs (the
+full multiplication table with its zero pattern, and the unit's action)
+and the label subsets (identities and idempotents).  Each mismatch is
+reported once, in pass order.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def verify(d: ArcDiagram) -> IsoReport:
     table = ca_table(d)
     mismatches: list[str] = []
 
-    # -- basis check: contact count vs local table vs chain dimension
+    # -- structures: phi is injective on the basis
     basis_triples = [phi(d, xi) for xi in table.basis]
     contact_triples: dict[Triple, ContactStructure] = {}
     for xi, trip in zip(table.basis, basis_triples):
@@ -154,14 +158,13 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(f"phi not injective at {triple_json(trip)}")
         contact_triples[trip] = xi
 
-    every_triple = sorted(
-        set(contact_triples) | set(algebra_triples(d)), key=triple_key
-    )
-
+    # -- triples, in triple_key order: contact count vs local table vs
+    # chain dimension, the bijection's round trips, the Euler-class blocks
     summand_rows = []
-    row_of: dict[Triple, dict] = {}
+    bijection = []
     reps: dict[Triple, frozenset[SymGenerator]] = {}
-    for trip in every_triple:
+    by_i: dict[int, dict[str, int]] = {}
+    for trip in sorted(set(contact_triples) | set(algebra_triples(d)), key=triple_key):
         s, t, h = trip
         try:
             summand = build_summand(d, s, t, h)
@@ -173,14 +176,14 @@ def verify(d: ArcDiagram) -> IsoReport:
         dims = homology_dims(summand) if summand is not None else {}
         chain = sum(dims.values())
         local = int(summand_nonzero(d, s, t, h))
-        contact = int(trip in contact_triples)
+        xi = contact_triples.get(trip)
+        contact = int(xi is not None)
         row = triple_json(trip)
         row["contact"] = contact
         row["local"] = local
         row["chain"] = chain
         row["maslov2"] = next(iter(dims)) if dims else None
         summand_rows.append(row)
-        row_of[trip] = row
         if not (contact == local == chain):
             mismatches.append(
                 f"dimension columns disagree at {triple_json(trip)}: "
@@ -192,38 +195,52 @@ def verify(d: ArcDiagram) -> IsoReport:
             )
         if chain:
             reps[trip] = representative(summand)
+        if contact or chain:
+            try:
+                back = phi_inv(d, s, t, h)
+            except NotRealizable as exc:
+                mismatches.append(str(exc))
+            else:
+                if contact:
+                    if back != xi:
+                        mismatches.append(
+                            f"phi_inv . phi is not the identity at {triple_json(trip)}"
+                        )
+                    bijection.append(
+                        {"structure": structure_json(d, xi), "generator": triple_json(trip)}
+                    )
+                if chain and phi(d, back) != trip:
+                    mismatches.append(
+                        f"phi . phi_inv is not the identity at {triple_json(trip)}"
+                    )
+        if contact and len(s) != len(t):
+            mismatches.append(f"tight structure with |s| != |t| at {triple_json(trip)}")
+        if len(s) == len(t):
+            block = by_i.setdefault(len(s), {"ca_dim": 0, "h_dim": 0})
+            block["ca_dim"] += contact
+            block["h_dim"] += chain
 
-    # -- round trips of the bijection
-    bijection = []
-    for trip, xi in sorted(contact_triples.items(), key=lambda kv: triple_key(kv[0])):
-        try:
-            back = phi_inv(d, *trip)
-        except NotRealizable as exc:
-            mismatches.append(str(exc))
-            continue
-        if back != xi:
-            mismatches.append(f"phi_inv . phi is not the identity at {triple_json(trip)}")
-        bijection.append(
-            {"structure": structure_json(d, xi), "generator": triple_json(trip)}
-        )
-    for trip in reps:
-        try:
-            back = phi(d, phi_inv(d, *trip))
-        except NotRealizable as exc:
-            mismatches.append(str(exc))
-            continue
-        if back != trip:
-            mismatches.append(f"phi . phi_inv is not the identity at {triple_json(trip)}")
-
-    # -- ring check: stacking vs closed form vs chain-level classes.  Only
-    # composable pairs (x0.top == x1.bottom) are visited: on any other pair
-    # each side is zero (stack and ring_product compare the idempotents
-    # first, and mul_generators finds no expansions whose places match),
-    # which tests/oracles.dense_products pins.
+    # -- composable pairs: stacking vs closed form vs chain-level classes,
+    # and the unit's action.  On a pair that does not compose (x0.top !=
+    # x1.bottom) each side is zero: stack and ring_product compare the
+    # idempotents first, and mul_generators finds no expansions whose
+    # places match (tests/oracles.dense_products pins this).  An identity
+    # composes with each structure it acts on, so those pairs are all here.
+    units = set(table.identities)
+    unit_ok = True
     products_checked = len(table.basis) ** 2
     for (i, j), stacked in table.products.items():
         t0j, t1j = basis_triples[i], basis_triples[j]
         contact_side = basis_triples[stacked] if stacked is not None else None
+        for e, x, side in ((i, j, "left"), (j, i, "right")):
+            if e in units and stacked != x:
+                unit_ok = False
+                mismatches.append(
+                    "identity structures do not act as a unit: the identity "
+                    f"of {sorted(basis_triples[e][0])} on the {side} of "
+                    f"{triple_json(basis_triples[x])} gives "
+                    f"{contact_side and triple_json(contact_side)}"
+                )
         closed_side = ring_product(d, t0j, t1j)
         # a triple zero on the chain side has no representative: zero class
         try:
@@ -244,9 +261,8 @@ def verify(d: ArcDiagram) -> IsoReport:
                 f"chain={chain_side and triple_json(chain_side)}"
             )
 
-    # -- unit check: identity structures against symmetrised idempotents
-    unit_ok = True
-    identity_at = {table.basis[e].bottom: e for e in table.identities}
+    # -- label subsets: an identity structure and a surviving idempotent
+    identity_at = {table.basis[e].bottom for e in table.identities}
     zero_h = tuple(0 for _ in interior_steps(d))
     for s in label_subsets(d):
         if s not in identity_at:
@@ -266,35 +282,8 @@ def verify(d: ArcDiagram) -> IsoReport:
         if killed:
             unit_ok = False
             mismatches.append(f"idempotent of {sorted(s)} is a boundary")
-    # the identity at x.bottom fixes x from the left, the one at x.top from
-    # the right; no other identity composes with x, so table.products has
-    # no such pair and the product is zero
-    for i, xi in enumerate(table.basis):
-        for side, s in (("left", xi.bottom), ("right", xi.top)):
-            e = identity_at.get(s)
-            if e is None:
-                continue  # reported above as a missing identity structure
-            got = table.products.get((e, i) if side == "left" else (i, e))
-            if got != i:
-                unit_ok = False
-                mismatches.append(
-                    "identity structures do not act as a unit: the identity "
-                    f"of {sorted(s)} on the {side} of "
-                    f"{triple_json(basis_triples[i])} gives "
-                    f"{triple_json(basis_triples[got]) if got is not None else None}"
-                )
 
-    # -- grading check: Euler class against strand count, per summand block
-    by_i: dict[int, dict[str, int]] = {}
-    for trip in every_triple:
-        s, t, h = trip
-        row = row_of[trip]
-        if row["contact"] and len(s) != len(t):
-            mismatches.append(f"tight structure with |s| != |t| at {triple_json(trip)}")
-        if len(s) == len(t):
-            block = by_i.setdefault(len(s), {"ca_dim": 0, "h_dim": 0})
-            block["ca_dim"] += row["contact"]
-            block["h_dim"] += row["chain"]
+    # -- grading: Euler class against strand count, per summand block
     by_euler = []
     for i in sorted(by_i):
         block = by_i[i]

@@ -3,6 +3,7 @@ import gc
 import glob
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,20 @@ def test_validate_on_every_diagram_file_is_pinned(monkeypatch, capsys):
     assert "diagrams/loop.arc: exit 1\n" in stream[1]
     digest = (root / "tests" / "validate.sha256").read_text().split()[0]
     assert hashlib.sha256("".join(stream).encode()).hexdigest() == digest
+
+
+def test_verify_on_the_verify_k5_inputs_is_pinned(capsys):
+    """verify on the two inputs of the verify-k5 workload, with elapsed_s
+    removed as CI's sed removes it, is the stream that CI hashes against
+    tests/verify_k5.sha256 (recorded before verify became one pass per
+    kind of object).  It covers mismatches, unit_ok and products_checked,
+    which the benchmark's references do not."""
+    root = Path(__file__).resolve().parent.parent
+    for name in ("verify-k5-a.arc", "verify-k4-slowest.arc"):
+        assert cli.main(["verify", str(root / "perfbench" / "inputs" / name)]) == 0
+    stream = re.sub(r', "elapsed_s": [^,}\n]+', "", capsys.readouterr().out)
+    digest = (root / "tests" / "verify_k5.sha256").read_text().split()[0]
+    assert hashlib.sha256(stream.encode()).hexdigest() == digest
 
 
 def test_parse_error_exit_2(write):

@@ -72,13 +72,33 @@ def test_corpus_loop_makes_no_reference_cycles():
 
 
 def test_verify_verb_makes_no_reference_cycles(tmp_path, capsys):
-    """The first call of main builds the parser, which holds cycles of its
-    own, and keeps it; the second call leaves nothing for the collector."""
+    """The first call of main builds the parser and keeps it; the parser
+    holds cycles of its own, which stay reachable.  A later call leaves
+    nothing for the collector."""
     path = tmp_path / "k5.arc"
     path.write_text(K5_TEXT)
     cli.main(["verify", str(path)])
     assert cyclic_garbage(lambda: cli.main(["verify", str(path)])) == 0
     assert capsys.readouterr().out.count('"success": true') == 2
+
+
+def test_first_main_frees_what_building_the_parser_left(tmp_path):
+    """argparse leaves 100 objects in cycles while main builds its parser
+    once per process; main frees them, so even the first call leaves
+    nothing for the collector.  Only a fresh interpreter makes a first
+    call, so the check runs in one, with the collector off from its
+    start."""
+    path = tmp_path / "k5.arc"
+    path.write_text(K5_TEXT)
+    code = (
+        "import gc; gc.disable()\n"
+        "from strandcontact import cli\n"
+        f"cli.main(['validate', {str(path)!r}])\n"
+        "print(gc.collect())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_main_hands_back_an_empty_young_generation(tmp_path, capsys):

@@ -24,6 +24,7 @@ from strandcontact.isoverify import (
     phi,
     phi_inv,
     sfh_table,
+    triple_json,
     verify,
 )
 
@@ -306,6 +307,43 @@ def test_unit_mismatches_on_the_right(identities_kill_on_the_right):
     assert unit
     assert len(set(unit)) == len(unit)
     assert all("'h': [" in m and " on the right of " in m for m in unit)
+
+
+@pytest.mark.parametrize(
+    "fixture, side",
+    [("identities_kill", "left"), ("identities_kill_on_the_right", "right")],
+)
+def test_unit_mismatches_are_one_per_killed_structure(request, fixture, side):
+    """Each structure with used arcs, fixed by no identity on the killed
+    side, has exactly one unit message, and no other structure has one."""
+    request.getfixturevalue(fixture)
+    expected = {
+        "identity structures do not act as a unit: the identity of "
+        f"{sorted(x.bottom if side == 'left' else x.top)} on the {side} of "
+        f"{triple_json(phi(TORUS, x))} gives None"
+        for x in ca_table(TORUS).basis
+        if x.used_arcs
+    }
+    unit = {
+        m
+        for m in verify(TORUS).mismatches
+        if m.startswith("identity structures do not act as a unit")
+    }
+    assert expected and unit == expected
+
+
+def test_an_unrealizable_triple_is_reported_once(monkeypatch):
+    """A triple that is nonzero on the contact and the chain side but zero
+    in the local table fails phi_inv once, not once per round trip."""
+    dropped = phi(TORUS, ca_table(TORUS).basis[5])
+    assert dropped == (frozenset({1}), frozenset({2}), (1, 1, 1))
+    monkeypatch.setattr(
+        isoverify,
+        "summand_nonzero",
+        lambda d, s, t, h: (s, t, h) != dropped and summand_nonzero(d, s, t, h),
+    )
+    report = verify(TORUS)
+    assert report.mismatches.count("summand ([1], [2], (1, 1, 1)) is zero") == 1
 
 
 def test_verify_reports_a_raising_chain_product(monkeypatch):
