@@ -107,14 +107,14 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
     ValueError unless each moving strand p -> q has p < q on one segment
     of d and no label repeats among the starts nor among the ends.
     """
-    label = d.matching
+    bit = d._label_bits
     step = _step_from(d)
     h = [0] * len(interior_steps(d))
     starts = ends = 0
     for p, q in moving:
         if p >= q or d.segment_of(p) != d.segment_of(q):  # raises off d
             raise ValueError(f"moving strand {p}->{q} does not rise within a segment")
-        s, e = 1 << label[p - 1], 1 << label[q - 1]
+        s, e = bit[p], bit[q]
         if starts & s or ends & e:
             raise ValueError(f"moving strands {moving} repeat a label among starts or ends")
         starts |= s
@@ -199,24 +199,30 @@ def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerato
     strands, with its horizontal strands' labels dotted.  Each bucket is
     thus a subset of that expansion, and the orbit is complete iff the
     bucket counts all 2^|dotted| of its diagrams.  One pass over a term
-    takes its start and end labels as bitmasks (constrained iff each has
-    one bit per strand) and its horizontal strands' labels.
+    takes its start and end labels as bitmasks, each place's bit read
+    from the diagram's table (constrained iff each mask has one bit per
+    strand), its moving strands and its horizontal strands' labels.
     """
-    label = (0,) + d.matching  # label[p] is the label at place p
+    bit = d._label_bits
+    label = d.matching
     counts: dict[tuple, int] = {}
     for m in terms:
         starts = ends = 0
+        moving = []
         dotted = []
-        for p, q in m:
-            starts |= 1 << label[p]
-            ends |= 1 << label[q]
+        for strand in m:
+            p, q = strand
+            starts |= bit[p]
+            ends |= bit[q]
             if p == q:
-                dotted.append(label[p])
+                dotted.append(label[p - 1])
+            else:
+                moving.append(strand)
         n = len(m)
         if starts.bit_count() != n or ends.bit_count() != n:
             raise NotInSymmetrisedSpan(f"diagram {m} is not constrained")
         dotted.sort()
-        key = (tuple([strand for strand in m if strand[0] != strand[1]]), tuple(dotted))
+        key = (tuple(moving), tuple(dotted))
         counts[key] = counts.get(key, 0) + 1
     for key, count in counts.items():
         if count != 1 << len(key[1]):
@@ -234,14 +240,23 @@ def mul_generators(
 
     An expansion of g1 composes at most with the one expansion of g2 whose
     start places are its end places (the expansions of g2 differ in their
-    starts), so only that pair is multiplied.  Places determine labels, so
-    when the end idempotent of g1 is not the start idempotent of g2 no
-    pair matches and the product is empty.
+    starts), so only that pair is multiplied; both sides key a set of
+    places as the bitmask with bit p for place p.  Places determine
+    labels, so when the end idempotent of g1 is not the start idempotent
+    of g2 no pair matches and the product is empty.
     """
-    by_starts = {tuple([p for p, _ in n]): n for n in expand(d, g2)}
+    by_starts = {}
+    for n in expand(d, g2):
+        mask = 0
+        for p, _ in n:
+            mask |= 1 << p
+        by_starts[mask] = n
     acc: set[Strands] = set()
     for m in expand(d, g1):
-        n = by_starts.get(tuple(sorted([q for _, q in m])))
+        mask = 0
+        for _, q in m:
+            mask |= 1 << q
+        n = by_starts.get(mask)
         if n is not None:
             prod = multiply(m, n)
             if prod is not None:

@@ -129,6 +129,11 @@ class ArcDiagram(_ArcDiagramFields):
         """Entry p: 0-based segment index of place p (entry 0 unused)."""
         return (0,) + tuple(j for j, n in enumerate(self.segment_sizes) for _ in range(n))
 
+    @functools.cached_property
+    def _label_bits(self) -> tuple[int, ...]:
+        """Entry p: the bit 1 << (label of place p) (entry 0 unused)."""
+        return (0,) + tuple([1 << lab for lab in self.matching])
+
     def segment_of(self, place: int) -> int:
         """0-based segment index containing a global place."""
         table = self._segment_table

@@ -120,11 +120,11 @@ def make_structure(
     used_arcs: frozenset[int],
 ) -> ContactStructure:
     table = _cube_table(cube_tight)
-    tight = all(
-        table[(sq.label in bottom) << 5 | (sq.label in top) << 4 | _side_index(sq, used_arcs)]
-        for sq in surface.squares
-    )
-    return ContactStructure(bottom, top, used_arcs, tight)
+    for sq in surface.squares:
+        lab = sq.label
+        if not table[(lab in bottom) << 5 | (lab in top) << 4 | _side_index(sq, used_arcs)]:
+            return ContactStructure(bottom, top, used_arcs, False)
+    return ContactStructure(bottom, top, used_arcs, True)
 
 
 def enumerate_tight(surface: QuadSurface) -> tuple[ContactStructure, ...]:

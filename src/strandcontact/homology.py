@@ -15,6 +15,7 @@ which degree.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .arcdiag import ArcDiagram, cached, interior_steps, step_after, step_before
@@ -321,7 +322,7 @@ def ring_product(
     s1, t1, h1 = gen2
     if t0 != s1:
         return None
-    h = tuple(a + b for a, b in zip(h0, h1))
+    h = tuple(map(add, h0, h1))
     if not summand_nonzero(d, s0, t1, h):
         return None
     return (s0, t1, h)

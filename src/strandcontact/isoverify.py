@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from operator import add
 from typing import NamedTuple, Optional
 
 from .arcdiag import (
@@ -38,6 +39,7 @@ from .contact import ContactStructure, ca_table, make_structure, structure_json
 from .homology import (
     algebra_triples,
     build_summand,
+    closed_form,
     homology_dims,
     is_boundary,
     representative,
@@ -139,7 +141,7 @@ def _chain_class(
     outside it."""
     if not product:
         return None
-    trip = (left[0], right[1], tuple([a + b for a, b in zip(left[2], right[2])]))
+    trip = (left[0], right[1], tuple(map(add, left[2], right[2])))
     return None if is_boundary(build_summand(d, *trip), product) else trip
 
 
@@ -158,13 +160,17 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(f"phi not injective at {triple_json(trip)}")
         contact_triples[trip] = xi
 
-    # -- triples, in triple_key order: contact count vs local table vs
-    # chain dimension, the bijection's round trips, the Euler-class blocks
+    # -- triples, in triple_key order, realised on any side: contact count
+    # vs local table vs chain dimension, the local degree vs the chain's,
+    # the bijection's round trips, the Euler-class blocks
     summand_rows = []
     bijection = []
     reps: dict[Triple, frozenset[SymGenerator]] = {}
     by_i: dict[int, dict[str, int]] = {}
-    for trip in sorted(set(contact_triples) | set(algebra_triples(d)), key=triple_key):
+    form = closed_form(d)
+    for trip in sorted(
+        set(contact_triples) | set(algebra_triples(d)) | form.keys(), key=triple_key
+    ):
         s, t, h = trip
         try:
             summand = build_summand(d, s, t, h)
@@ -188,6 +194,11 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(
                 f"dimension columns disagree at {triple_json(trip)}: "
                 f"contact={contact} local={local} chain={chain}"
+            )
+        if local and chain and row["maslov2"] != form[trip]:
+            mismatches.append(
+                f"degrees disagree at {triple_json(trip)}: "
+                f"local maslov2={form[trip]} chain maslov2={row['maslov2']}"
             )
         if len(dims) > 1:
             mismatches.append(

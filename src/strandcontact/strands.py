@@ -46,24 +46,29 @@ def inversions(strands: Strands) -> frozenset[tuple[int, int]]:
 
 def multiply(m: Strands, n: Strands) -> Optional[Strands]:
     """Concatenate two diagrams on the same segments; None when ends
-    mismatch or inversions are lost.
+    mismatch or a pair of strands crosses twice.
 
     The composite survives only if its inversion count is exactly the sum
-    of the factors' counts (no pair of strands crossing twice).
+    of the factors' counts, i.e. no pair crosses in both factors.  Strands
+    a before b of m, joined to n's r_a and r_b, cross in m iff q_a > q_b,
+    and then in n iff r_a < r_b; one pass over the joined strands tests
+    every earlier one.
     """
     if len(m) != len(n):
         return None
     image = dict(n)
     joined = []
+    earlier: list[tuple[int, int]] = []
     for p, q in m:
         r = image.get(q)
         if r is None:
             return None
+        for qa, ra in earlier:
+            if qa > q and ra < r:
+                return None
+        earlier.append((q, r))
         joined.append((p, r))
-    composite = tuple(joined)
-    if crossing_count(composite) != crossing_count(m) + crossing_count(n):
-        return None
-    return composite
+    return tuple(joined)
 
 
 @cached

@@ -14,7 +14,7 @@ are compared with the routes that do neither.
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     StrandDiagram,
@@ -130,7 +130,10 @@ def test_diff_generator_differentiates_each_expansion_once(d, monkeypatch):
 @pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST], ids=name)
 def test_products_match_direct_route(d, monkeypatch):
     """mul_generators multiplies only expansions that meet, and still agrees
-    with multiplying every pair of expansions."""
+    with multiplying every pair of expansions.  On a pair whose idempotents
+    differ no expansions meet: the product is empty and multiply is never
+    called (tried against the first and last generator of each other start
+    set)."""
     calls = 0
 
     def meeting_multiply(m, n):
@@ -147,6 +150,13 @@ def test_products_match_direct_route(d, monkeypatch):
         for g2 in by_start.get(end(d, g1), []):
             assert mul_generators(d, g1, g2) == mul_generators_by_recount(d, g1, g2)
     assert calls
+    calls = 0
+    for g1 in generators(d):
+        for s, gens in by_start.items():
+            if s != end(d, g1):
+                for g2 in (gens[0], gens[-1]):
+                    assert mul_generators(d, g1, g2) == frozenset()
+    assert calls == 0
 
 
 def outcome(fn, summand, cycle):
@@ -194,26 +204,74 @@ def test_diagram_products_match_recount():
             assert multiply(m.strands, n.strands) == expected
 
 
-@st.composite
-def strand_diagrams(draw):
-    """A valid diagram: on each segment, starts s_1 < ... and ends e_1 < ...
-    with e_i >= s_i, joined by a random bijection that never goes down."""
-    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+def rising_strands(draw, places, starts):
+    """Strands from the given starts that never go down.  Each start, from
+    the bottom up, draws its end among the free places at or above it
+    that leave the starts above it an end each (Hall's condition: at
+    least j free places at or above the j-th start from the top).  Ends
+    are offered from the top down, so the simplest draws cross the most."""
+    free = list(places)
+    above = sorted(starts)
     strands = []
+    while above:
+        p = above.pop(0)
+
+        def leaves_room(q):
+            rest = [e for e in free if e != q]
+            return all(
+                sum(e >= s for e in rest) >= len(above) - j for j, s in enumerate(above)
+            )
+
+        q = draw(st.sampled_from([e for e in reversed(free) if e >= p and leaves_room(e)]))
+        free.remove(q)
+        strands.append((p, q))
+    return strands
+
+
+def segment_places(sizes):
     first = 1
     for n in sizes:
-        places = list(range(first, first + n))
+        yield list(range(first, first + n))
         first += n
-        count = draw(st.integers(0, n))
+
+
+@st.composite
+def strand_diagrams(draw, max_size=6, sparse=False):
+    """A valid diagram: on each segment, starts drawn among its places and
+    rising strands from them.  With sparse, a segment of n places has
+    n // 3 to n // 2 strands, which leaves room above their ends."""
+    sizes = tuple(draw(st.lists(st.integers(1, max_size), min_size=1, max_size=3)))
+    strands = []
+    for places in segment_places(sizes):
+        n = len(places)
+        count = draw(st.integers(n // 3, n // 2) if sparse else st.integers(0, n))
         subset = st.lists(st.sampled_from(places), min_size=count, max_size=count, unique=True)
-        starts, ends = sorted(draw(subset)), sorted(draw(subset))
-        assume(all(e >= s for s, e in zip(starts, ends)))
-        free = list(ends)
-        for p in reversed(starts):
-            q = draw(st.sampled_from([e for e in free if e >= p]))
-            free.remove(q)
-            strands.append((p, q))
+        strands += rising_strands(draw, places, draw(subset))
     return StrandDiagram(sizes, tuple(strands))
+
+
+@st.composite
+def meeting_pairs(draw):
+    """A sparse diagram m from strand_diagrams and a diagram n on the same
+    segments whose starts are m's ends."""
+    m = draw(strand_diagrams(max_size=12, sparse=True))
+    strands = []
+    for places in segment_places(m.sizes):
+        starts = sorted(q for _, q in m.strands if q in places)
+        strands += rising_strands(draw, places, starts)
+    return m, StrandDiagram(m.sizes, tuple(strands))
+
+
+def double_crossings(m, n):
+    """Index pairs (a, b), in m's start order, of strands that cross in m
+    and again in n."""
+    image = dict(n.strands)
+    ends = [q for _, q in m.strands]
+    return [
+        (a, b)
+        for a, b in itertools.combinations(range(len(ends)), 2)
+        if ends[a] > ends[b] and image[ends[a]] < image[ends[b]]
+    ]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -221,6 +279,30 @@ def strand_diagrams(draw):
 def test_crossing_count_and_differential_match_recount(m):
     assert crossing_count(m.strands) == len(inversions(m.strands))
     assert differential(m.strands) == {r.strands for r in differential_by_recount(m)}
+
+
+def test_multiply_matches_recount_on_meeting_pairs():
+    """On random meeting pairs, multiply's one pass agrees with recounting
+    inversion sets.  Some draws are rejected only by pairs crossing twice
+    with another strand starting between them, which a test of adjacent
+    strands alone would miss."""
+    rejected_around_a_strand = 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(meeting_pairs())
+    def check(pair):
+        nonlocal rejected_around_a_strand
+        m, n = pair
+        expected = multiply_by_recount(m, n)
+        got = multiply(m.strands, n.strands)
+        assert got == (None if expected is None else expected.strands)
+        twice = double_crossings(m, n)
+        assert (got is None) == bool(twice)
+        if twice and all(b - a > 1 for a, b in twice):
+            rejected_around_a_strand += 1
+
+    check()
+    assert rejected_around_a_strand
 
 
 def strand_diagrams_of(d, terms):

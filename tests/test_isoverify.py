@@ -235,6 +235,63 @@ def test_verify_catches_a_missing_local_row(monkeypatch, fresh_caches, row):
     assert any(not verify(d).success for d in corpus(3, 3))
 
 
+def first_catch(diagrams):
+    """The first diagram on which verify reports a mismatch, or None."""
+    return next((d for d in diagrams if not verify(d).success), None)
+
+
+def test_verify_catches_every_cube_verdict_flip(monkeypatch, fresh_caches):
+    """Each of the 64 _cube_table verdicts, flipped alone, makes verify
+    fail on some diagram of corpus(3, 3)."""
+    real = contact.cube_tight
+    diagrams = corpus(3, 3)
+    missed = []
+    for i in range(64):
+
+        def flipped(c, i=i):
+            index = sum(bit << (5 - b) for b, bit in enumerate(c))
+            return real(c) != (index == i)
+
+        monkeypatch.setattr(contact, "cube_tight", flipped)
+        if first_catch(diagrams) is None:
+            missed.append(i)
+        release_caches()
+    assert not missed
+
+
+def test_verify_catches_every_local_case_toggle(monkeypatch, fresh_caches):
+    """Each of the 64 (v class, w class, membership) cases of the local
+    table, added or removed alone, makes verify fail on some diagram of
+    corpus(3, 3): an added case puts a triple in the closed form that
+    neither other side realises."""
+    real = homology.ALLOWED_CASES
+    diagrams = corpus(3, 3)
+    missed = []
+    for case in itertools.product(
+        homology._PLACE_CLASSES, homology._PLACE_CLASSES, homology._MEMBERSHIPS
+    ):
+        monkeypatch.setattr(homology, "ALLOWED_CASES", real ^ {case})
+        if first_catch(diagrams) is None:
+            missed.append(case)
+        release_caches()
+    assert not missed
+
+
+@pytest.mark.parametrize("d", corpus(3, 3), ids=lambda d: f"{d.segment_sizes}-{d.matching}")
+def test_verify_catches_a_shifted_closed_form_degree(monkeypatch, fresh_caches, d):
+    """The closed form's degree of one triple, shifted by 2, is a mismatch
+    naming that triple and both degrees."""
+    real = homology.closed_form(d)
+    trip = max(real, key=isoverify.triple_key)
+    shifted = {**real, trip: real[trip] + 2}
+    monkeypatch.setattr(isoverify, "closed_form", lambda _: shifted)
+    report = verify(d)
+    assert report.mismatches == [
+        f"degrees disagree at {triple_json(trip)}: "
+        f"local maslov2={real[trip] + 2} chain maslov2={real[trip]}"
+    ]
+
+
 def test_verify_reports_a_missing_identity(monkeypatch):
     # the unused cube with both faces off is no longer tight, so the empty
     # dividing set has no identity structure
