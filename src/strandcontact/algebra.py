@@ -32,10 +32,9 @@ stay exact.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import AbstractSet, NamedTuple
 
-from .arcdiag import ArcDiagram, _step_from, cached, interior_steps
+from .arcdiag import ArcDiagram, cached
 from .strands import Strands, crossing_count, differential, multiply
 from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
@@ -51,7 +50,12 @@ class NotInSymmetrisedSpan(RuntimeError):
     """
 
 
-class SymGenerator(tuple):
+class _SymGeneratorFields(NamedTuple):
+    moving: Strands
+    dotted: tuple[int, ...]
+
+
+class SymGenerator(_SymGeneratorFields):
     """A symmetrised constrained diagram: moving strands plus dotted labels.
 
     A (moving, dotted) tuple.  moving is sorted by start place and
@@ -64,16 +68,7 @@ class SymGenerator(tuple):
     __slots__ = ()
 
     def __new__(cls, moving: Strands, dotted: tuple[int, ...]) -> SymGenerator:
-        return tuple.__new__(cls, (tuple(sorted(moving)), tuple(sorted(dotted))))
-
-    moving = property(itemgetter(0), doc="Moving strands, sorted by start place.")
-    dotted = property(itemgetter(1), doc="Dotted labels, sorted.")
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"SymGenerator(moving={self.moving!r}, dotted={self.dotted!r})"
+        return super().__new__(cls, tuple(sorted(moving)), tuple(sorted(dotted)))
 
     @property
     def strand_count(self) -> int:
@@ -107,9 +102,9 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
     ValueError unless each moving strand p -> q has p < q on one segment
     of d and no label repeats among the starts nor among the ends.
     """
-    bit = d._label_bits
-    step = _step_from(d)
-    h = [0] * len(interior_steps(d))
+    bit = d.label_bits
+    step = d.step_from
+    h = [0] * len(d.interior_steps)
     starts = ends = 0
     for p, q in moving:
         if p >= q or d.segment_of(p) != d.segment_of(q):  # raises off d
@@ -130,7 +125,7 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
 
 
 @cached
-def _label_set(mask: int) -> frozenset[int]:
+def label_set(mask: int) -> frozenset[int]:
     """The labels whose bits are set in mask, one shared frozenset per mask."""
     return frozenset([lab for lab in range(mask.bit_length()) if mask >> lab & 1])
 
@@ -154,11 +149,11 @@ def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return _label_set(_masks(d, g)[0])
+    return label_set(_masks(d, g)[0])
 
 
 def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return _label_set(_masks(d, g)[1])
+    return label_set(_masks(d, g)[1])
 
 
 @cached
@@ -203,7 +198,7 @@ def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerato
     from the diagram's table (constrained iff each mask has one bit per
     strand), its moving strands and its horizontal strands' labels.
     """
-    bit = d._label_bits
+    bit = d.label_bits
     label = d.matching
     counts: dict[tuple, int] = {}
     for m in terms:
@@ -291,7 +286,7 @@ def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
 def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
     """The (s, t, h) summand a generator lives in."""
     s, t, part = _masks(d, g)
-    return (_label_set(s), _label_set(t), part.h)
+    return (label_set(s), label_set(t), part.h)
 
 
 def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
@@ -311,12 +306,11 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
         return maslov2
     h = part.h
     k = d.k
-    step = _step_from(d)
-    horizontal = _horizontals(d)
+    step = d.step_from
     for lab in dotted:
         if not 1 <= lab <= k:
             raise ValueError(f"dotted label {lab} is not a label 1..{k} of the diagram")
-        x = horizontal[lab][0][0]  # the strand (x, x) at the first place
+        x = d.pair(lab)[0]  # the strand (x, x) at the first place
         for p, q in moving:
             if p < x < q:
                 maslov2 += 2

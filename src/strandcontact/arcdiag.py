@@ -10,7 +10,9 @@ here by a purely combinatorial boundary walk; the surface may be
 disconnected, so its genus is summed over its components.
 
 Every memoized function of the package is declared with `cached`, and
-release_caches empties all their caches.
+release_caches empties all their caches.  The tables of one diagram
+(steps, places, label bits) are members of the ArcDiagram instead, and
+live as long as it does.
 
 Places are numbered 1..2k, segment-major.  Segments and interior steps are
 0-based.
@@ -74,8 +76,9 @@ class ArcDiagram(_ArcDiagramFields):
     Construction checks structural well-formedness only; circle-freeness
     under surgery is checked separately by surgery_circle/require_valid.
     An immutable tuple of its two fields, with a __dict__ for the
-    cached tables below.  Build one with the constructor: _make and
-    _replace skip its checks.
+    tables derived from it, which it owns and caches as members.  _make
+    and _replace skip the constructor's checks, so only tables valid by
+    construction go through _make.
     """
 
     def __new__(cls, segment_sizes, matching):
@@ -130,7 +133,7 @@ class ArcDiagram(_ArcDiagramFields):
         return (0,) + tuple(j for j, n in enumerate(self.segment_sizes) for _ in range(n))
 
     @functools.cached_property
-    def _label_bits(self) -> tuple[int, ...]:
+    def label_bits(self) -> tuple[int, ...]:
         """Entry p: the bit 1 << (label of place p) (entry 0 unused)."""
         return (0,) + tuple([1 << lab for lab in self.matching])
 
@@ -146,12 +149,42 @@ class ArcDiagram(_ArcDiagramFields):
         return range(start, start + self.segment_sizes[segment])
 
     @functools.cached_property
-    def _twins(self) -> tuple[int, ...]:
-        by_label: dict[int, list[int]] = {}
+    def interior_steps(self) -> tuple[int, ...]:
+        """The interior steps, in ascending order, each named by its start place.
+
+        Interior step i runs from place interior_steps[i] to the next place
+        on the same segment.  The index i is the step's coordinate in a
+        homological grading and its number as a gluing arc of the surface.
+        """
+        return tuple(p for j in range(self.l) for p in self.segment_places(j)[:-1])
+
+    @functools.cached_property
+    def step_from(self) -> tuple[Optional[int], ...]:
+        """Entry p: index of the interior step from p to p + 1, or None."""
+        index = {p: i for i, p in enumerate(self.interior_steps)}
+        return tuple(index.get(p) for p in range(2 * self.k + 1))
+
+    def step_before(self, place: int) -> Optional[int]:
+        """Index of the interior step ending at a place; None at a segment start."""
+        return self.step_from[place - 1]
+
+    def step_after(self, place: int) -> Optional[int]:
+        """Index of the interior step starting at a place; None at a segment end."""
+        return self.step_from[place]
+
+    @functools.cached_property
+    def _places(self) -> tuple[tuple[int, ...], ...]:
+        """Entry lab: the two places of label lab, in increasing order
+        (entry 0 unused)."""
+        places: list[tuple[int, ...]] = [()] * (self.k + 1)
         for p, m in enumerate(self.matching, start=1):
-            by_label.setdefault(m, []).append(p)
+            places[m] += (p,)
+        return tuple(places)
+
+    @functools.cached_property
+    def _twins(self) -> tuple[int, ...]:
         twin = [0] * (2 * self.k + 1)
-        for v, w in by_label.values():
+        for v, w in self._places[1:]:
             twin[v] = w
             twin[w] = v
         return tuple(twin)
@@ -167,8 +200,7 @@ class ArcDiagram(_ArcDiagramFields):
         """The two places of a label, in increasing order."""
         if not 1 <= lab <= self.k:
             raise ArcDiagramError(f"label {lab} out of range 1..{self.k}")
-        v = self.matching.index(lab) + 1
-        return v, self.twin(v)
+        return self._places[lab]
 
 
 def label_subsets(d: ArcDiagram) -> tuple[frozenset[int], ...]:
@@ -177,34 +209,6 @@ def label_subsets(d: ArcDiagram) -> tuple[frozenset[int], ...]:
     return tuple(
         frozenset(c) for r in range(d.k + 1) for c in itertools.combinations(labels, r)
     )
-
-
-@cached
-def interior_steps(d: ArcDiagram) -> tuple[int, ...]:
-    """The interior steps, in ascending order, each named by its start place.
-
-    Interior step i runs from place interior_steps(d)[i] to the next place
-    on the same segment.  The index i is the step's coordinate in a
-    homological grading and its number as a gluing arc of the surface.
-    """
-    return tuple(p for j in range(d.l) for p in d.segment_places(j)[:-1])
-
-
-@cached
-def _step_from(d: ArcDiagram) -> tuple[Optional[int], ...]:
-    """Entry p: index of the interior step from p to p + 1, or None."""
-    index = {p: i for i, p in enumerate(interior_steps(d))}
-    return tuple(index.get(p) for p in range(2 * d.k + 1))
-
-
-def step_before(d: ArcDiagram, place: int) -> Optional[int]:
-    """Index of the interior step ending at a place; None at a segment start."""
-    return _step_from(d)[place - 1]
-
-
-def step_after(d: ArcDiagram, place: int) -> Optional[int]:
-    """Index of the interior step starting at a place; None at a segment end."""
-    return _step_from(d)[place]
 
 
 def surgery_circle(d: ArcDiagram) -> Optional[tuple[int, ...]]:
@@ -316,13 +320,13 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
     squares = []
     for lab in range(1, d.k + 1):
         v, w = d.pair(lab)
-        sides = (step_after(d, v), step_before(d, w), step_after(d, w), step_before(d, v))
+        sides = (d.step_after(v), d.step_before(w), d.step_after(w), d.step_before(v))
         squares.append(Square(lab, v, w, sides))
 
     # Each interior step binds the after-slot at its earlier place and the
     # before-slot at its later place; exterior steps bind one slot only.
     gluings = []
-    for p in interior_steps(d):
+    for p in d.interior_steps:
         q = p + 1
         sq_p = d.label(p)
         slot_p = 0 if squares[sq_p - 1].v == p else 2
@@ -433,8 +437,6 @@ def parse_arc_diagram(text: str) -> ArcDiagram:
         return ArcDiagram(
             tuple(v for v, _ in sizes), tuple(v for v, _ in matching)
         )
-    except ParseError:
-        raise
     except ArcDiagramError as exc:
         lineno, line = content[1]
         raise ParseError(str(exc), lineno, 1) from exc

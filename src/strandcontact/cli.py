@@ -12,7 +12,6 @@ from .arcdiag import (
     ArcDiagramError,
     InvalidDiagramError,
     ParseError,
-    interior_steps,
     parse_arc_diagram,
     read_int,
     release_caches,
@@ -27,7 +26,7 @@ from .algebra import (
     generator_maslov2,
     hom_grading,
 )
-from .contact import StackNotInBasis, ca_table, structure_json
+from .contact import StackNotInBasis, enumerate_tight, structure_json
 from .homology import DegreeError, algebra_triples, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
@@ -205,7 +204,7 @@ def cmd_info(args) -> int:
         "matching": list(d.matching),
         "k": d.k,
         "l": d.l,
-        "interior_steps": len(interior_steps(d)),
+        "interior_steps": len(d.interior_steps),
         "exterior_steps": 2 * d.l,
         "squares": surf.index,
         "gluings": len(surf.gluings),
@@ -281,11 +280,10 @@ def cmd_homology(args) -> int:
 
 def cmd_contact(args) -> int:
     d = load(args)
-    table = ca_table(d)
     want_from = parse_subset(args.from_, d.k) if args.from_ is not None else None
     want_to = parse_subset(args.to, d.k) if args.to is not None else None
     rows = []
-    for xi in table.basis:
+    for xi in enumerate_tight(to_quad_surface(d)):
         if want_from is not None and xi.bottom != want_from:
             continue
         if want_to is not None and xi.top != want_to:

@@ -23,7 +23,6 @@ from .arcdiag import (
     QuadSurface,
     Square,
     cached,
-    interior_steps,
     label_subsets,
     to_quad_surface,
 )
@@ -59,7 +58,7 @@ class ContactStructure(NamedTuple):
 
     bottom: frozenset[int]
     top: frozenset[int]
-    used_arcs: frozenset[int]  # indices into interior_steps(d)
+    used_arcs: frozenset[int]  # indices into d.interior_steps
     tight: bool
 
 
@@ -138,7 +137,7 @@ def enumerate_tight(surface: QuadSurface) -> tuple[ContactStructure, ...]:
     then by the bitmask of the used arcs.
     """
     d = surface.diagram
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     rank = {s: i for i, s in enumerate(label_subsets(d))}
     table = _cube_table(cube_tight)
     found = []

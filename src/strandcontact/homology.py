@@ -18,14 +18,14 @@ import itertools
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .arcdiag import ArcDiagram, cached, interior_steps, step_after, step_before
+from .arcdiag import ArcDiagram, cached
 from .algebra import (
     SymGenerator,
     Triple,
-    _label_set,
     diff_generator,
     enumerate_basis,
     generator_maslov2,
+    label_set,
     triple,
 )
 
@@ -251,8 +251,8 @@ ALLOWED_CASES = frozenset(_ALLOWED_HALF | {(w, v, m) for v, w, m in _ALLOWED_HAL
 
 
 def _place_class(d: ArcDiagram, h: tuple[int, ...], place: int) -> str:
-    before = step_before(d, place)
-    after = step_after(d, place)
+    before = d.step_before(place)
+    after = d.step_after(place)
     used_before = before is not None and h[before] > 0
     used_after = after is not None and h[after] > 0
     return _PLACE_CLASSES[used_before << 1 | used_after]
@@ -286,7 +286,7 @@ def closed_form(d: ArcDiagram) -> dict[Triple, int]:
     pairs = [d.pair(lab) for lab in range(1, d.k + 1)]
     places = range(1, 2 * d.k + 1)
     table = {}
-    for h in itertools.product((0, 1), repeat=len(interior_steps(d))):
+    for h in itertools.product((0, 1), repeat=len(d.interior_steps)):
         classes = [None, *[_place_class(d, h, p) for p in places]]  # places from 1
         # partial choices over the labels so far: (s mask, t mask, degree)
         choices = [(0, 0, -classes.count(NEG_BDY))]
@@ -298,7 +298,7 @@ def closed_form(d: ArcDiagram) -> dict[Triple, int]:
                 for in_s, in_t, drop in admitted[classes[v], classes[w]]
             ]
         for s, t, m in choices:
-            table[(_label_set(s), _label_set(t), h)] = m
+            table[(label_set(s), label_set(t), h)] = m
     return table
 
 

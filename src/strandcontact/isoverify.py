@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional
 
 from .arcdiag import (
     ArcDiagram,
-    interior_steps,
     label_subsets,
     require_valid,
     surgery_circle_of,
@@ -35,7 +34,13 @@ from .algebra import (
     mul_sums,
 )
 from .algebra import enumerate_basis  # unused here; perfbench/tracing.py wraps this binding
-from .contact import ContactStructure, ca_table, make_structure, structure_json
+from .contact import (
+    ContactStructure,
+    ca_table,
+    enumerate_tight,
+    make_structure,
+    structure_json,
+)
 from .homology import (
     algebra_triples,
     build_summand,
@@ -59,7 +64,7 @@ class SfhMismatch(RuntimeError):
 
 def phi(d: ArcDiagram, x: ContactStructure) -> Triple:
     """Contact structure -> (s, t, h): on-sets and the used-arc indicator."""
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     h = tuple(1 if i in x.used_arcs else 0 for i in range(n))
     return (x.bottom, x.top, h)
 
@@ -274,7 +279,7 @@ def verify(d: ArcDiagram) -> IsoReport:
 
     # -- label subsets: an identity structure and a surviving idempotent
     identity_at = {table.basis[e].bottom for e in table.identities}
-    zero_h = tuple(0 for _ in interior_steps(d))
+    zero_h = tuple(0 for _ in d.interior_steps)
     for s in label_subsets(d):
         if s not in identity_at:
             unit_ok = False
@@ -351,12 +356,11 @@ class SfhTable(NamedTuple):
 def sfh_table(d: ArcDiagram) -> SfhTable:
     """Dimension matrix over (bottom, top) pairs, cross-checked both ways."""
     require_valid(d)
-    table = ca_table(d)
     subsets = label_subsets(d)
     counts: dict[tuple[frozenset, frozenset], int] = {
         (a, b): 0 for a in subsets for b in subsets
     }
-    for xi in table.basis:
+    for xi in enumerate_tight(to_quad_surface(d)):
         counts[(xi.bottom, xi.top)] += 1
 
     homology_counts = {key: 0 for key in counts}
@@ -388,7 +392,9 @@ def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
     depend on the segment order, so it is tested first, on the raw tables.
     A composition whose parts all differ has one ascending segment order,
     and pairings are labelled in first-occurrence order, so each of its
-    pairings is a class of its own and needs no key.
+    pairings is a class of its own and needs no key.  The tables are
+    well formed by construction, so each diagram is built with _make,
+    without the constructor's checks.
     """
     out: list[ArcDiagram] = []
     for k in range(1, max_k + 1):
@@ -405,7 +411,7 @@ def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
                         if key in seen:
                             continue
                         seen.add(key)
-                    out.append(ArcDiagram(comp, matching))
+                    out.append(ArcDiagram._make((comp, matching)))
     return out
 
 

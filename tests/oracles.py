@@ -23,9 +23,6 @@ from strandcontact.algebra import (
 from strandcontact.arcdiag import (
     ArcDiagram,
     QuadSurface,
-    interior_steps,
-    step_after,
-    step_before,
     to_quad_surface,
 )
 from strandcontact.contact import ContactStructure, CubeData, ca_table, make_structure, stack
@@ -111,7 +108,7 @@ def enumerate_tight_pair(
     Candidates are the subsets of interior steps, in ascending bitmask
     order, so the output order is deterministic.
     """
-    n = len(interior_steps(surface.diagram))
+    n = len(surface.diagram.interior_steps)
     out = []
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)
@@ -446,7 +443,7 @@ def crossingless_generators(
         places = d.segment_places(j)
         run_start = None
         for a in places[:-1]:
-            used = h[step_after(d, a)] > 0
+            used = h[d.step_after(a)] > 0
             if used and run_start is None:
                 run_start = a
             if not used and run_start is not None:
@@ -473,7 +470,7 @@ def crossingless_generators(
 def hom_vector(d: ArcDiagram, m: StrandDiagram) -> tuple[int, ...]:
     """Multiplicity of each interior step under the strands of a diagram."""
     return tuple(
-        sum(1 for p, q in m.strands if p <= s < q) for s in interior_steps(d)
+        sum(1 for p, q in m.strands if p <= s < q) for s in d.interior_steps
     )
 
 
@@ -481,7 +478,7 @@ def doubled_multiplicity(d: ArcDiagram, places: frozenset[int], h: tuple[int, ..
     """Twice the summed average multiplicity of h around the given places."""
     total = 0
     for p in places:
-        for i in (step_before(d, p), step_after(d, p)):
+        for i in (d.step_before(p), d.step_after(p)):
             if i is not None:
                 total += h[i]
     return total

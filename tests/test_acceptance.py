@@ -22,7 +22,6 @@ from oracles import (
 )
 from strandcontact.arcdiag import (
     ArcDiagram,
-    interior_steps,
     label_subsets,
     to_quad_surface,
 )
@@ -184,7 +183,7 @@ def test_criterion_6_homologous_realisations():
 def test_criterion_7_counting_identities():
     for d in CORPUS:
         surf = to_quad_surface(d)
-        n_interior = len(interior_steps(d))
+        n_interior = len(d.interior_steps)
         assert n_interior == 2 * d.k - d.l
         assert surf.euler_char == d.l - d.k
         assert surf.index == d.k == len(surf.squares)

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import sys
 
 import pytest
 
@@ -262,3 +264,18 @@ def test_generator_json():
         "moving": [[1, 3]],
         "dotted": [2],
     }
+
+
+def test_generator_is_an_immutable_tuple_of_its_fields():
+    """A generator is a NamedTuple of (moving, dotted) with no __dict__:
+    the constructor sorts both, and it is equal to and hashed as the plain
+    tuple of its fields."""
+    g = SymGenerator([(3, 4), (1, 2)], [5, 2])
+    assert g == (((1, 2), (3, 4)), (2, 5)) and hash(g) == hash(tuple(g))
+    assert (g.moving, g.dotted, g.strand_count) == (((1, 2), (3, 4)), (2, 5), 4)
+    assert repr(g) == "SymGenerator(moving=((1, 2), (3, 4)), dotted=(2, 5))"
+    assert not hasattr(g, "__dict__")
+    assert sys.getsizeof(g) == sys.getsizeof(tuple(g))
+    with pytest.raises(AttributeError):
+        g.dotted = ()
+    assert pickle.loads(pickle.dumps(g)) == g

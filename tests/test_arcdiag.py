@@ -1,6 +1,8 @@
+import ast
 import importlib
 import itertools
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +13,9 @@ from strandcontact.arcdiag import (
     ArcDiagramError,
     ParseError,
     InvalidDiagramError,
-    interior_steps,
     is_valid,
     parse_arc_diagram,
     require_valid,
-    step_after,
-    step_before,
     surgery_circle,
     to_quad_surface,
 )
@@ -153,17 +152,17 @@ def test_witness_replays_as_cycle():
 
 
 def test_step_counts():
-    assert interior_steps(SQUARE) == ()
-    assert interior_steps(TORUS) == (1, 2, 3)
-    assert interior_steps(ANNULUS) == (1, 2)
+    assert SQUARE.interior_steps == ()
+    assert TORUS.interior_steps == (1, 2, 3)
+    assert ANNULUS.interior_steps == (1, 2)
 
 
 def test_step_neighbors():
-    assert interior_steps(TORUS)[step_before(TORUS, 3)] == 2
-    assert interior_steps(TORUS)[step_after(TORUS, 3)] == 3
-    assert step_before(ANNULUS, 4) is None
-    assert step_after(ANNULUS, 4) is None
-    assert step_after(ANNULUS, 3) is None
+    assert TORUS.interior_steps[TORUS.step_before(3)] == 2
+    assert TORUS.interior_steps[TORUS.step_after(3)] == 3
+    assert ANNULUS.step_before(4) is None
+    assert ANNULUS.step_after(4) is None
+    assert ANNULUS.step_after(3) is None
 
 
 def test_step_lookup_matches_definition():
@@ -174,12 +173,12 @@ def test_step_lookup_matches_definition():
         ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)),
     ]
     for d in diagrams:
-        steps = interior_steps(d)
+        steps = d.interior_steps
         assert len(steps) == 2 * d.k - d.l
         for j in range(d.l):
             places = d.segment_places(j)
             for p in places:
-                after, before = step_after(d, p), step_before(d, p)
+                after, before = d.step_after(p), d.step_before(p)
                 assert (after is None) == (p == places[-1])
                 assert after is None or steps[after] == p
                 assert (before is None) == (p == places[0])
@@ -282,7 +281,7 @@ def test_surgery_circle_matches_the_sub_arc_walk(k):
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
 def test_counting_identities(k, l):
     for d in all_diagrams(k, l):
-        n_interior = len(interior_steps(d))
+        n_interior = len(d.interior_steps)
         assert n_interior == 2 * k - l
         if not is_valid(d):
             circle = surgery_circle(d)
@@ -311,7 +310,7 @@ def test_slot_binding(k, l):
             for i, st in enumerate(sq.sides):
                 bound.setdefault(st, []).append((sq.label, i))
         assert len(bound.pop(None)) == 2 * d.l  # one slot per exterior step
-        assert sorted(bound) == list(range(len(interior_steps(d))))
+        assert sorted(bound) == list(range(len(d.interior_steps)))
         for slots in bound.values():
             kinds = sorted(i % 2 for _, i in slots)
             assert kinds == [0, 1]  # one after-slot, one before-slot
@@ -331,5 +330,54 @@ def test_every_cache_is_registered():
             members = vars(value).values() if isinstance(value, type) else ()
             found |= {v for v in (value, *members) if hasattr(v, "cache_clear")}
     assert found == set(arcdiag._caches)
-    assert len(arcdiag._caches) == 14
+    assert len(arcdiag._caches) == 12
     assert not hasattr(contact.ca_table, "cache_clear")
+
+
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """Each place where a module of the package imports another module's
+    `_`-name, or reads one as an attribute (`d._table`), as `module:line
+    name`.  A module's `_`-names are those it binds: defs, classes and
+    assignment targets, at any depth.  Names that no module binds, such as
+    NamedTuple's `_make`, are the API of some other library."""
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    def binds(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                yield node.id
+
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bound = {
+        module: {name for name in binds(tree) if private(name)}
+        for module, tree in trees.items()
+    }
+    found = []
+    for module, tree in trees.items():
+        others = set().union(*(names for m, names in bound.items() if m != module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and node.attr in others:
+                names = [node.attr] if node.attr not in bound[module] else []
+            else:
+                names = []
+            found += [f"{module}:{node.lineno} {name}" for name in names]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """The diagram's tables are its public members, and every module reads
+    the others through public names only."""
+    package = Path(strandcontact.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert private_reads(sources) == []
+    probe = "from .algebra import _moving_part\ndef f(d):\n    return d._twins\n"
+    assert private_reads({**sources, "probe": probe}) == [
+        "probe:1 _moving_part",
+        "probe:3 _twins",
+    ]

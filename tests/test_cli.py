@@ -401,6 +401,23 @@ def test_stack_outside_the_basis_exits_1(write, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["contact", "sfh-table"])
+def test_contact_and_sfh_table_stack_nothing(write, monkeypatch, capsys, verb):
+    """Both verbs read only the tight structures, so they neither stack
+    nor raise StackNotInBasis: a stack that raises leaves their output as
+    it was."""
+    path = write(K4_SLOWEST)
+    assert cli.main([verb, path]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("stack called")
+
+    monkeypatch.setattr(contact, "stack", refuse)
+    assert cli.main([verb, path]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("verb", ["homology", "sfh-table"])
 @pytest.mark.parametrize(
     "inject, message",

@@ -11,7 +11,7 @@ from oracles import (
     swap_vw,
 )
 from strandcontact.algebra import mul_sums
-from strandcontact.arcdiag import ArcDiagram, interior_steps, label_subsets, to_quad_surface
+from strandcontact.arcdiag import ArcDiagram, label_subsets, to_quad_surface
 from strandcontact.contact import (
     CubeData,
     ca_table,
@@ -125,7 +125,7 @@ def test_make_structure_reads_every_cube(d):
     """make_structure's verdict is the cube table on the cube_data of every
     square, read off its side slots by the oracle."""
     surface = to_quad_surface(d)
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     subsets = label_subsets(d)
     for bits in range(1 << n):
         used = frozenset(i for i in range(n) if (bits >> i) & 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strandcontact import algebra, homology
-from strandcontact.arcdiag import ArcDiagram, interior_steps, release_caches
+from strandcontact.arcdiag import ArcDiagram, release_caches
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
@@ -201,7 +201,7 @@ def test_nonzero_agrees_with_chain_dims(d):
         for r in range(d.k + 1)
         for c in itertools.combinations(range(1, d.k + 1), r)
     ]
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     for s in subsets:
         for t in subsets:
             for bits in itertools.product((0, 1), repeat=n):
@@ -366,7 +366,7 @@ def survives_by_three_conditions(d, s, t, h):
 
     if any(m not in (0, 1) for m in h):
         return False
-    idx = {step: i for i, step in enumerate(interior_steps(d))}
+    idx = {step: i for i, step in enumerate(d.interior_steps)}
     for lab in range(1, d.k + 1):
         v, w = d.pair(lab)
         for a, b in ((v, w), (w, v)):
@@ -395,7 +395,7 @@ def survives_by_three_conditions(d, s, t, h):
 
 @pytest.mark.parametrize("d", [SQUARE, TORUS, ANNULUS])
 def test_local_table_matches_three_conditions(d):
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     subsets = [
         frozenset(c)
         for r in range(d.k + 1)
@@ -420,7 +420,7 @@ def test_closed_form_matches_per_triple_oracle(d):
     table = closed_form(d)
     labels = range(1, d.k + 1)
     subsets = [frozenset(c) for r in range(d.k + 1) for c in itertools.combinations(labels, r)]
-    n = len(interior_steps(d))
+    n = len(d.interior_steps)
     seen = 0
     for s in subsets:
         for t in subsets:

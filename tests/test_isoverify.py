@@ -512,6 +512,15 @@ def test_corpus_matches_validate_first_oracle():
     assert corpus(4, 4) == corpus_validate_first(4, 4)
 
 
+@pytest.mark.parametrize("max_k, max_l", [(4, 4), (5, 2)])
+def test_corpus_diagrams_pass_the_checked_constructor(max_k, max_l):
+    """corpus builds its diagrams with _make, skipping the constructor's
+    checks; each one passes them and equals the diagram they build."""
+    for d in corpus(max_k, max_l):
+        assert d == ArcDiagram(d.segment_sizes, d.matching) and type(d) is ArcDiagram
+        assert type(d.segment_sizes) is tuple and type(d.matching) is tuple
+
+
 def test_corpus_k5_l4_is_pinned():
     """corpus(5, 4), listed as [sizes, matching] pairs in JSON, hashes to the
     digest recorded when corpus still went through every composition and
@@ -548,17 +557,83 @@ def test_canonical_key_tries_only_ascending_orders():
 K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
 
 
+def diagram_id(d):
+    return "-".join(map(str, d.segment_sizes)) + "_" + "".join(map(str, d.matching))
+
+
+def reversed_diagram(d):
+    """-Z: Z read backwards.  Place p becomes 2k + 1 - p, labels stay, and
+    interior step i becomes step n - 1 - i of the n interior steps."""
+    return ArcDiagram(tuple(reversed(d.segment_sizes)), tuple(reversed(d.matching)))
+
+
 @pytest.mark.parametrize(
     "d",
     [*corpus(3, 3), K5, K4_SLOWEST],
-    ids=lambda d: "-".join(map(str, d.segment_sizes)) + "_" + "".join(map(str, d.matching)),
+    ids=diagram_id,
 )
 def test_reversal_transposes_the_sfh_table(d):
     """Read backwards, Z gives the diagram of -Z, and A(-Z) is A(Z)^op
     (Lipshitz-Ozsvath-Thurston): the reversed diagram is valid, has the
     same dividing sets, and its sfh table is the transpose of Z's."""
-    reversed_d = ArcDiagram(tuple(reversed(d.segment_sizes)), tuple(reversed(d.matching)))
+    reversed_d = reversed_diagram(d)
     assert surgery_circle(reversed_d) is None
     table, reversed_table = sfh_table(d), sfh_table(reversed_d)
     assert reversed_table.dividing_sets == table.dividing_sets
     assert reversed_table.matrix == tuple(zip(*table.matrix))
+
+
+def reversal_failure(d):
+    """Which part of the contact-side anti-isomorphism CA(Z) -> CA(-Z),
+    (B, T, U) -> (T, B, {n - 1 - i : i in U}), fails on d; None if none."""
+    n = len(d.interior_steps)
+    table, reversed_table = ca_table(d), ca_table(reversed_diagram(d))
+    position = {
+        (xi.bottom, xi.top, xi.used_arcs): i for i, xi in enumerate(reversed_table.basis)
+    }
+    image = [
+        position.get((xi.top, xi.bottom, frozenset(n - 1 - i for i in xi.used_arcs)))
+        for xi in table.basis
+    ]
+    if None in image or sorted(image) != list(range(len(reversed_table.basis))):
+        return "not a bijection of the bases"
+    if len(table.products) != len(reversed_table.products):
+        return "the numbers of composable pairs differ"
+    for (i, j), stacked in table.products.items():
+        reversed_product = reversed_table.products.get((image[j], image[i]), "not composable")
+        if reversed_product != (None if stacked is None else image[stacked]):
+            return f"x{i} * x{j} is not sent to x{j}' * x{i}'"
+    if sorted(image[e] for e in table.identities) != sorted(reversed_table.identities):
+        return "identities are not sent to identities"
+    return None
+
+
+REVERSAL_DIAGRAMS = [*corpus(3, 3), K4_SLOWEST]
+
+
+@pytest.mark.parametrize("d", REVERSAL_DIAGRAMS, ids=diagram_id)
+def test_reversal_is_an_anti_isomorphism_of_the_contact_algebra(d):
+    """A(-Z) is A(Z)^op on the contact side: swapping bottom and top and
+    reversing the used arcs maps the basis of CA(Z) onto that of CA(-Z),
+    sends each product x * y to y' * x' (zero to zero) and identities to
+    identities.  None of the three paths of verify uses this symmetry."""
+    assert reversal_failure(d) is None
+
+
+def test_reversal_catches_every_cube_flip_it_can_see(monkeypatch, fresh_caches):
+    """Each of the 64 _cube_table verdicts, flipped alone, breaks the
+    reversal property on some diagram, except at the 8 cubes that reversal
+    maps to themselves (verify catches those); no flip raises."""
+    real = contact.cube_tight
+    missed = []
+    for i in range(64):
+
+        def flipped(c, i=i):
+            index = sum(bit << (5 - b) for b, bit in enumerate(c))
+            return real(c) != (index == i)
+
+        monkeypatch.setattr(contact, "cube_tight", flipped)
+        if all(reversal_failure(d) is None for d in REVERSAL_DIAGRAMS):
+            missed.append(i)
+        release_caches()
+    assert missed == [0, 6, 9, 15, 48, 54, 57, 63]
