@@ -4,10 +4,10 @@ An arc diagram is a sequence of oriented segments carrying 2k marked
 places, matched in pairs by labels 1..k.  A diagram is valid when oriented
 surgery at every matched pair turns the segments into a disjoint union of
 arcs, with no circle components.  Every valid diagram determines a surface
-cut into one square per matched pair; the counting invariants of that
-surface (Euler characteristic, genus, boundary components) are computed
-here by a purely combinatorial boundary walk; the surface may be
-disconnected, so its genus is summed over its components.
+cut into one square per matched pair.  Its boundary is the diagram after
+surgery, closed up along its segments, so one walk over the surgered
+places both checks validity and counts the boundary components; the
+surface may be disconnected, so its genus is summed over its components.
 
 Every memoized function of the package is declared with `cached`, and
 release_caches empties all their caches.  The tables of one diagram
@@ -191,9 +191,11 @@ class ArcDiagram(_ArcDiagramFields):
 
     def twin(self, place: int) -> int:
         """The other place carrying the same label."""
+        self.segment_of(place)  # raises off the diagram
         return self._twins[place]
 
     def label(self, place: int) -> int:
+        self.segment_of(place)  # raises off the diagram
         return self.matching[place - 1]
 
     def pair(self, lab: int) -> tuple[int, int]:
@@ -220,38 +222,43 @@ def surgery_circle(d: ArcDiagram) -> Optional[tuple[int, ...]]:
     arc; otherwise one circle as a cyclic sequence of (in, out) places,
     normalised to start at the smallest place it enters.
     """
-    return surgery_circle_of(d.segment_sizes, d._twins)
+    return surgery_walk(d.segment_sizes, d._twins)[1]
 
 
-def surgery_circle_of(segment_sizes, twin) -> Optional[tuple[int, ...]]:
-    """surgery_circle on raw tables: the segment sizes, and twin[p] for
-    each place p (entry 0 unused).
+def surgery_walk(segment_sizes, twin) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The boundary components of the surface, and surgery_circle, on raw
+    tables: the segment sizes, and twin[p] for each place p (entry 0
+    unused).
 
     A sub-arc is named by the place it enters; the last one of a segment
-    enters none.  Surgery joins the sub-arc entering p to the one leaving
-    q = twin[p], which enters q + 1 unless q ends its segment.  The walks
-    from the segment starts trace every arc, so a place they miss lies on
-    a circle; the smallest such place starts the circle, (in, out) pair by
-    pair.
+    enters none, and closing the segment up joins it to the segment's
+    first sub-arc.  Surgery joins the sub-arc entering p to the one
+    leaving q = twin[p], which enters q + 1, or the first place of q's
+    segment when q ends it.  This successor is a permutation of the
+    places: its cycles through a segment start are the boundary
+    components, and a place that none of them reaches lies on a circle.
+    The smallest such place starts the circle, (in, out) pair by pair.
     """
-    last = bytearray(len(twin))
+    first = [0] * len(twin)  # entry q: the start of q's segment if q ends it
     starts = []
     end = 0
     for n in segment_sizes:
         starts.append(end + 1)
         end += n
-        last[end] = 1
+        first[end] = end + 1 - n
     seen = bytearray(len(twin))
+    components = 0
     for p in starts:
-        while True:
+        if seen[p]:
+            continue
+        components += 1
+        while not seen[p]:
             seen[p] = 1
             q = twin[p]
-            if last[q]:
-                break
-            p = q + 1
+            p = first[q] or q + 1
     start = seen.find(0, 1)
     if start < 0:
-        return None
+        return components, None
     circle: list[int] = []
     p = start
     while True:
@@ -259,7 +266,7 @@ def surgery_circle_of(segment_sizes, twin) -> Optional[tuple[int, ...]]:
         circle += (p, q)
         p = q + 1
         if p == start:
-            return tuple(circle)
+            return components, tuple(circle)
 
 
 def is_valid(d: ArcDiagram) -> bool:
@@ -313,10 +320,11 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
 
     One square per label, its four side slots bound to the steps before
     and after its two places.  Side slots sharing an interior step are
-    glued; the gluing reverses induced boundary orientations, so boundary
-    components can be counted by a walk that pivots across glued sides.
+    glued.  The boundary components are those that surgery_walk counts.
     """
-    require_valid(d)
+    components, circle = surgery_walk(d.segment_sizes, d._twins)
+    if circle is not None:
+        raise InvalidDiagramError(circle)
     squares = []
     for lab in range(1, d.k + 1):
         v, w = d.pair(lab)
@@ -333,36 +341,6 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
         sq_q = d.label(q)
         slot_q = 1 if squares[sq_q - 1].w == q else 3
         gluings.append(((sq_p, slot_p), (sq_q, slot_q)))
-
-    partner: dict[SideRef, SideRef] = {}
-    for a, b in gluings:
-        partner[a] = b
-        partner[b] = a
-
-    free = [
-        (sq.label, i)
-        for sq in squares
-        for i in range(4)
-        if (sq.label, i) not in partner
-    ]
-
-    def next_boundary(ref: SideRef) -> SideRef:
-        cur = (ref[0], (ref[1] + 1) % 4)
-        while cur in partner:
-            cur = partner[cur]
-            cur = (cur[0], (cur[1] + 1) % 4)
-        return cur
-
-    seen: set[SideRef] = set()
-    components = 0
-    for ref in free:
-        if ref in seen:
-            continue
-        components += 1
-        cur = ref
-        while cur not in seen:
-            seen.add(cur)
-            cur = next_boundary(cur)
 
     # Surface components, by union-find of squares over the gluings; the
     # genus is summed over them: sum of (2 - chi_i - b_i) / 2.
@@ -381,7 +359,7 @@ def to_quad_surface(d: ArcDiagram) -> QuadSurface:
     slack = 2 * surface_components - euler - components
     if slack < 0 or slack % 2 != 0:
         raise AssertionError(
-            f"boundary walk inconsistent: chi={euler}, boundary components={components}, "
+            f"surgery walk inconsistent: chi={euler}, boundary components={components}, "
             f"surface components={surface_components}"
         )
     return QuadSurface(

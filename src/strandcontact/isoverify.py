@@ -23,7 +23,7 @@ from .arcdiag import (
     ArcDiagram,
     label_subsets,
     require_valid,
-    surgery_circle_of,
+    surgery_walk,
     to_quad_surface,
 )
 from .algebra import (
@@ -404,7 +404,7 @@ def corpus(max_k: int, max_l: int) -> list[ArcDiagram]:
                 # keys of different compositions differ in their sizes
                 seen = set() if len(set(comp)) < l else None
                 for matching, twin in candidates:
-                    if surgery_circle_of(comp, twin) is not None:
+                    if surgery_walk(comp, twin)[1] is not None:
                         continue
                     if seen is not None:
                         key = _canonical_key((comp, matching))

@@ -1,13 +1,16 @@
 """Brute-force reference implementations that only the tests use.
 
 Each one is the exhaustive way of doing a job that the package does more
-cleverly, so a test can compare the two on small inputs.
+cleverly, so a test can compare the two on small inputs.  arc_diagrams
+draws the random inputs that property tests compare them on.
 """
 
 import functools
 import itertools
 from operator import itemgetter
 from typing import Optional
+
+from hypothesis import strategies as st
 
 from strandcontact.algebra import (
     NotInSymmetrisedSpan,
@@ -542,6 +545,55 @@ def surgery_circle_by_sub_arcs(d: ArcDiagram) -> Optional[tuple[int, ...]]:
     # Rotate by whole (in, out) pairs so the alternation survives.
     pivot = min(range(0, len(circle), 2), key=lambda i: circle[i])
     return tuple(circle[pivot:] + circle[:pivot])
+
+
+def boundary_components_by_pivot(surface: QuadSurface) -> int:
+    """The boundary components of a quadrangulated surface, by a walk
+    around the squares' side slots.  The gluing reverses induced boundary
+    orientations, so from a free slot the boundary goes on at the next
+    slot of its square, pivoting across each glued side to the slot after
+    its partner, until it meets a free slot."""
+    partner = {}
+    for a, b in surface.gluings:
+        partner[a] = b
+        partner[b] = a
+
+    def next_boundary(ref):
+        cur = (ref[0], (ref[1] + 1) % 4)
+        while cur in partner:
+            cur = partner[cur]
+            cur = (cur[0], (cur[1] + 1) % 4)
+        return cur
+
+    seen = set()
+    components = 0
+    for sq in surface.squares:
+        for ref in ((sq.label, i) for i in range(4)):
+            if ref in partner or ref in seen:
+                continue
+            components += 1
+            while ref not in seen:
+                seen.add(ref)
+                ref = next_boundary(ref)
+    return components
+
+
+@st.composite
+def arc_diagrams(draw, min_k: int = 4, max_k: int = 8) -> ArcDiagram:
+    """Any arc diagram with min_k <= k <= max_k, valid or not: a
+    composition of the 2k places into segments, from a set of cut points,
+    and a pairing of the places, from a permutation, labelled in the
+    order of the pairs' first places."""
+    k = draw(st.integers(min_k, max_k))
+    n = 2 * k
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = sorted(sorted(order[i:i + 2]) for i in range(0, n, 2))
+    matching = [0] * n
+    for lab, (v, w) in enumerate(pairs, start=1):
+        matching[v - 1] = matching[w - 1] = lab
+    return ArcDiagram(sizes, matching)
 
 
 def compositions(total: int, parts: int):

@@ -5,6 +5,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import strandcontact
 from strandcontact import arcdiag, contact
@@ -21,7 +22,7 @@ from strandcontact.arcdiag import (
 )
 from strandcontact.isoverify import corpus
 
-from oracles import surgery_circle_by_sub_arcs
+from oracles import arc_diagrams, boundary_components_by_pivot, surgery_circle_by_sub_arcs
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -115,6 +116,14 @@ def test_diagram_is_an_immutable_tuple_of_its_fields():
     with pytest.raises(AttributeError):
         d.matching = (1, 1, 2, 2)
     assert d.matching == (1, 2, 1, 2)
+
+
+@pytest.mark.parametrize("place", [0, -1, 5])
+def test_places_off_the_diagram_are_refused(place):
+    # an unchecked index would wrap place 0 and -1 round to other places
+    for lookup in (TORUS.label, TORUS.twin, TORUS.segment_of):
+        with pytest.raises(ArcDiagramError, match=f"place {place} out of range"):
+            lookup(place)
 
 
 def test_validate_loop_is_invalid():
@@ -226,8 +235,52 @@ def test_quad_surface_disconnected():
 
 
 def test_quad_surface_rejects_invalid():
-    with pytest.raises(InvalidDiagramError):
-        to_quad_surface(LOOP)
+    # the error carries the very circle that surgery_circle reports
+    invalid = [LOOP] + [
+        d for k, l in [(2, 1), (2, 2), (3, 1), (3, 2)] for d in all_diagrams(k, l)
+        if not is_valid(d)
+    ]
+    for d in invalid:
+        with pytest.raises(InvalidDiagramError) as exc:
+            to_quad_surface(d)
+        assert exc.value.circle == surgery_circle(d), d
+
+
+def surface_components(surf):
+    """The connected components of a surface: its squares, joined by a
+    search over the gluings."""
+    neighbours = {sq.label: set() for sq in surf.squares}
+    for (a, _), (b, _) in surf.gluings:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    left, components = set(neighbours), 0
+    while left:
+        components += 1
+        stack = [left.pop()]
+        while stack:
+            for b in neighbours[stack.pop()] & left:
+                left.discard(b)
+                stack.append(b)
+    return components
+
+
+def test_boundary_components_match_the_pivot_walk():
+    """On corpus(4, 4) and corpus(5, 2), the surgery walk's boundary count
+    is the one that the walk around the squares' side slots gives, and the
+    genus follows from it on each surface component."""
+    disconnected_k4l4 = []
+    for d in corpus(4, 4) + corpus(5, 2):
+        surf = to_quad_surface(d)
+        b = boundary_components_by_pivot(surf)
+        c = surface_components(surf)
+        assert surf.boundary_components == b, d
+        assert 2 * surf.genus == 2 * c - surf.euler_char - b, d
+        if c > 1 and (d.k, d.l) == (4, 4):
+            disconnected_k4l4.append(2 - surf.euler_char - b)
+    # 15 disconnected surfaces at k=4, l=4, of which 3 would get a negative
+    # genus from the one-component formula
+    assert len(disconnected_k4l4) == 15
+    assert sum(slack < 0 for slack in disconnected_k4l4) == 3
 
 
 def all_diagrams(k, l):
@@ -276,6 +329,23 @@ def test_surgery_circle_matches_the_sub_arc_walk(k):
             assert circle == surgery_circle_by_sub_arcs(d), d
             outcomes.add(circle is None)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arc_diagrams())
+def test_surgery_walk_on_random_diagrams(d):
+    """On any diagram at k = 4..8, the surgery walk finds the circle of the
+    (segment, local index) walk; on a valid one, the pivot walk's number
+    of boundary components."""
+    circle = surgery_circle(d)
+    assert circle == surgery_circle_by_sub_arcs(d)
+    if circle is None:
+        surf = to_quad_surface(d)
+        assert surf.boundary_components == boundary_components_by_pivot(surf)
+    else:
+        with pytest.raises(InvalidDiagramError) as exc:
+            to_quad_surface(d)
+        assert exc.value.circle == circle
 
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
