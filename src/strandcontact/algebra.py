@@ -16,12 +16,12 @@ holds their start and end labels as bitmasks, their homological grading
 and their doubled Maslov degree, negated.  start, end, triple,
 hom_grading, generator_maslov2 and generator_json read that record, so
 they raise ValueError on moving strands that fail the check.  expand
-adds the check of the dotted labels (generator_maslov2 checks only that
-they lie in 1..k; start, end and triple do not check them).  Its
-expansions, their resolutions and their products are plain strand tuples
-sorted by start place (strands.Strands), valid by construction.  Label
-sets are frozensets from one cache keyed by bitmask, so the summands'
-keys share them.
+adds the check of the dotted labels.  ArcDiagram.pair is the one check
+that they lie in 1..k, for expand and generator_maslov2 alike (start,
+end and triple do not check them).  Its expansions, their resolutions and
+their products are plain strand tuples sorted by start place
+(strands.Strands), valid by construction.  Label sets are frozensets
+from one cache keyed by bitmask, so the summands' keys share them.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -163,8 +163,8 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
 
     ValueError unless the generator is constrained and every expansion is
     a valid diagram: the moving strands pass the check of their record,
-    and the dotted labels are labels of d, distinct, and touch no moving
-    strand.  Distinct labels imply distinct places.
+    and the dotted labels are labels of d (pair's check), distinct, and
+    touch no moving strand.  Distinct labels imply distinct places.
     """
     moving, dotted = g
     part = _moving_part(d, moving)
@@ -173,8 +173,7 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     touched = part.starts | part.ends
     seen = 0
     for lab in dotted:
-        if not 1 <= lab <= d.k:
-            raise ValueError(f"dotted label {lab} is not a label 1..{d.k} of the diagram")
+        d.pair(lab)  # raises on a label outside 1..k
         bit = 1 << lab
         if seen & bit or touched & bit:
             raise ValueError(f"dotted labels {list(dotted)} clash with moving strands {moving}")
@@ -296,8 +295,9 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     side of each start place, of the expansion with each dotted label at
     its first place x.  The record holds this for the moving strands; the
     horizontal strand at x adds a crossing with each moving p -> q with
-    p < x < q, and x a start place.  ValueError on a dotted label outside
-    1..k; the other checks of dotted labels are expand's.
+    p < x < q, and x a start place.  ArcDiagram.pair raises ValueError on
+    a dotted label outside 1..k; the other checks of dotted labels are
+    expand's.
     """
     moving, dotted = g
     part = _moving_part(d, moving)
@@ -305,11 +305,8 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     if not dotted:
         return maslov2
     h = part.h
-    k = d.k
     step = d.step_from
     for lab in dotted:
-        if not 1 <= lab <= k:
-            raise ValueError(f"dotted label {lab} is not a label 1..{k} of the diagram")
         x = d.pair(lab)[0]  # the strand (x, x) at the first place
         for p, q in moving:
             if p < x < q:

@@ -73,8 +73,8 @@ class ArcDiagram(_ArcDiagramFields):
 
     segment_sizes lists the number of places on each segment, in order;
     matching assigns a label in 1..k to each of the 2k global places.
-    Construction checks structural well-formedness only; circle-freeness
-    under surgery is checked separately by surgery_circle/require_valid.
+    Construction checks structural well-formedness only; a circle under
+    surgery is found by surgery_circle, and to_quad_surface refuses it.
     An immutable tuple of its two fields, with a __dict__ for the
     tables derived from it, which it owns and caches as members.  _make
     and _replace skip the constructor's checks, so only tables valid by

@@ -15,7 +15,6 @@ from .arcdiag import (
     parse_arc_diagram,
     read_int,
     release_caches,
-    require_valid,
     surgery_circle,
     to_quad_surface,
 )
@@ -129,9 +128,9 @@ def parse_file(args):
 
 
 def load(args):
-    """The input diagram; one with a circle under surgery is refused."""
+    """The input diagram; its surface, cached for the verb, refuses a circle."""
     d = parse_file(args)
-    require_valid(d)
+    to_quad_surface(d)
     return d
 
 

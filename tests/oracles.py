@@ -606,6 +606,19 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def all_arc_diagrams(k: int, l: int):
+    """Every structurally well-formed diagram with k labels on l segments,
+    valid or not: each composition with each pairing, labelled in the
+    order of the pairs' first places."""
+    places = list(range(1, 2 * k + 1))
+    for comp in compositions(2 * k, l):
+        for pairing in _pairings(places):
+            matching = [0] * (2 * k)
+            for lab, (v, w) in enumerate(pairing, start=1):
+                matching[v - 1] = matching[w - 1] = lab
+            yield ArcDiagram(comp, matching)
+
+
 def canonical_key_all_orders(d: ArcDiagram):
     """Minimal (sizes, matching) encoding over all l! segment orders."""
     best = None
@@ -628,21 +641,15 @@ def corpus_validate_first(max_k: int, max_l: int) -> list[ArcDiagram]:
     out: list[ArcDiagram] = []
     seen: set = set()
     for k in range(1, max_k + 1):
-        places = list(range(1, 2 * k + 1))
         for l in range(1, min(max_l, 2 * k) + 1):
-            for comp in compositions(2 * k, l):
-                for pairing in _pairings(places):
-                    matching = [0] * (2 * k)
-                    for lab, (v, w) in enumerate(pairing, start=1):
-                        matching[v - 1] = matching[w - 1] = lab
-                    d = ArcDiagram(tuple(comp), tuple(matching))
-                    if surgery_circle_by_sub_arcs(d) is not None:
-                        continue
-                    key = canonical_key_all_orders(d)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(d)
+            for d in all_arc_diagrams(k, l):
+                if surgery_circle_by_sub_arcs(d) is not None:
+                    continue
+                key = canonical_key_all_orders(d)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(d)
     return out
 
 

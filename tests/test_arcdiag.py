@@ -22,7 +22,12 @@ from strandcontact.arcdiag import (
 )
 from strandcontact.isoverify import corpus
 
-from oracles import arc_diagrams, boundary_components_by_pivot, surgery_circle_by_sub_arcs
+from oracles import (
+    all_arc_diagrams,
+    arc_diagrams,
+    boundary_components_by_pivot,
+    surgery_circle_by_sub_arcs,
+)
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
@@ -100,6 +105,25 @@ def test_parse_missing_line():
         parse_arc_diagram("segments: 1 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("segments: 2\nmatching: 1 1\n3 4\n", "3:1: unexpected extra line"),
+        ("segments: 2\nmatching: 1 1\n# note\n   3 4\n", "4:4: unexpected extra line"),
+        ("segment: 2\nmatching: 1 1\n", "1:1: expected `segments:`"),
+        ("segments: 2\nmatchings: 1 1\n", "2:1: expected `matching:`"),
+        ("segments:\nmatching: 1 1\n", "1:10: `segments:` lists no numbers"),
+        ("segments: 2\nmatching:   # none\n", "2:10: `matching:` lists no numbers"),
+        ("segments: 4\nmatching: 1 1 1 2\n", "2:1: label 1 occurs 3 times, expected 2"),
+    ],
+)
+def test_parse_errors_name_their_line_and_column(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_arc_diagram(text)
+    assert str(exc.value) == message
+    assert message.startswith(f"{exc.value.line}:{exc.value.col}: ")
+
+
 def test_constructor_rejects_bad_labels():
     with pytest.raises(ArcDiagramError):
         ArcDiagram((2,), (1, 2))
@@ -107,6 +131,8 @@ def test_constructor_rejects_bad_labels():
         ArcDiagram((1,), (1,))
     with pytest.raises(ArcDiagramError):
         ArcDiagram((0, 2), (1, 1))
+    with pytest.raises(ArcDiagramError, match="^diagram needs at least one segment$"):
+        ArcDiagram((), ())
 
 
 def test_diagram_is_an_immutable_tuple_of_its_fields():
@@ -237,7 +263,7 @@ def test_quad_surface_disconnected():
 def test_quad_surface_rejects_invalid():
     # the error carries the very circle that surgery_circle reports
     invalid = [LOOP] + [
-        d for k, l in [(2, 1), (2, 2), (3, 1), (3, 2)] for d in all_diagrams(k, l)
+        d for k, l in [(2, 1), (2, 2), (3, 1), (3, 2)] for d in all_arc_diagrams(k, l)
         if not is_valid(d)
     ]
     for d in invalid:
@@ -283,48 +309,13 @@ def test_boundary_components_match_the_pivot_walk():
     assert sum(slack < 0 for slack in disconnected_k4l4) == 3
 
 
-def all_diagrams(k, l):
-    """Brute-force enumeration of structurally well-formed diagrams."""
-    places = list(range(1, 2 * k + 1))
-    for comp in compositions(2 * k, l):
-        for pairing in pairings(places):
-            matching = [0] * (2 * k)
-            next_label = 1
-            for v, w in pairing:
-                matching[v - 1] = matching[w - 1] = next_label
-                next_label += 1
-            yield ArcDiagram(tuple(comp), tuple(matching))
-
-
-def compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def pairings(items):
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        partner = items[i]
-        rest = items[1:i] + items[i + 1:]
-        for sub in pairings(rest):
-            yield ((first, partner),) + sub
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_surgery_circle_matches_the_sub_arc_walk(k):
     """On every composition and pairing with l <= 4, surgery_circle gives
     the circle, or None, that the (segment, local index) walk gives."""
     outcomes = set()
     for l in range(1, min(4, 2 * k) + 1):
-        for d in all_diagrams(k, l):
+        for d in all_arc_diagrams(k, l):
             circle = surgery_circle(d)
             assert circle == surgery_circle_by_sub_arcs(d), d
             outcomes.add(circle is None)
@@ -350,7 +341,7 @@ def test_surgery_walk_on_random_diagrams(d):
 
 @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
 def test_counting_identities(k, l):
-    for d in all_diagrams(k, l):
+    for d in all_arc_diagrams(k, l):
         n_interior = len(d.interior_steps)
         assert n_interior == 2 * k - l
         if not is_valid(d):
@@ -371,7 +362,7 @@ def test_counting_identities(k, l):
 
 @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
 def test_slot_binding(k, l):
-    for d in all_diagrams(k, l):
+    for d in all_arc_diagrams(k, l):
         if not is_valid(d):
             continue
         surf = to_quad_surface(d)

@@ -3,14 +3,22 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings
 
 from faults import drop_a_resolution, maslov_off_on_dotted, reduce_ignoring_a_pivot
-from oracles import canonical_key_all_orders, corpus_validate_first, diff_sum
+from oracles import (
+    all_arc_diagrams,
+    arc_diagrams,
+    canonical_key_all_orders,
+    corpus_validate_first,
+    diff_sum,
+)
 from strandcontact import algebra, contact, homology, isoverify
 from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis
 from strandcontact.arcdiag import (
     ArcDiagram,
     InvalidDiagramError,
+    is_valid,
     release_caches,
     surgery_circle,
     to_quad_surface,
@@ -31,7 +39,6 @@ from strandcontact.isoverify import (
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
-LOOP = ArcDiagram((2,), (1, 1))
 
 
 def test_phi_identity_structure():
@@ -91,9 +98,19 @@ def test_verify_annulus():
     assert report.ca_dim == report.homology_dim
 
 
-def test_verify_rejects_invalid():
-    with pytest.raises(InvalidDiagramError):
-        verify(LOOP)
+def test_verify_and_sfh_table_refuse_every_small_invalid_diagram():
+    """Both refuse through the diagram's surface, with the very circle
+    that surgery_circle reports, on every invalid diagram with k <= 3 and
+    l <= 2."""
+    invalid = [
+        d for k in (1, 2, 3) for l in (1, 2) for d in all_arc_diagrams(k, l) if not is_valid(d)
+    ]
+    assert len(invalid) == 78
+    for d in invalid:
+        for check in (verify, sfh_table):
+            with pytest.raises(InvalidDiagramError) as exc:
+                check(d)
+            assert exc.value.circle == surgery_circle(d), (check.__name__, d)
 
 
 def test_report_json_shape():
@@ -191,15 +208,6 @@ def test_ca_dim_multiplies_over_disjoint_union():
     for d1, d2 in itertools.combinations_with_replacement(corpus(2, 2), 2):
         union = ca_table(disjoint_union(d1, d2))
         assert len(union.basis) == len(ca_table(d1).basis) * len(ca_table(d2).basis)
-
-
-@pytest.fixture
-def fresh_caches():
-    """Empty the caches, which a patched local table or chain kernel would
-    otherwise poison; no cache holds contact-side results."""
-    release_caches()
-    yield
-    release_caches()
 
 
 def test_verify_reports_contact_side_disagreement(monkeypatch):
@@ -432,6 +440,82 @@ def test_verify_reports_a_product_outside_the_symmetrised_span(monkeypatch):
     ) in report.mismatches
 
 
+ANNULUS_2_2 = ArcDiagram((2, 2), (1, 2, 1, 2))  # an annulus on two segments of 2
+
+
+def patch_phi(monkeypatch, change_h):
+    """Make verify's phi send a structure to its triple with h changed."""
+    real = isoverify.phi
+
+    def phi(d, x):
+        s, t, h = real(d, x)
+        return (s, t, change_h(h))
+
+    monkeypatch.setattr(isoverify, "phi", phi)
+
+
+def test_only_the_round_trip_catches_a_phi_that_reverses_h(monkeypatch):
+    """Reversing h maps the triples of 2 2 | 1 2 1 2 onto themselves, so
+    dimensions and products still agree: the round trip through phi_inv is
+    the one check that ties phi to the structures it encodes."""
+    patch_phi(monkeypatch, lambda h: h[::-1])
+    report = verify(ANNULUS_2_2)
+    assert report.mismatches == [
+        f"{way} is not the identity at {{'s': [1], 't': [2], 'h': {h}}}"
+        for h in ([0, 1], [1, 0])
+        for way in ("phi_inv . phi", "phi . phi_inv")
+    ]
+
+
+def test_verify_reports_a_phi_that_is_not_injective(monkeypatch):
+    patch_phi(monkeypatch, lambda h: tuple(0 for _ in h))
+    report = verify(ANNULUS_2_2)
+    assert [m for m in report.mismatches if m.startswith("phi not injective")] == [
+        "phi not injective at {'s': [1], 't': [2], 'h': [0, 0]}"
+    ]
+
+
+def test_verify_reports_raising_idempotent_summands(monkeypatch):
+    """A summand build that raises on the (s, s, 0) triples is reported at
+    the triple and again at the idempotent; verify still returns."""
+    real = isoverify.build_summand
+
+    def build_summand(d, s, t, h):
+        if s == t and not any(h):
+            raise ValueError(f"no summand at {sorted(s)}")
+        return real(d, s, t, h)
+
+    monkeypatch.setattr(isoverify, "build_summand", build_summand)
+    report = verify(TORUS)
+    assert not report.success
+    assert not report.unit_ok
+    subsets = [[], [1], [1, 2], [2]]  # in triple_key order
+    raised = [m for m in report.mismatches if " raised ValueError: " in m]
+    assert raised == [
+        f"summand {{'s': {s}, 't': {s}, 'h': [0, 0, 0]}} raised ValueError: no summand at {s}"
+        for s in subsets
+    ] + [
+        f"idempotent of {s} raised ValueError: no summand at {s}"
+        for s in sorted(subsets, key=len)
+    ]
+
+
+def test_verify_reports_each_idempotent_that_is_a_boundary(monkeypatch):
+    real = isoverify.is_boundary
+
+    def is_boundary(summand, cycle):
+        if len(cycle) == 1 and not next(iter(cycle)).moving:
+            return True
+        return real(summand, cycle)
+
+    monkeypatch.setattr(isoverify, "is_boundary", is_boundary)
+    report = verify(TORUS)
+    assert not report.unit_ok
+    assert [m for m in report.mismatches if m.startswith("idempotent of ")] == [
+        f"idempotent of {s} is a boundary" for s in ([], [1], [2], [1, 2])
+    ]
+
+
 def test_verify_k5_diagram():
     # beyond the k <= 3 corpus: a genus-2 surface with 334 tight structures
     report = verify(ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4)))
@@ -617,6 +701,17 @@ def test_reversal_is_an_anti_isomorphism_of_the_contact_algebra(d):
     reversing the used arcs maps the basis of CA(Z) onto that of CA(-Z),
     sends each product x * y to y' * x' (zero to zero) and identities to
     identities.  None of the three paths of verify uses this symmetry."""
+    assert reversal_failure(d) is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(arc_diagrams(min_k=4, max_k=5))
+def test_random_valid_diagrams_verify(d):
+    """Beyond the corpus: verify succeeds on random valid diagrams at k = 4
+    and 5, and reversal is an anti-isomorphism of their contact algebras."""
+    assume(is_valid(d))
+    report = verify(d)
+    assert report.success, report.mismatches
     assert reversal_failure(d) is None
 
 
