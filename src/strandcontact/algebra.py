@@ -13,15 +13,22 @@ moving part.  The record of a moving part (_moving_part, cached per
 diagram and moving strands) is the one check of moving strands: it
 checks them against the arc diagram itself when it is first built, and
 holds their start and end labels as bitmasks, their homological grading
-and their doubled Maslov degree, negated.  start, end, triple,
-hom_grading, generator_maslov2 and generator_json read that record, so
-they raise ValueError on moving strands that fail the check.  expand
-adds the check of the dotted labels.  ArcDiagram.pair is the one check
-that they lie in 1..k, for expand and generator_maslov2 alike (start,
-end and triple do not check them).  Its expansions, their resolutions and
-their products are plain strand tuples sorted by start place
-(strands.Strands), valid by construction.  Label sets are frozensets
-from one cache keyed by bitmask, so the summands' keys share them.
+and their doubled Maslov degree, negated; records with equal gradings
+share one tuple (_grading).  start, end, triple, hom_grading,
+generator_maslov2 and generator_json read that record, so they raise
+ValueError on moving strands that fail the check.  The expansions
+(_expansions) add the check of the dotted labels.  ArcDiagram.pair is
+the one check that they lie in 1..k, for the expansions and
+generator_maslov2 alike (start, end and triple do not check them).  The
+expansions, their resolutions and their products are plain strand
+tuples sorted by start place (strands.Strands), valid by construction.
+Label sets are frozensets from one cache keyed by bitmask, so the
+summands' keys share them, and the generators of one basis share one
+dotted tuple per label set.
+
+A result is cached only where it is read again: expand caches the
+expansions for products, which read a factor's many times, while
+diff_generator, called once per generator, builds them uncached.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -62,7 +69,7 @@ class SymGenerator(_SymGeneratorFields):
     contains no horizontal strand; dotted lists, sorted, the labels
     carrying a symmetrised horizontal pair.  The constructor only sorts.
     The record of the moving part is the one check of the moving strands,
-    and expand adds the check of the dotted labels.
+    and the expansions add the check of the dotted labels.
     """
 
     __slots__ = ()
@@ -121,7 +128,13 @@ def _moving_part(d: ArcDiagram, moving: Strands) -> _Part:
         for i in (step[p - 1], step[p]):
             if i is not None:
                 neg_maslov2 += h[i]
-    return _Part(starts, ends, tuple(h), neg_maslov2)
+    return _Part(starts, ends, _grading(tuple(h)), neg_maslov2)
+
+
+@cached
+def _grading(h: tuple[int, ...]) -> tuple[int, ...]:
+    """h itself, the first time: records with equal gradings share one tuple."""
+    return h
 
 
 @cached
@@ -156,8 +169,7 @@ def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
     return label_set(_masks(d, g)[1])
 
 
-@cached
-def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
+def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     """The 2^j concrete diagrams of a generator with j dotted labels, as
     strand tuples sorted by start place.
 
@@ -183,6 +195,10 @@ def expand(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
         tuple(sorted(moving + chosen))
         for chosen in itertools.product(*[horizontal[lab] for lab in dotted])
     ])
+
+
+# Cached for products, which read a factor's expansions at each product.
+expand = cached(_expansions)
 
 
 def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:
@@ -259,8 +275,9 @@ def mul_generators(
 
 
 def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
-    """Differential of a generator in the symmetrised basis."""
-    expansions = expand(d, g)
+    """Differential of a generator in the symmetrised basis, from its
+    uncached expansions: each generator is differentiated once."""
+    expansions = _expansions(d, g)
     acc = differential(expansions[0])
     for m in expansions[1:]:
         acc ^= differential(m)
@@ -297,7 +314,7 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     horizontal strand at x adds a crossing with each moving p -> q with
     p < x < q, and x a start place.  ArcDiagram.pair raises ValueError on
     a dotted label outside 1..k; the other checks of dotted labels are
-    expand's.
+    the expansions'.
     """
     moving, dotted = g
     part = _moving_part(d, moving)
@@ -339,6 +356,7 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
         if d.segment_of(p) == d.segment_of(q)
     ]
     out: list[list[SymGenerator]] = [[] for _ in range(k + 1)]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one dotted tuple per label set
 
     def extend(pos: int, chosen: list[tuple[int, int]], starts: int, ends: int):
         moving = tuple(chosen)
@@ -347,6 +365,7 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
         for need in range(len(free) + 1):
             by_count = out[len(moving) + need]
             for dotted in itertools.combinations(free, need):
+                dotted = shared.setdefault(dotted, dotted)
                 by_count.append(_new(SymGenerator, (moving, dotted)))
         for idx in range(pos, len(candidates)):
             p, q = candidates[idx]

@@ -579,14 +579,19 @@ def boundary_components_by_pivot(surface: QuadSurface) -> int:
 
 
 @st.composite
-def arc_diagrams(draw, min_k: int = 4, max_k: int = 8) -> ArcDiagram:
-    """Any arc diagram with min_k <= k <= max_k, valid or not: a
-    composition of the 2k places into segments, from a set of cut points,
-    and a pairing of the places, from a permutation, labelled in the
-    order of the pairs' first places."""
+def arc_diagrams(
+    draw, min_k: int = 4, max_k: int = 8, max_l: Optional[int] = None
+) -> ArcDiagram:
+    """Any arc diagram with min_k <= k <= max_k, valid or not, and at most
+    max_l segments when max_l is given: a composition of the 2k places
+    into segments, from a set of cut points, and a pairing of the places,
+    from a permutation, labelled in the order of the pairs' first places.
+    Without a cap the set of cut points tends to be large, so most draws
+    have many short segments."""
     k = draw(st.integers(min_k, max_k))
     n = 2 * k
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    cap = None if max_l is None else max_l - 1
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=cap)))
     sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
     order = draw(st.permutations(range(1, n + 1)))
     pairs = sorted(sorted(order[i:i + 2]) for i in range(0, n, 2))

@@ -1,9 +1,9 @@
 """The strand kernel against the direct route in tests/oracles.py.
 
-The kernel checks a generator once, in expand, against the arc diagram
-itself, works on plain strand tuples from there on, counts crossings as
-an integer, resolves only the crossings that lose exactly one inversion
-and checks orbits by their size.  These tests compare it with the route
+The kernel checks a generator once, in its expansions, against the arc
+diagram itself, works on plain strand tuples from there on, counts
+crossings as an integer, resolves only the crossings that lose exactly
+one inversion and checks orbits by their size.  These tests compare it with the route
 that validates every diagram and recounts inversion sets, hold expand's
 check to that route on arbitrary generators, and pin the guards the
 kernel keeps.  mul_generators multiplies only the expansions that meet,
@@ -125,6 +125,32 @@ def test_diff_generator_differentiates_each_expansion_once(d, monkeypatch):
         seen.clear()
         diff_generator(d, g)
         assert seen == list(expand(d, g))
+
+
+def test_summands_leave_the_expansion_cache_empty(fresh_caches):
+    """Building every summand differentiates each generator once, through
+    the uncached expansions: expand's cache holds only what products read
+    again, and building summands multiplies nothing."""
+    for s, t, h in algebra_triples(K5):
+        build_summand(K5, s, t, h)
+    info = expand.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "d, counts", [(K5, (1606, 741, 32, 226)), (K6_A, (16380, 7633, 64, 1217))], ids=["k5", "k6-a"]
+)
+def test_generators_and_records_share_equal_tuples(d, counts):
+    """The generators of one diagram hold one dotted tuple per label set,
+    and the records of their moving parts one grading tuple per distinct
+    h: equal values are one object."""
+    gens = generators(d)
+    parts = {g.moving: algebra._moving_part(d, g.moving) for g in gens}.values()
+    dotted = {g.dotted for g in gens}
+    gradings = {part.h for part in parts}
+    assert (len(gens), len(parts), len(dotted), len(gradings)) == counts
+    assert len({id(g.dotted) for g in gens}) == len(dotted)
+    assert len({id(part.h) for part in parts}) == len(gradings)
 
 
 @pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST], ids=name)
