@@ -348,7 +348,7 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
     """
     k = d.k
     total = 2 * k
-    label = d.matching
+    bit = d.label_bits
     candidates = [
         (p, q)
         for p in range(1, total + 1)
@@ -371,7 +371,7 @@ def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
             p, q = candidates[idx]
             if chosen and p <= chosen[-1][0]:
                 continue
-            s, e = 1 << label[p - 1], 1 << label[q - 1]
+            s, e = bit[p], bit[q]
             if starts & s or ends & e:  # distinct end labels imply distinct ends
                 continue
             chosen.append((p, q))

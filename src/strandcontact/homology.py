@@ -1,15 +1,15 @@
 """Homology of the constrained strand algebra, one summand at a time.
 
 The algebra splits over triples (start set, end set, homological
-grading); the basis is grouped by triple once per strand count, and that
-grouping is cached.  Each summand is a finite GF(2) chain complex graded
-by the doubled Maslov degree, with the differential dropping that degree
-by 2 and each boundary map stored as a tuple of column bitmasks.  One
-column reduction gives ranks, kernels and span tests, hence dimensions,
-boundary tests and representatives.  Independently of all that, one
-table, built from the closed-form local classification of the data of
-(h, s, t) near each matched pair, says which summands survive and in
-which degree.
+grading).  Once per strand count, the basis is grouped by triple and then
+by doubled Maslov degree; that grouping is cached, and each summand holds
+its own group as its graded basis.  Each summand is a finite GF(2) chain
+complex, with the differential dropping the degree by 2 and each boundary
+map stored as a tuple of column bitmasks.  One column reduction gives
+ranks, kernels and span tests, hence dimensions, boundary tests and
+representatives.  Independently of all that, one table, built from the
+closed-form local classification of the data of (h, s, t) near each
+matched pair, says which summands survive and in which degree.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ class HomSummand(NamedTuple):
     element of degree m, a bitmask over the basis of degree m - 2.
     """
 
-    diagram: ArcDiagram
-    s: frozenset[int]
-    t: frozenset[int]
-    h: tuple[int, ...]
     graded_basis: dict[int, tuple[SymGenerator, ...]]
     boundary: dict[int, tuple[int, ...]]
 
@@ -109,11 +105,17 @@ class HomSummand(NamedTuple):
 @cached
 def _basis_by_triple(
     d: ArcDiagram, i: int
-) -> dict[Triple, tuple[SymGenerator, ...]]:
-    buckets: dict[Triple, list[SymGenerator]] = {}
+) -> dict[Triple, dict[int, tuple[SymGenerator, ...]]]:
+    """The generators with i strands, by triple and then by doubled Maslov
+    degree: degrees ascending, each tuple in basis order."""
+    buckets: dict[Triple, dict[int, list[SymGenerator]]] = {}
     for g in enumerate_basis(d, i):
-        buckets.setdefault(triple(d, g), []).append(g)
-    return {key: tuple(gens) for key, gens in buckets.items()}
+        by_degree = buckets.setdefault(triple(d, g), {})
+        by_degree.setdefault(generator_maslov2(d, g), []).append(g)
+    return {
+        key: {m: tuple(by_degree[m]) for m in sorted(by_degree)}
+        for key, by_degree in buckets.items()
+    }
 
 
 def algebra_triples(d: ArcDiagram) -> list[Triple]:
@@ -131,14 +133,9 @@ def build_summand(
     DegreeError, a ValueError, when the differential of a generator leaves
     the summand or does not lower the doubled Maslov degree by exactly 2.
     """
-    gens: tuple[SymGenerator, ...] = ()
+    graded: dict[int, tuple[SymGenerator, ...]] = {}
     if len(s) == len(t):
-        gens = _basis_by_triple(d, len(s)).get((s, t, h), ())
-    by_degree: dict[int, list[SymGenerator]] = {}
-    for g in gens:
-        by_degree.setdefault(generator_maslov2(d, g), []).append(g)
-    graded = {m: tuple(by_degree[m]) for m in sorted(by_degree)}
-
+        graded = _basis_by_triple(d, len(s)).get((s, t, h), {})
     boundary = {}
     for m, basis in graded.items():
         target = {g: i for i, g in enumerate(graded.get(m - 2, ()))}
@@ -154,7 +151,7 @@ def build_summand(
                 column |= 1 << i
             columns.append(column)
         boundary[m] = tuple(columns)
-    return HomSummand(d, s, t, h, graded, boundary)
+    return HomSummand(graded, boundary)
 
 
 def homology_dims(summand: HomSummand) -> dict[int, int]:

@@ -350,15 +350,17 @@ def diff_sum(d: ArcDiagram, x: frozenset[SymGenerator]) -> frozenset[SymGenerato
     return acc
 
 
-def is_boundary_by_rederiving(summand: HomSummand, cycle: frozenset[SymGenerator]) -> bool:
-    """homology.is_boundary re-deriving each term's triple, Maslov degree and
-    differential instead of reading them off the built summand."""
+def is_boundary_by_rederiving(
+    d: ArcDiagram, trip: Triple, summand: HomSummand, cycle: frozenset[SymGenerator]
+) -> bool:
+    """homology.is_boundary on the summand of trip, re-deriving each term's
+    triple, Maslov degree and differential instead of reading them off the
+    built summand."""
     if not cycle:
         return True
-    d = summand.diagram
     degrees = {generator_maslov2(d, g) for g in cycle}
     triples = {triple(d, g) for g in cycle}
-    if len(degrees) != 1 or triples != {(summand.s, summand.t, summand.h)}:
+    if len(degrees) != 1 or triples != {trip}:
         raise ValueError("element does not live in one degree of this summand")
     m = next(iter(degrees))
     if diff_sum(d, cycle):

@@ -185,10 +185,10 @@ def test_products_match_direct_route(d, monkeypatch):
     assert calls == 0
 
 
-def outcome(fn, summand, cycle):
+def outcome(fn, *args):
     """What an is_boundary route returns, or the type of what it raises."""
     try:
-        return fn(summand, cycle)
+        return fn(*args)
     except ValueError as exc:
         return type(exc)
 
@@ -201,8 +201,9 @@ def test_is_boundary_matches_rederiving(d):
     generator of another summand."""
     seen = {NotACycle: 0, ValueError: 0}
     open_generators = 0
-    summands = [build_summand(d, *trip) for trip in algebra_triples(d)]
-    for summand, other in zip(summands, summands[1:] + summands[:1]):
+    triples = algebra_triples(d)
+    summands = [build_summand(d, *trip) for trip in triples]
+    for trip, summand, other in zip(triples, summands, summands[1:] + summands[:1]):
         graded = summand.graded_basis
         open_generators += sum(1 for cols in summand.boundary.values() for col in cols if col)
         elements = [frozenset({g}) for basis in graded.values() for g in basis]
@@ -214,7 +215,7 @@ def test_is_boundary_matches_rederiving(d):
         elements.append(frozenset({next(iter(other.graded_basis.values()))[0]}))
         for cycle in elements:
             got = outcome(is_boundary, summand, cycle)
-            assert got == outcome(is_boundary_by_rederiving, summand, cycle), cycle
+            assert got == outcome(is_boundary_by_rederiving, d, trip, summand, cycle), cycle
             if got in seen:
                 seen[got] += 1
     assert seen[ValueError] >= len(summands)

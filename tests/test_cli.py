@@ -2,6 +2,7 @@ import argparse
 import gc
 import glob
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -219,6 +220,33 @@ def test_homology_summand_filter(write):
     # a leading `-` needs the `=` form so argparse keeps it as a value
     empty = run_json("homology", write(TORUS), "--summand=-;-")
     assert len(empty["summands"]) == 1
+
+
+def test_homology_summand_selects_the_full_reports_rows(capsys, fresh_caches):
+    """On perfbench/inputs/verify-k4-slowest.arc, homology --summand S;T
+    gives exactly the rows of the full chain report with that s and t: for
+    each of the 70 pairs with |S| = |T|, and none for a few pairs with
+    |S| != |T|.  The caches are emptied before each run, so a selective
+    run grades its strand-count block from scratch."""
+    path = str(Path(__file__).resolve().parent.parent / "perfbench/inputs/verify-k4-slowest.arc")
+
+    def rows(*flags):
+        arcdiag.release_caches()
+        assert cli.main(["homology", path, "--method", "chain", *flags]) == 0
+        return json.loads(capsys.readouterr().out)["summands"]
+
+    full = rows()
+    subsets = [list(c) for i in range(5) for c in itertools.combinations(range(1, 5), i)]
+    pairs = [(s, t) for s in subsets for t in subsets if len(s) == len(t)]
+    assert len(pairs) == 70
+    pairs += [([], [1]), ([1, 2], [3]), ([1, 2, 3, 4], [])]
+    seen = 0
+    for s, t in pairs:
+        token = ";".join(",".join(map(str, x)) or "-" for x in (s, t))
+        expected = [row for row in full if row["s"] == s and row["t"] == t]
+        assert rows(f"--summand={token}") == expected, token
+        seen += len(expected)
+    assert seen == len(full)
 
 
 @pytest.mark.parametrize(

@@ -122,8 +122,28 @@ def test_build_summand_square_idempotent():
 def test_summand_fields_are_read_only():
     summand = build_summand(SQUARE, frozenset({1}), frozenset({1}), ())
     with pytest.raises(AttributeError):
-        summand.h = (1,)
-    assert summand.h == ()
+        summand.boundary = {}
+    assert summand.boundary == {0: (0,)}
+
+
+def test_summand_holds_its_group_of_the_basis():
+    """A summand's graded basis is the very dict that _basis_by_triple
+    holds for its triple: degrees ascending, each tuple in basis order and
+    of that degree.  Off the block (|s| != |t|) and where no generator
+    lies it is {}.  A summand holds nothing but that and its boundary."""
+    assert HomSummand._fields == ("graded_basis", "boundary")
+    for d in (TORUS, ANNULUS, K5):
+        for i in range(d.k + 1):
+            order = {g: n for n, g in enumerate(enumerate_basis(d, i))}
+            for (s, t, h), graded in homology._basis_by_triple(d, i).items():
+                assert build_summand(d, s, t, h).graded_basis is graded
+                assert list(graded) == sorted(graded)
+                for m, basis in graded.items():
+                    assert [order[g] for g in basis] == sorted(order[g] for g in basis)
+                    assert {generator_maslov2(d, g) for g in basis} == {m}
+    one = frozenset({1})
+    assert build_summand(TORUS, one, frozenset(), (0, 0, 0)) == HomSummand({}, {})
+    assert build_summand(TORUS, one, one, (1, 0, 1)) == HomSummand({}, {})
 
 
 def test_square_total_homology_dimension():
