@@ -14,12 +14,11 @@ diagram and moving strands) is the one check of moving strands: it
 checks them against the arc diagram itself when it is first built, and
 holds their start and end labels as bitmasks, their homological grading
 and their doubled Maslov degree, negated; records with equal gradings
-share one tuple (_grading).  start, end, triple, hom_grading,
-generator_maslov2 and generator_json read that record, so they raise
-ValueError on moving strands that fail the check.  The expansions
-(_expansions) add the check of the dotted labels.  ArcDiagram.pair is
-the one check that they lie in 1..k, for the expansions and
-generator_maslov2 alike (start, end and triple do not check them).  The
+share one tuple (_grading).  triple and generator_maslov2 read that
+record, so they raise ValueError on moving strands that fail the check.
+The expansions (_expansions) add the check of the dotted labels.
+ArcDiagram.pair is the one check that they lie in 1..k, for the
+expansions and generator_maslov2 alike (triple does not check them).  The
 expansions, their resolutions and their products are plain strand
 tuples sorted by start place (strands.Strands), valid by construction.
 Label sets are frozensets from one cache keyed by bitmask, so the
@@ -143,15 +142,6 @@ def label_set(mask: int) -> frozenset[int]:
     return frozenset([lab for lab in range(mask.bit_length()) if mask >> lab & 1])
 
 
-def _masks(d: ArcDiagram, g: SymGenerator) -> tuple[int, int, _Part]:
-    """(start mask, end mask, moving-part record) of a generator."""
-    part = _moving_part(d, g.moving)
-    dotted = 0
-    for lab in g.dotted:
-        dotted |= 1 << lab
-    return part.starts | dotted, part.ends | dotted, part
-
-
 @cached
 def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Entry lab: the horizontal strands (x, x) at the two places of label
@@ -159,14 +149,6 @@ def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     return ((),) + tuple(
         tuple([(x, x) for x in d.pair(lab)]) for lab in range(1, d.k + 1)
     )
-
-
-def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return label_set(_masks(d, g)[0])
-
-
-def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
-    return label_set(_masks(d, g)[1])
 
 
 def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
@@ -294,15 +276,15 @@ def mul_sums(
     return acc
 
 
-def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
-    """Homological grading of a generator; dotted pairs contribute zero."""
-    return _moving_part(d, g.moving).h
-
-
 def triple(d: ArcDiagram, g: SymGenerator) -> Triple:
-    """The (s, t, h) summand a generator lives in."""
-    s, t, part = _masks(d, g)
-    return (label_set(s), label_set(t), part.h)
+    """The (s, t, h) summand a generator lives in: its start and end
+    labels, each dotted label among both, and the grading of its moving
+    strands (dotted pairs contribute zero)."""
+    part = _moving_part(d, g.moving)
+    dotted = 0
+    for lab in g.dotted:
+        dotted |= 1 << lab
+    return (label_set(part.starts | dotted), label_set(part.ends | dotted), part.h)
 
 
 def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
@@ -396,12 +378,3 @@ def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
 def idempotent(d: ArcDiagram, s: frozenset[int]) -> SymGenerator:
     """The symmetrised idempotent on a label set."""
     return SymGenerator((), tuple(sorted(s)))
-
-
-def generator_json(d: ArcDiagram, g: SymGenerator) -> dict:
-    return {
-        "s": sorted(start(d, g)),
-        "t": sorted(end(d, g)),
-        "moving": [list(strand) for strand in g.moving],
-        "dotted": list(g.dotted),
-    }

@@ -18,13 +18,7 @@ from .arcdiag import (
     surgery_circle,
     to_quad_surface,
 )
-from .algebra import (
-    NotInSymmetrisedSpan,
-    enumerate_basis,
-    generator_json,
-    generator_maslov2,
-    hom_grading,
-)
+from .algebra import NotInSymmetrisedSpan, enumerate_basis, generator_maslov2, triple
 from .contact import StackNotInBasis, enumerate_tight, structure_json
 from .homology import DegreeError, algebra_triples, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
@@ -135,8 +129,11 @@ def load(args):
 
 
 def emit(args, payload: dict, pretty_lines=None) -> None:
+    """Print payload as JSON, or under --pretty the lines that
+    pretty_lines, a function of no arguments, returns: the lines are
+    built only when they are printed."""
     if args.pretty and pretty_lines is not None:
-        for line in pretty_lines:
+        for line in pretty_lines():
             print(line)
     else:
         # One dumps per top-level value and per slice of 64 elements of a
@@ -184,12 +181,12 @@ def cmd_validate(args) -> int:
     d = parse_file(args)
     circle = surgery_circle(d)
     if circle is None:
-        emit(args, {"schema": 1, "valid": True}, ["valid"])
+        emit(args, {"schema": 1, "valid": True}, lambda: ["valid"])
         return OK
     emit(
         args,
         {"schema": 1, "valid": False, "circle": list(circle)},
-        [f"invalid: circle through places {list(circle)}"],
+        lambda: [f"invalid: circle through places {list(circle)}"],
     )
     return FAILURE
 
@@ -212,8 +209,9 @@ def cmd_info(args) -> int:
         "genus": surf.genus,
         "marked_points": surf.marked_point_count,
     }
-    pretty = [f"{key}: {value}" for key, value in payload.items() if key != "schema"]
-    emit(args, payload, pretty)
+    emit(args, payload, lambda: [
+        f"{key}: {value}" for key, value in payload.items() if key != "schema"
+    ])
     return OK
 
 
@@ -228,18 +226,24 @@ def cmd_basis(args) -> int:
     gens = []
     for i in counts:
         for g in enumerate_basis(d, i):
-            entry = generator_json(d, g)
-            entry["strands"] = g.strand_count
-            entry["maslov2"] = generator_maslov2(d, g)
-            entry["hom"] = list(hom_grading(d, g))
-            gens.append(entry)
+            s, t, h = triple(d, g)
+            gens.append(
+                {
+                    "s": sorted(s),
+                    "t": sorted(t),
+                    "moving": [list(strand) for strand in g.moving],
+                    "dotted": list(g.dotted),
+                    "strands": g.strand_count,
+                    "maslov2": generator_maslov2(d, g),
+                    "hom": list(h),
+                }
+            )
     payload = {"schema": 1, "count": len(gens), "generators": gens}
-    pretty = [f"{len(gens)} generators"] + [
+    emit(args, payload, lambda: [f"{len(gens)} generators"] + [
         f"  s={g['s']} t={g['t']} moving={g['moving']} dotted={g['dotted']} "
         f"maslov2={g['maslov2']} h={g['hom']}"
         for g in gens
-    ]
-    emit(args, payload, pretty)
+    ])
     return OK
 
 
@@ -270,10 +274,9 @@ def cmd_homology(args) -> int:
             row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}
             rows.append(row)
     payload = {"schema": 1, "method": args.method, "summands": rows}
-    pretty = [f"{len(rows)} nonzero summands ({args.method})"] + [
+    emit(args, payload, lambda: [f"{len(rows)} nonzero summands ({args.method})"] + [
         f"  s={r['s']} t={r['t']} h={r['h']} dims={r['dims']}" for r in rows
-    ]
-    emit(args, payload, pretty)
+    ])
     return OK
 
 
@@ -287,36 +290,32 @@ def cmd_contact(args) -> int:
             continue
         if want_to is not None and xi.top != want_to:
             continue
-        rows.append(structure_json(d, xi))
+        rows.append(structure_json(xi))
     payload = {"schema": 1, "count": len(rows), "structures": rows}
-    pretty = [f"{len(rows)} tight structures"] + [
+    emit(args, payload, lambda: [f"{len(rows)} tight structures"] + [
         f"  bottom={r['bottom']} top={r['top']} used={r['used']}" for r in rows
-    ]
-    emit(args, payload, pretty)
+    ])
     return OK
 
 
 def cmd_verify(args) -> int:
     d = load(args)
     report = verify(d)
-    payload = report.to_json()
-    pretty = [
+    emit(args, report.to_json(), lambda: [
         f"dim CA = {report.ca_dim}, dim H = {report.homology_dim}",
         f"summands checked: {len(report.summands)}",
         f"products checked: {report.products_checked}",
         "verified: " + ("yes" if report.success else "NO"),
-    ] + [f"  mismatch: {m}" for m in report.mismatches]
-    emit(args, payload, pretty)
+    ] + [f"  mismatch: {m}" for m in report.mismatches])
     return OK if report.success else FAILURE
 
 
 def cmd_sfh(args) -> int:
     d = load(args)
     table = sfh_table(d)
-    payload = table.to_json()
-    pretty = ["rows/cols over dividing sets " + str([list(s) for s in table.dividing_sets])]
-    pretty += ["  " + " ".join(str(x) for x in row) for row in table.matrix]
-    emit(args, payload, pretty)
+    emit(args, table.to_json(), lambda: [
+        "rows/cols over dividing sets " + str([list(s) for s in table.dividing_sets])
+    ] + ["  " + " ".join(str(x) for x in row) for row in table.matrix])
     return OK
 
 
@@ -355,11 +354,10 @@ def cmd_corpus(args) -> int:
         "all_ok": all_ok,
         "results": results,
     }
-    pretty = [f"{len(diagrams)} diagrams, all_ok={all_ok}"] + [
+    emit(args, payload, lambda: [f"{len(diagrams)} diagrams, all_ok={all_ok}"] + [
         f"  {r['segments']} {r['matching']}: dim={r['dim']} ok={r['ok']}"
         for r in results
-    ]
-    emit(args, payload, pretty)
+    ])
     return OK if all_ok else FAILURE
 
 

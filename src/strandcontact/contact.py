@@ -209,7 +209,7 @@ def ca_table(d: ArcDiagram) -> CATable:
         for j in by_bottom.get(x0.top, ()):
             prod = stack(surface, x0, basis[j])
             if prod is not None and prod not in position:
-                raise StackNotInBasis(f"stacked {structure_json(d, prod)} is not in the basis")
+                raise StackNotInBasis(f"stacked {structure_json(prod)} is not in the basis")
             products[(i, j)] = position.get(prod)
     identities = tuple(
         i for i, xi in enumerate(basis) if xi.bottom == xi.top and not xi.used_arcs
@@ -217,7 +217,7 @@ def ca_table(d: ArcDiagram) -> CATable:
     return CATable(basis, products, identities)
 
 
-def structure_json(d: ArcDiagram, xi: ContactStructure) -> dict:
+def structure_json(xi: ContactStructure) -> dict:
     return {
         "bottom": sorted(xi.bottom),
         "top": sorted(xi.top),

@@ -87,10 +87,7 @@ def phi_inv(
 class IsoReport(NamedTuple):
     """Outcome of the three-way check on one diagram."""
 
-    segment_sizes: tuple[int, ...]
-    matching: tuple[int, ...]
-    k: int
-    l: int
+    diagram: ArcDiagram
     summands: list[dict]
     bijection: list[dict]
     by_euler: list[dict]
@@ -106,12 +103,13 @@ class IsoReport(NamedTuple):
         return not self.mismatches
 
     def to_json(self) -> dict:
+        d = self.diagram
         return {
             "schema": 1,
-            "segments": list(self.segment_sizes),
-            "matching": list(self.matching),
-            "k": self.k,
-            "l": self.l,
+            "segments": list(d.segment_sizes),
+            "matching": list(d.matching),
+            "k": d.k,
+            "l": d.l,
             "ca_dim": self.ca_dim,
             "homology_dim": self.homology_dim,
             "summands": self.summands,
@@ -168,8 +166,9 @@ def verify(d: ArcDiagram) -> IsoReport:
     # the bijection's round trips, the Euler-class blocks
     summand_rows = []
     bijection = []
+    homology_dim = 0
     reps: dict[Triple, frozenset[SymGenerator]] = {}
-    by_i: dict[int, dict[str, int]] = {}
+    by_i: dict[int, dict[str, int]] = {}  # the Euler-class blocks, by strand count
     form = closed_form(d)
     for trip in sorted(
         set(contact_triples) | set(algebra_triples(d)) | form.keys(), key=triple_key
@@ -184,24 +183,23 @@ def verify(d: ArcDiagram) -> IsoReport:
             summand = None
         dims = homology_dims(summand) if summand is not None else {}
         chain = sum(dims.values())
+        homology_dim += chain
+        maslov2 = next(iter(dims)) if dims else None
         local = int(summand_nonzero(d, s, t, h))
         xi = contact_triples.get(trip)
         contact = int(xi is not None)
         row = triple_json(trip)
-        row["contact"] = contact
-        row["local"] = local
-        row["chain"] = chain
-        row["maslov2"] = next(iter(dims)) if dims else None
+        row.update(contact=contact, local=local, chain=chain, maslov2=maslov2)
         summand_rows.append(row)
         if not (contact == local == chain):
             mismatches.append(
                 f"dimension columns disagree at {triple_json(trip)}: "
                 f"contact={contact} local={local} chain={chain}"
             )
-        if local and chain and row["maslov2"] != form[trip]:
+        if local and chain and maslov2 != form[trip]:
             mismatches.append(
                 f"degrees disagree at {triple_json(trip)}: "
-                f"local maslov2={form[trip]} chain maslov2={row['maslov2']}"
+                f"local maslov2={form[trip]} chain maslov2={maslov2}"
             )
         if len(dims) > 1:
             mismatches.append(
@@ -221,7 +219,7 @@ def verify(d: ArcDiagram) -> IsoReport:
                             f"phi_inv . phi is not the identity at {triple_json(trip)}"
                         )
                     bijection.append(
-                        {"structure": structure_json(d, xi), "generator": triple_json(trip)}
+                        {"structure": structure_json(xi), "generator": triple_json(trip)}
                     )
                 if chain and phi(d, back) != trip:
                     mismatches.append(
@@ -230,7 +228,8 @@ def verify(d: ArcDiagram) -> IsoReport:
         if contact and len(s) != len(t):
             mismatches.append(f"tight structure with |s| != |t| at {triple_json(trip)}")
         if len(s) == len(t):
-            block = by_i.setdefault(len(s), {"ca_dim": 0, "h_dim": 0})
+            i = len(s)
+            block = by_i.setdefault(i, {"i": i, "e": d.k - 2 * i, "ca_dim": 0, "h_dim": 0})
             block["ca_dim"] += contact
             block["h_dim"] += chain
 
@@ -298,28 +297,20 @@ def verify(d: ArcDiagram) -> IsoReport:
             mismatches.append(f"idempotent of {sorted(s)} is a boundary")
 
     # -- grading: Euler class against strand count, per summand block
-    by_euler = []
-    for i in sorted(by_i):
-        block = by_i[i]
-        e = d.k - 2 * i
+    by_euler = [by_i[i] for i in sorted(by_i)]
+    for block in by_euler:
         if block["ca_dim"] != block["h_dim"]:
             mismatches.append(
-                f"euler-class block e={e} disagrees: CA {block['ca_dim']} vs H {block['h_dim']}"
+                f"euler-class block e={block['e']} disagrees: "
+                f"CA {block['ca_dim']} vs H {block['h_dim']}"
             )
-        by_euler.append(
-            {"i": i, "e": e, "ca_dim": block["ca_dim"], "h_dim": block["h_dim"]}
-        )
 
     ca_dim = len(table.basis)
-    homology_dim = sum(row["chain"] for row in summand_rows)
     if ca_dim != homology_dim:
         mismatches.append(f"total dimensions disagree: CA {ca_dim} vs H {homology_dim}")
 
     return IsoReport(
-        segment_sizes=d.segment_sizes,
-        matching=d.matching,
-        k=d.k,
-        l=d.l,
+        diagram=d,
         summands=summand_rows,
         bijection=bijection,
         by_euler=by_euler,

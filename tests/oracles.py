@@ -2,7 +2,8 @@
 
 Each one is the exhaustive way of doing a job that the package does more
 cleverly, so a test can compare the two on small inputs.  arc_diagrams
-draws the random inputs that property tests compare them on.
+draws the random inputs that property tests compare them on, and
+valid_arc_diagrams random valid ones.
 """
 
 import functools
@@ -18,9 +19,7 @@ from strandcontact.algebra import (
     Triple,
     _new,
     diff_generator,
-    end,
     generator_maslov2,
-    start,
     triple,
 )
 from strandcontact.arcdiag import (
@@ -44,7 +43,7 @@ from strandcontact.homology import (
     gf2_in_span,
     summand_nonzero,
 )
-from strandcontact.isoverify import _pairings
+from strandcontact.isoverify import _pairings, corpus
 from strandcontact.strands import Strands, inversions
 
 
@@ -186,6 +185,21 @@ def sections(d: ArcDiagram, s: frozenset[int]) -> list[frozenset[int]]:
             frozenset(d.pair(lab)[c] for lab, c in zip(labels, choice))
         )
     return out
+
+
+def start(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
+    """The start labels of a generator, read off its triple."""
+    return triple(d, g)[0]
+
+
+def end(d: ArcDiagram, g: SymGenerator) -> frozenset[int]:
+    """The end labels of a generator, read off its triple."""
+    return triple(d, g)[1]
+
+
+def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
+    """The homological grading of a generator, read off its triple."""
+    return triple(d, g)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +595,15 @@ def boundary_components_by_pivot(surface: QuadSurface) -> int:
 
 
 @st.composite
-def arc_diagrams(
-    draw, min_k: int = 4, max_k: int = 8, max_l: Optional[int] = None
-) -> ArcDiagram:
-    """Any arc diagram with min_k <= k <= max_k, valid or not, and at most
-    max_l segments when max_l is given: a composition of the 2k places
-    into segments, from a set of cut points, and a pairing of the places,
-    from a permutation, labelled in the order of the pairs' first places.
-    Without a cap the set of cut points tends to be large, so most draws
-    have many short segments."""
+def arc_diagrams(draw, min_k: int = 4, max_k: int = 8) -> ArcDiagram:
+    """Any arc diagram with min_k <= k <= max_k, valid or not: a
+    composition of the 2k places into segments, from a set of cut points,
+    and a pairing of the places, from a permutation, labelled in the order
+    of the pairs' first places.  The set of cut points tends to be large,
+    so most draws have many short segments."""
     k = draw(st.integers(min_k, max_k))
     n = 2 * k
-    cap = None if max_l is None else max_l - 1
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=cap)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
     sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
     order = draw(st.permutations(range(1, n + 1)))
     pairs = sorted(sorted(order[i:i + 2]) for i in range(0, n, 2))
@@ -601,6 +611,24 @@ def arc_diagrams(
     for lab, (v, w) in enumerate(pairs, start=1):
         matching[v - 1] = matching[w - 1] = lab
     return ArcDiagram(sizes, matching)
+
+
+def valid_arc_diagrams(min_k: int, max_k: int, max_l: int):
+    """A valid arc diagram with min_k <= k <= max_k on at most max_l
+    segments: a diagram of corpus(max_k, max_l), which lists one of each
+    class of segment orders, with its segments in a drawn order.  Validity
+    does not depend on the segment order, so every draw is valid."""
+    pool = [d for d in corpus(max_k, max_l) if d.k >= min_k]
+    return st.sampled_from(pool).flatmap(_in_some_segment_order)
+
+
+def _in_some_segment_order(d: ArcDiagram):
+    return st.permutations(range(d.l)).map(
+        lambda order: ArcDiagram(
+            tuple(d.segment_sizes[j] for j in order),
+            tuple(d.label(p) for j in order for p in d.segment_places(j)),
+        )
+    )
 
 
 def compositions(total: int, parts: int):

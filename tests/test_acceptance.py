@@ -18,7 +18,10 @@ from oracles import (
     crossingless_generators,
     diff_sum,
     dividing_curve_components,
+    end,
+    hom_grading,
     local_case,
+    start,
 )
 from strandcontact.arcdiag import (
     ArcDiagram,
@@ -27,13 +30,10 @@ from strandcontact.arcdiag import (
 )
 from strandcontact.algebra import (
     diff_generator,
-    end,
     enumerate_basis,
     generator_maslov2,
-    hom_grading,
     mul_generators,
     mul_sums,
-    start,
 )
 from strandcontact.contact import CubeData, ca_table, cube_tight
 from strandcontact.homology import (

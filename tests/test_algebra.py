@@ -8,26 +8,25 @@ from oracles import (
     StrandDiagram,
     all_diagrams,
     diff_sum,
+    end,
     from_diagram,
+    hom_grading,
     hom_vector,
     is_constrained,
     maslov2,
     sections,
+    start,
 )
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
-    end,
     enumerate_basis,
     expand,
-    generator_json,
     generator_maslov2,
-    hom_grading,
     idempotent,
     mul_generators,
     mul_sums,
-    start,
 )
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
@@ -254,16 +253,6 @@ def test_associativity_small():
                     lhs = mul_sums(d, left, frozenset({g3}))
                     rhs = mul_sums(d, frozenset({g1}), mul_generators(d, g2, g3))
                     assert lhs == rhs
-
-
-def test_generator_json():
-    g = SymGenerator(((1, 3),), (2,))
-    assert generator_json(TORUS, g) == {
-        "s": [1, 2],
-        "t": [1, 2],
-        "moving": [[1, 3]],
-        "dotted": [2],
-    }
 
 
 def test_generator_is_an_immutable_tuple_of_its_fields():

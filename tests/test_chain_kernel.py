@@ -21,12 +21,15 @@ from oracles import (
     all_diagrams,
     diff_generator_by_recount,
     differential_by_recount,
+    end,
     enumerate_basis_per_count,
     generator_maslov2_of_expansion,
+    hom_grading,
     is_boundary_by_rederiving,
     mul_generators_by_recount,
     multiply_by_recount,
     regroup_by_sets,
+    start,
     triple_of_expansion,
     validating_expand,
 )
@@ -35,14 +38,11 @@ from strandcontact.algebra import (
     NotInSymmetrisedSpan,
     SymGenerator,
     diff_generator,
-    end,
     enumerate_basis,
     expand,
     generator_maslov2,
-    hom_grading,
     mul_generators,
     regroup,
-    start,
     triple,
 )
 from strandcontact.arcdiag import ArcDiagram

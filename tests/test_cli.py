@@ -116,6 +116,25 @@ def test_basis_strand_filter(write):
         assert payload["count"] == count
 
 
+def test_basis_row_of_a_dotted_generator(write, capsys):
+    """The basis row of the torus generator 1 -> 3 with label 2 dotted:
+    the dotted label counts among both its start and end labels, and the
+    keys come in the report's order."""
+    assert cli.main(["basis", write(TORUS), "--strands", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["generators"]
+    row = next(r for r in rows if r["moving"] == [[1, 3]])
+    assert list(row) == ["s", "t", "moving", "dotted", "strands", "maslov2", "hom"]
+    assert row == {
+        "s": [1, 2],
+        "t": [1, 2],
+        "moving": [[1, 3]],
+        "dotted": [2],
+        "strands": 2,
+        "maslov2": -1,
+        "hom": [1, 1, 0],
+    }
+
+
 @pytest.mark.parametrize(
     "verb, flags",
     [
@@ -496,6 +515,35 @@ def test_pretty_mode(write):
     proc = run("info", write(TORUS), "--pretty")
     assert proc.returncode == 0
     assert "euler_char: -1" in proc.stdout
+
+
+def test_pretty_output_of_every_verb_is_pinned(monkeypatch, capsys):
+    """Each verb under --pretty, its lines followed by `<argv>: exit <code>`,
+    hashes to tests/pretty.sha256, recorded before the lines were built
+    only when printed.  The k=4 input reaches every verb's line builder,
+    loop.arc the circle line of validate, and corpus its own."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    k4 = "perfbench/inputs/verify-k4-slowest.arc"
+    runs = [
+        ["validate", "--pretty", k4],
+        ["info", "--pretty", k4],
+        ["basis", "--pretty", k4],
+        ["homology", "--pretty", "--method", "chain", k4],
+        ["homology", "--pretty", "--method", "local", k4],
+        ["contact", "--pretty", k4],
+        ["verify", "--pretty", k4],
+        ["sfh-table", "--pretty", k4],
+        ["validate", "--pretty", "diagrams/loop.arc"],
+        ["corpus", "--max-k", "2", "--max-l", "2", "--pretty"],
+    ]
+    stream = []
+    for argv in runs:
+        code = cli.main(argv)
+        stream.append(f"{capsys.readouterr().out}{' '.join(argv)}: exit {code}\n")
+    assert stream[-2].endswith("diagrams/loop.arc: exit 1\n")
+    digest = (root / "tests" / "pretty.sha256").read_text().split()[0]
+    assert hashlib.sha256("".join(stream).encode()).hexdigest() == digest
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

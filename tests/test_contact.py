@@ -322,7 +322,7 @@ def test_structure_json():
     surface = to_quad_surface(TORUS)
     one = frozenset({1})
     xi = make_structure(surface, one, one, frozenset({0, 1}))
-    assert structure_json(TORUS, xi) == {
+    assert structure_json(xi) == {
         "bottom": [1],
         "top": [1],
         "used": [0, 1],

@@ -8,13 +8,10 @@ from strandcontact.arcdiag import ArcDiagram, release_caches
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
-    end,
     enumerate_basis,
     generator_maslov2,
-    hom_grading,
     idempotent,
     mul_sums,
-    start,
 )
 from strandcontact.homology import (
     HomSummand,
@@ -33,7 +30,7 @@ from strandcontact.homology import (
     total_dim,
 )
 from strandcontact.isoverify import corpus
-from oracles import local_case, local_maslov2, local_nonzero
+from oracles import end, hom_grading, local_case, local_maslov2, local_nonzero, start
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
