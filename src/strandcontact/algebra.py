@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet, NamedTuple
 
-from .arcdiag import ArcDiagram, cached
+from .arcdiag import ArcDiagram, block_cached, cached
 from .strands import Strands, crossing_count, differential, multiply
 from .strands import inversions  # unused here; perfbench/tracing.py wraps this binding
 
@@ -179,8 +179,9 @@ def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     ])
 
 
-# Cached for products, which read a factor's expansions at each product.
-expand = cached(_expansions)
+# Cached for products, which read a factor's expansions at each product;
+# a generator's expansions have its strand count, so in the block scope.
+expand = block_cached(_expansions)
 
 
 def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:

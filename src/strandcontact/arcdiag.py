@@ -10,7 +10,10 @@ places both checks validity and counts the boundary components; the
 surface may be disconnected, so its genus is summed over its components.
 
 Every memoized function of the package is declared with `cached`, and
-release_caches empties all their caches.  The tables of one diagram
+release_caches empties all their caches.  Those whose keys each belong
+to one strand count are declared with `block_cached` instead:
+release_block empties just them, so a verb that walks the strand counts
+one at a time frees each block's work before the next.  The tables of one diagram
 (steps, places, label bits) are members of the ArcDiagram instead, and
 live as long as it does.
 
@@ -26,6 +29,10 @@ import re
 from typing import NamedTuple, Optional
 
 _caches: list = []
+_block_caches: list = []
+# (hits, misses) that each cache of the block scope counted up to its last
+# release_block, until release_caches
+_released: dict = {}
 
 
 def cached(fn):
@@ -35,11 +42,44 @@ def cached(fn):
     return wrapper
 
 
+def block_cached(fn):
+    """`cached`, in the block scope: release_block empties it too.
+
+    Each key of the cache must be looked up in one block only.  Its
+    cache_info counts hits and misses across block releases, as one
+    cache kept for the whole verb would count them; only release_caches
+    resets them.
+    """
+    wrapper = cached(fn)
+    own_info = wrapper.cache_info
+
+    def cache_info():
+        info = own_info()
+        hits, misses = _released.get(wrapper, (0, 0))
+        return info._replace(hits=info.hits + hits, misses=info.misses + misses)
+
+    wrapper.cache_info = cache_info
+    _block_caches.append(wrapper)
+    return wrapper
+
+
+def release_block() -> None:
+    """Empty every cache of the block scope, keeping its counts: a walk
+    over the strand counts calls this after each one, so its memory stays
+    that of one block."""
+    for cache in _block_caches:
+        info = cache.cache_info()
+        _released[cache] = (info.hits, info.misses)
+        cache.cache_clear()
+
+
 def release_caches() -> None:
-    """Empty every cache made by `cached`: a loop over many diagrams calls
-    this after each one, so its memory stays that of one diagram."""
+    """Empty every cache made by `cached` and reset its counts: a loop over
+    many diagrams calls this after each one, so its memory stays that of
+    one diagram."""
     for cache in _caches:
         cache.cache_clear()
+    _released.clear()
 
 
 class ArcDiagramError(ValueError):

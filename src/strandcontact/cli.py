@@ -14,13 +14,14 @@ from .arcdiag import (
     ParseError,
     parse_arc_diagram,
     read_int,
+    release_block,
     release_caches,
     surgery_circle,
     to_quad_surface,
 )
 from .algebra import NotInSymmetrisedSpan, enumerate_basis, generator_maslov2, triple
 from .contact import StackNotInBasis, enumerate_tight, structure_json
-from .homology import DegreeError, algebra_triples, build_summand, closed_form, homology_dims
+from .homology import DegreeError, block_triples, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
@@ -247,28 +248,41 @@ def cmd_basis(args) -> int:
     return OK
 
 
-def _summand_triples(d, selector, method):
-    """The triples a homology report visits: every triple of the basis for
-    the chain method, only the closed form's nonzero ones for the local."""
-    found = algebra_triples(d) if method == "chain" else closed_form(d)
-    triples = sorted(found, key=triple_key)
-    if selector is None:
-        return triples
-    s_token, _, t_token = selector.partition(";")
-    if not t_token:
-        raise ArcDiagramError("--summand wants S;T with `-` for the empty set")
-    s, t = parse_subset(s_token, d.k), parse_subset(t_token, d.k)
-    return [trip for trip in triples if trip[0] == s and trip[1] == t]
+def _summand_dims(d, selector, method) -> dict:
+    """Each triple a homology report visits, mapped to its homology
+    dimensions by degree: every triple of the basis for the chain method,
+    one strand count at a time, and only the closed form's nonzero ones
+    for the local.  A selector S;T keeps the triples with that s and t,
+    so the chain method groups block |S| alone, and none when |S| != |T|."""
+    counts = range(d.k + 1)
+    want = None
+    if selector is not None:
+        s_token, _, t_token = selector.partition(";")
+        if not t_token:
+            raise ArcDiagramError("--summand wants S;T with `-` for the empty set")
+        want = (parse_subset(s_token, d.k), parse_subset(t_token, d.k))
+        counts = [len(want[0])] if len(want[0]) == len(want[1]) else []
+    if method == "local":
+        return {
+            trip: {m: 1}
+            for trip, m in closed_form(d).items()
+            if want is None or trip[:2] == want
+        }
+    found = {}
+    for i in counts:
+        for trip in block_triples(d, i):
+            if want is None or trip[:2] == want:
+                found[trip] = homology_dims(build_summand(d, *trip))
+        release_block()
+    return found
 
 
 def cmd_homology(args) -> int:
     d = load(args)
+    found = _summand_dims(d, args.summand, args.method)
     rows = []
-    for trip in _summand_triples(d, args.summand, args.method):
-        if args.method == "chain":
-            dims = homology_dims(build_summand(d, *trip))
-        else:
-            dims = {closed_form(d)[trip]: 1}
+    for trip in sorted(found, key=triple_key):
+        dims = found[trip]
         if dims:
             row = triple_json(trip)
             row["dims"] = {str(m): dim for m, dim in sorted(dims.items())}

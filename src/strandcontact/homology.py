@@ -1,9 +1,12 @@
 """Homology of the constrained strand algebra, one summand at a time.
 
 The algebra splits over triples (start set, end set, homological
-grading).  Once per strand count, the basis is grouped by triple and then
-by doubled Maslov degree; that grouping is cached, and each summand holds
-its own group as its graded basis.  Each summand is a finite GF(2) chain
+grading), and each triple lies in one strand count.  Once per strand
+count, the basis is grouped by triple and then by doubled Maslov degree;
+that grouping is cached, and each summand holds its own group as its
+graded basis.  Both caches are in the block scope, so a verb that walks
+the strand counts frees a block's grouping and summands with
+release_block.  Each summand is a finite GF(2) chain
 complex, with the differential dropping the degree by 2 and each boundary
 map stored as a tuple of column bitmasks.  One column reduction gives
 ranks, kernels and span tests, hence dimensions, boundary tests and
@@ -18,7 +21,7 @@ import itertools
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .arcdiag import ArcDiagram, cached
+from .arcdiag import ArcDiagram, block_cached, cached
 from .algebra import (
     SymGenerator,
     Triple,
@@ -102,7 +105,7 @@ class HomSummand(NamedTuple):
     boundary: dict[int, tuple[int, ...]]
 
 
-@cached
+@block_cached
 def _basis_by_triple(
     d: ArcDiagram, i: int
 ) -> dict[Triple, dict[int, tuple[SymGenerator, ...]]]:
@@ -118,13 +121,12 @@ def _basis_by_triple(
     }
 
 
-def algebra_triples(d: ArcDiagram) -> list[Triple]:
-    """Every triple realised by a basis generator, by strand count, then
-    in basis order."""
-    return [trip for i in range(d.k + 1) for trip in _basis_by_triple(d, i)]
+def block_triples(d: ArcDiagram, i: int) -> list[Triple]:
+    """Every triple realised by a generator with i strands, in basis order."""
+    return list(_basis_by_triple(d, i))
 
 
-@cached
+@block_cached
 def build_summand(
     d: ArcDiagram, s: frozenset[int], t: frozenset[int], h: tuple[int, ...]
 ) -> HomSummand:

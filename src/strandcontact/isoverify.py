@@ -8,20 +8,29 @@ local description, and GF(2) chain homology.  It makes four passes, each
 over the objects its checks are about: the basis structures, the triples
 (dimensions, round trips, Euler-class blocks), the composable pairs (the
 full multiplication table with its zero pattern, and the unit's action)
-and the label subsets (identities and idempotents).  Each mismatch is
-reported once, in pass order.
+and the label subsets (identities and idempotents).  A product of
+generators keeps their strand count, so the last three passes run one
+strand-count block at a time, and each block's graded basis, summands
+and expansions are released before the next (arcdiag.release_block).
+The triples with |s| != |t|, which only a faulty table realises, come
+last.  Rows and the triple pass's mismatches are sorted by triple_key at
+the end, and each pass's mismatches follow the pass before it, so each
+mismatch is reported once, in pass order, and in the order of the triples
+within the triple pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from operator import add
 from typing import NamedTuple, Optional
 
 from .arcdiag import (
     ArcDiagram,
     label_subsets,
+    release_block,
     surgery_walk,
     to_quad_surface,
 )
@@ -41,7 +50,7 @@ from .contact import (
     structure_json,
 )
 from .homology import (
-    algebra_triples,
+    block_triples,
     build_summand,
     closed_form,
     homology_dims,
@@ -147,162 +156,211 @@ def _chain_class(
     return None if is_boundary(build_summand(d, *trip), product) else trip
 
 
+def _row_key(row: dict):
+    """triple_key of the triple a row was written from."""
+    return (row["s"], row["t"], row["h"])
+
+
 def verify(d: ArcDiagram) -> IsoReport:
     """Run the full three-way check on one valid arc diagram."""
     t0 = time.perf_counter()
     table = ca_table(d)  # its surface refuses an invalid diagram
-    mismatches: list[str] = []
+    structure_mismatches: list[str] = []
 
     # -- structures: phi is injective on the basis
     basis_triples = [phi(d, xi) for xi in table.basis]
     contact_triples: dict[Triple, ContactStructure] = {}
     for xi, trip in zip(table.basis, basis_triples):
         if trip in contact_triples:
-            mismatches.append(f"phi not injective at {triple_json(trip)}")
+            structure_mismatches.append(f"phi not injective at {triple_json(trip)}")
         contact_triples[trip] = xi
 
-    # -- triples, in triple_key order, realised on any side: contact count
-    # vs local table vs chain dimension, the local degree vs the chain's,
-    # the bijection's round trips, the Euler-class blocks
+    # The other passes run one block at a time: strand count i holds the
+    # triples with |s| = |t| = i, and the composable pairs whose left
+    # factor has i labels on at its bottom.  The basis is ordered by
+    # bottom as in label_subsets, by size first, so each block's pairs
+    # are consecutive in table.products.  Last comes the block None of
+    # the triples with |s| != |t|, which only a faulty table realises:
+    # no generator lies there.
+    form = closed_form(d)
+    known: dict[Optional[int], set[Triple]] = {}
+    for trip in itertools.chain(contact_triples, form):
+        s, t, _ = trip
+        known.setdefault(len(s) if len(s) == len(t) else None, set()).add(trip)
+    pairs = iter(table.products.items())
+    pair_counts = Counter(len(table.basis[i].bottom) for i, _ in table.products)
+    subsets = label_subsets(d)
+
     summand_rows = []
     bijection = []
     homology_dim = 0
-    reps: dict[Triple, frozenset[SymGenerator]] = {}
     by_i: dict[int, dict[str, int]] = {}  # the Euler-class blocks, by strand count
-    form = closed_form(d)
-    for trip in sorted(
-        set(contact_triples) | set(algebra_triples(d)) | form.keys(), key=triple_key
-    ):
-        s, t, h = trip
-        try:
-            summand = build_summand(d, s, t, h)
-        except (ValueError, NotInSymmetrisedSpan) as exc:
-            mismatches.append(
-                f"summand {triple_json(trip)} raised {type(exc).__name__}: {exc}"
-            )
-            summand = None
-        dims = homology_dims(summand) if summand is not None else {}
-        chain = sum(dims.values())
-        homology_dim += chain
-        maslov2 = next(iter(dims)) if dims else None
-        local = int(summand_nonzero(d, s, t, h))
-        xi = contact_triples.get(trip)
-        contact = int(xi is not None)
-        row = triple_json(trip)
-        row.update(contact=contact, local=local, chain=chain, maslov2=maslov2)
-        summand_rows.append(row)
-        if not (contact == local == chain):
-            mismatches.append(
-                f"dimension columns disagree at {triple_json(trip)}: "
-                f"contact={contact} local={local} chain={chain}"
-            )
-        if local and chain and maslov2 != form[trip]:
-            mismatches.append(
-                f"degrees disagree at {triple_json(trip)}: "
-                f"local maslov2={form[trip]} chain maslov2={maslov2}"
-            )
-        if len(dims) > 1:
-            mismatches.append(
-                f"homology of {triple_json(trip)} spread over degrees {sorted(dims)}"
-            )
-        if chain:
-            reps[trip] = representative(summand)
-        if contact or chain:
-            try:
-                back = phi_inv(d, s, t, h)
-            except NotRealizable as exc:
-                mismatches.append(str(exc))
-            else:
-                if contact:
-                    if back != xi:
-                        mismatches.append(
-                            f"phi_inv . phi is not the identity at {triple_json(trip)}"
-                        )
-                    bijection.append(
-                        {"structure": structure_json(xi), "generator": triple_json(trip)}
-                    )
-                if chain and phi(d, back) != trip:
-                    mismatches.append(
-                        f"phi . phi_inv is not the identity at {triple_json(trip)}"
-                    )
-        if contact and len(s) != len(t):
-            mismatches.append(f"tight structure with |s| != |t| at {triple_json(trip)}")
-        if len(s) == len(t):
-            i = len(s)
-            block = by_i.setdefault(i, {"i": i, "e": d.k - 2 * i, "ca_dim": 0, "h_dim": 0})
-            block["ca_dim"] += contact
-            block["h_dim"] += chain
-
-    # -- composable pairs: stacking vs closed form vs chain-level classes,
-    # and the unit's action.  On a pair that does not compose (x0.top !=
-    # x1.bottom) each side is zero: stack and ring_product compare the
-    # idempotents first, and mul_generators finds no expansions whose
-    # places match (tests/oracles.dense_products pins this).  An identity
-    # composes with each structure it acts on, so those pairs are all here.
+    triple_mismatches: list[tuple[Triple, str]] = []
+    ring_mismatches: list[str] = []
+    subset_mismatches: list[str] = []
     units = set(table.identities)
     unit_ok = True
-    products_checked = len(table.basis) ** 2
-    for (i, j), stacked in table.products.items():
-        t0j, t1j = basis_triples[i], basis_triples[j]
-        contact_side = basis_triples[stacked] if stacked is not None else None
-        for e, x, side in ((i, j, "left"), (j, i, "right")):
-            if e in units and stacked != x:
-                unit_ok = False
-                mismatches.append(
-                    "identity structures do not act as a unit: the identity "
-                    f"of {sorted(basis_triples[e][0])} on the {side} of "
-                    f"{triple_json(basis_triples[x])} gives "
-                    f"{contact_side and triple_json(contact_side)}"
-                )
-        closed_side = ring_product(d, t0j, t1j)
-        # a triple zero on the chain side has no representative: zero class
-        try:
-            product = mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
-            chain_side = _chain_class(d, product, t0j, t1j)
-        except (ValueError, NotInSymmetrisedSpan) as exc:
-            mismatches.append(
-                f"chain product {triple_json(t0j)} * {triple_json(t1j)} "
-                f"raised {type(exc).__name__}: {exc}"
-            )
-            continue
-        if not (contact_side == closed_side == chain_side):
-            mismatches.append(
-                "product mismatch at "
-                f"{triple_json(t0j)} * {triple_json(t1j)}: "
-                f"contact={contact_side and triple_json(contact_side)} "
-                f"closed={closed_side and triple_json(closed_side)} "
-                f"chain={chain_side and triple_json(chain_side)}"
-            )
-
-    # -- label subsets: an identity structure and a surviving idempotent
     identity_at = {table.basis[e].bottom for e in table.identities}
     zero_h = tuple(0 for _ in d.interior_steps)
-    for s in label_subsets(d):
-        if s not in identity_at:
-            unit_ok = False
-            mismatches.append(f"missing identity structure for {sorted(s)}")
-            continue
-        trip = (s, s, zero_h)
-        gen = idempotent(d, s)
-        try:
-            killed = is_boundary(build_summand(d, *trip), frozenset({gen}))
-        except (ValueError, NotInSymmetrisedSpan) as exc:
-            unit_ok = False
-            mismatches.append(
-                f"idempotent of {sorted(s)} raised {type(exc).__name__}: {exc}"
-            )
-            continue
-        if killed:
-            unit_ok = False
-            mismatches.append(f"idempotent of {sorted(s)} is a boundary")
+    for block in [*range(d.k + 1), None]:
+        # -- triples realised on any side: contact count vs local table vs
+        # chain dimension, the local degree vs the chain's, the
+        # bijection's round trips, the Euler-class blocks
+        trips = known.pop(block, set())
+        if block is not None:
+            trips.update(block_triples(d, block))
+        reps: dict[Triple, frozenset[SymGenerator]] = {}
+        for trip in trips:
+            s, t, h = trip
+            try:
+                summand = build_summand(d, s, t, h)
+            except (ValueError, NotInSymmetrisedSpan) as exc:
+                triple_mismatches.append((
+                    trip,
+                    f"summand {triple_json(trip)} raised {type(exc).__name__}: {exc}"
+                ))
+                summand = None
+            dims = homology_dims(summand) if summand is not None else {}
+            chain = sum(dims.values())
+            homology_dim += chain
+            maslov2 = next(iter(dims)) if dims else None
+            local = int(summand_nonzero(d, s, t, h))
+            xi = contact_triples.get(trip)
+            contact = int(xi is not None)
+            row = triple_json(trip)
+            row.update(contact=contact, local=local, chain=chain, maslov2=maslov2)
+            summand_rows.append(row)
+            if not (contact == local == chain):
+                triple_mismatches.append((
+                    trip,
+                    f"dimension columns disagree at {triple_json(trip)}: "
+                    f"contact={contact} local={local} chain={chain}"
+                ))
+            if local and chain and maslov2 != form[trip]:
+                triple_mismatches.append((
+                    trip,
+                    f"degrees disagree at {triple_json(trip)}: "
+                    f"local maslov2={form[trip]} chain maslov2={maslov2}"
+                ))
+            if len(dims) > 1:
+                triple_mismatches.append((
+                    trip,
+                    f"homology of {triple_json(trip)} spread over degrees {sorted(dims)}"
+                ))
+            if chain:
+                reps[trip] = representative(summand)
+            if contact or chain:
+                try:
+                    back = phi_inv(d, s, t, h)
+                except NotRealizable as exc:
+                    triple_mismatches.append((trip, str(exc)))
+                else:
+                    if contact:
+                        if back != xi:
+                            triple_mismatches.append((
+                                trip,
+                                f"phi_inv . phi is not the identity at {triple_json(trip)}"
+                            ))
+                        bijection.append(
+                            {"structure": structure_json(xi), "generator": triple_json(trip)}
+                        )
+                    if chain and phi(d, back) != trip:
+                        triple_mismatches.append((
+                            trip,
+                            f"phi . phi_inv is not the identity at {triple_json(trip)}"
+                        ))
+            if block is not None:
+                entry = by_i.setdefault(
+                    block, {"i": block, "e": d.k - 2 * block, "ca_dim": 0, "h_dim": 0}
+                )
+                entry["ca_dim"] += contact
+                entry["h_dim"] += chain
+            elif contact:
+                triple_mismatches.append((
+                    trip, f"tight structure with |s| != |t| at {triple_json(trip)}"
+                ))
+
+        # -- composable pairs: stacking vs closed form vs chain-level
+        # classes, and the unit's action.  On a pair that does not compose
+        # (x0.top != x1.bottom) each side is zero: stack and ring_product
+        # compare the idempotents first, and mul_generators finds no
+        # expansions whose places match (tests/oracles.dense_products pins
+        # this).  An identity composes with each structure it acts on, so
+        # those pairs are all here.
+        for (i, j), stacked in itertools.islice(pairs, pair_counts[block]):
+            t0j, t1j = basis_triples[i], basis_triples[j]
+            contact_side = basis_triples[stacked] if stacked is not None else None
+            for e, x, side in ((i, j, "left"), (j, i, "right")):
+                if e in units and stacked != x:
+                    unit_ok = False
+                    ring_mismatches.append(
+                        "identity structures do not act as a unit: the identity "
+                        f"of {sorted(basis_triples[e][0])} on the {side} of "
+                        f"{triple_json(basis_triples[x])} gives "
+                        f"{contact_side and triple_json(contact_side)}"
+                    )
+            closed_side = ring_product(d, t0j, t1j)
+            # a triple zero on the chain side has no representative: zero class
+            try:
+                product = mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
+                chain_side = _chain_class(d, product, t0j, t1j)
+            except (ValueError, NotInSymmetrisedSpan) as exc:
+                ring_mismatches.append(
+                    f"chain product {triple_json(t0j)} * {triple_json(t1j)} "
+                    f"raised {type(exc).__name__}: {exc}"
+                )
+                continue
+            if not (contact_side == closed_side == chain_side):
+                ring_mismatches.append(
+                    "product mismatch at "
+                    f"{triple_json(t0j)} * {triple_json(t1j)}: "
+                    f"contact={contact_side and triple_json(contact_side)} "
+                    f"closed={closed_side and triple_json(closed_side)} "
+                    f"chain={chain_side and triple_json(chain_side)}"
+                )
+
+        # -- label subsets: an identity structure and a surviving idempotent
+        for s in subsets:
+            if len(s) != block:
+                continue
+            if s not in identity_at:
+                unit_ok = False
+                subset_mismatches.append(f"missing identity structure for {sorted(s)}")
+                continue
+            trip = (s, s, zero_h)
+            gen = idempotent(d, s)
+            try:
+                killed = is_boundary(build_summand(d, *trip), frozenset({gen}))
+            except (ValueError, NotInSymmetrisedSpan) as exc:
+                unit_ok = False
+                subset_mismatches.append(
+                    f"idempotent of {sorted(s)} raised {type(exc).__name__}: {exc}"
+                )
+                continue
+            if killed:
+                unit_ok = False
+                subset_mismatches.append(f"idempotent of {sorted(s)} is a boundary")
+        release_block()
+
+    # Rows and mismatches in triple_key order, the mismatches of each
+    # pass after those of the one before it
+    summand_rows.sort(key=_row_key)
+    bijection.sort(key=lambda row: _row_key(row["generator"]))
+    triple_mismatches.sort(key=lambda m: triple_key(m[0]))
+    mismatches = [
+        *structure_mismatches,
+        *(message for _, message in triple_mismatches),
+        *ring_mismatches,
+        *subset_mismatches,
+    ]
 
     # -- grading: Euler class against strand count, per summand block
     by_euler = [by_i[i] for i in sorted(by_i)]
-    for block in by_euler:
-        if block["ca_dim"] != block["h_dim"]:
+    for entry in by_euler:
+        if entry["ca_dim"] != entry["h_dim"]:
             mismatches.append(
-                f"euler-class block e={block['e']} disagrees: "
-                f"CA {block['ca_dim']} vs H {block['h_dim']}"
+                f"euler-class block e={entry['e']} disagrees: "
+                f"CA {entry['ca_dim']} vs H {entry['h_dim']}"
             )
 
     ca_dim = len(table.basis)
@@ -316,7 +374,7 @@ def verify(d: ArcDiagram) -> IsoReport:
         by_euler=by_euler,
         ca_dim=ca_dim,
         homology_dim=homology_dim,
-        products_checked=products_checked,
+        products_checked=len(table.basis) ** 2,
         unit_ok=unit_ok,
         mismatches=mismatches,
         elapsed_s=time.perf_counter() - t0,
@@ -353,9 +411,10 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
         counts[(xi.bottom, xi.top)] += 1
 
     homology_counts = {key: 0 for key in counts}
-    for trip in algebra_triples(d):
-        s, t, h = trip
-        homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
+    for i in range(d.k + 1):
+        for s, t, h in block_triples(d, i):
+            homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
+        release_block()
     for (a, b), count in counts.items():
         if count != homology_counts[(a, b)]:
             raise SfhMismatch(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .arcdiag import cached
+from .arcdiag import block_cached
 
 # The strands (p, phi(p)) of a valid diagram, sorted by start place.
 Strands = tuple[tuple[int, int], ...]
@@ -71,7 +71,7 @@ def multiply(m: Strands, n: Strands) -> Optional[Strands]:
     return tuple(joined)
 
 
-@cached
+@block_cached
 def _resolving_pairs(ends: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Index pairs (a, b) of the crossings whose swap loses exactly one
     inversion, for strands with these end places in start order.
@@ -80,7 +80,8 @@ def _resolving_pairs(ends: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     iff no strand starting between i and j has its image between theirs;
     every other swap loses an odd number greater than one.  Scanning the
     strands after i, below is the highest image under phi(i) seen so far,
-    so a crossing strand j qualifies iff its image lies above it.
+    so a crossing strand j qualifies iff its image lies above it.  A key
+    has one end place per strand, so the cache is in the block scope.
     """
     out = []
     for a, fa in enumerate(ends):

@@ -202,6 +202,13 @@ def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
     return triple(d, g)[2]
 
 
+def algebra_triples(d: ArcDiagram) -> list[Triple]:
+    """Every triple realised by a basis generator, by strand count, then
+    in basis order.  Unlike the verbs, which walk one strand count at a
+    time and release it, this keeps every block's grouping cached."""
+    return [trip for i in range(d.k + 1) for trip in homology.block_triples(d, i)]
+
+
 # ---------------------------------------------------------------------------
 # The chain kernel by the direct route: every diagram goes through the
 # validating StrandDiagram constructor above, crossings are recounted as sets,

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     CalibrationUnresolved,
+    algebra_triples,
     crossingless_generators,
     diff_sum,
     dividing_curve_components,
@@ -39,7 +40,6 @@ from strandcontact.contact import CubeData, ca_table, cube_tight
 from strandcontact.homology import (
     INTERIOR,
     BOTH,
-    algebra_triples,
     build_summand,
     homology_dims,
     is_boundary,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import strandcontact
-from strandcontact import arcdiag, contact
+from strandcontact import algebra, arcdiag, contact, homology, strands
 from strandcontact.arcdiag import (
     ArcDiagram,
     ArcDiagramError,
@@ -393,6 +393,35 @@ def test_every_cache_is_registered():
     assert found == set(arcdiag._caches)
     assert len(arcdiag._caches) == 13
     assert not hasattr(contact.ca_table, "cache_clear")
+
+
+def test_the_block_scope_holds_the_caches_keyed_by_strand_count():
+    """Each cache of the block scope is in the registry too, and each key
+    of each belongs to one strand count: a strand count, a triple, a
+    generator, or the end places of a strand tuple."""
+    assert set(arcdiag._block_caches) == {
+        homology._basis_by_triple,
+        homology.build_summand,
+        algebra.expand,
+        strands._resolving_pairs,
+    }
+    assert set(arcdiag._block_caches) <= set(arcdiag._caches)
+
+
+def test_release_block_keeps_the_counts_and_release_caches_resets_them():
+    arcdiag.release_caches()
+    trip = homology.block_triples(TORUS, 1)[0]
+    homology.build_summand(TORUS, *trip)
+    homology.build_summand(TORUS, *trip)
+    arcdiag.release_block()
+    info = homology.build_summand.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 0)
+    homology.build_summand(TORUS, *trip)
+    info = homology.build_summand.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+    arcdiag.release_caches()
+    for cache in arcdiag._caches:
+        assert tuple(cache.cache_info())[:2] == (0, 0) and cache.cache_info().currsize == 0
 
 
 def private_reads(sources: dict[str, str]) -> list[str]:

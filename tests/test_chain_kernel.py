@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     StrandDiagram,
+    algebra_triples,
     all_diagrams,
     diff_generator_by_recount,
     differential_by_recount,
@@ -48,7 +49,6 @@ from strandcontact.algebra import (
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.homology import (
     NotACycle,
-    algebra_triples,
     build_summand,
     gf2_kernel_basis,
     is_boundary,

@@ -269,6 +269,53 @@ def test_homology_summand_selects_the_full_reports_rows(capsys, fresh_caches):
 
 
 @pytest.mark.parametrize(
+    "token, grouped",
+    [("1,2;3,4", [2]), ("-;-", [0]), ("1;2,3", [])],
+    ids=["block-2", "block-0", "sizes-differ"],
+)
+def test_homology_summand_groups_only_its_block(
+    monkeypatch, capsys, fresh_caches, token, grouped
+):
+    """homology --summand S;T groups the generators of block |S| alone, and
+    of no block when |S| != |T|."""
+    path = str(Path(__file__).resolve().parent.parent / "perfbench/inputs/verify-k4-slowest.arc")
+    real = homology.enumerate_basis
+    seen = []
+
+    def recording(d, i):
+        seen.append(i)
+        return real(d, i)
+
+    monkeypatch.setattr(homology, "enumerate_basis", recording)
+    assert cli.main(["homology", path, f"--summand={token}"]) == 0
+    capsys.readouterr()
+    assert seen == grouped
+
+
+@pytest.mark.parametrize("verb", ["homology", "sfh-table"])
+def test_chain_verbs_release_each_block_and_keep_the_counts(write, capsys, verb):
+    """homology and sfh-table walk the strand counts one block at a time
+    and leave every cache of the block scope empty.  Their counts run on
+    across the releases: they equal what the caches counted when the verb
+    kept every block to its end, and release_caches zeroes them."""
+    arcdiag.release_caches()
+    assert cli.main([verb, write(K5)]) == 0
+    capsys.readouterr()
+    assert all(cache.cache_info().currsize == 0 for cache in arcdiag._block_caches)
+    assert {
+        cache.__wrapped__.__name__: tuple(cache.cache_info())[:2]
+        for cache in arcdiag._block_caches
+    } == {
+        "_basis_by_triple": (692, 6),
+        "build_summand": (0, 692),
+        "_expansions": (0, 0),
+        "_resolving_pairs": (2718, 607),
+    }
+    arcdiag.release_caches()
+    assert all(tuple(cache.cache_info())[:2] == (0, 0) for cache in arcdiag._caches)
+
+
+@pytest.mark.parametrize(
     "verb, flags",
     [("contact", ["--from", "9"]), ("homology", ["--summand", "9;9"])],
     ids=["contact", "homology"],

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import algebra_triples
 from strandcontact import cli
 from strandcontact.algebra import enumerate_basis
 from strandcontact.arcdiag import ArcDiagram, ArcDiagramError, release_caches
 from strandcontact.contact import ca_table
-from strandcontact.homology import algebra_triples, build_summand, homology_dims
+from strandcontact.homology import build_summand, homology_dims
 from strandcontact.isoverify import SfhMismatch, corpus, sfh_table, verify
 
 K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc

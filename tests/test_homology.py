@@ -16,7 +16,6 @@ from strandcontact.algebra import (
 from strandcontact.homology import (
     HomSummand,
     NotACycle,
-    algebra_triples,
     build_summand,
     closed_form,
     gf2_in_span,
@@ -30,7 +29,15 @@ from strandcontact.homology import (
     total_dim,
 )
 from strandcontact.isoverify import corpus
-from oracles import end, hom_grading, local_case, local_maslov2, local_nonzero, start
+from oracles import (
+    algebra_triples,
+    end,
+    hom_grading,
+    local_case,
+    local_maslov2,
+    local_nonzero,
+    start,
+)
 
 SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))

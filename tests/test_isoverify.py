@@ -15,7 +15,7 @@ from oracles import (
     start,
     valid_arc_diagrams,
 )
-from strandcontact import algebra, contact, homology, isoverify
+from strandcontact import algebra, arcdiag, contact, homology, isoverify
 from strandcontact.algebra import NotInSymmetrisedSpan, enumerate_basis
 from strandcontact.arcdiag import (
     ArcDiagram,
@@ -582,8 +582,9 @@ def test_verify_grades_each_generator_once(monkeypatch):
     count the reads: one each by triple, generator_maslov2 and the
     differential's expansions per generator, and one more per generator
     whose expansions products read, the 334 representatives of the ring
-    check.  Only those expansions are cached, and each product of
-    generators reads them from the cache."""
+    check.  Only those expansions are cached, each product of generators
+    reads them from the cache, and verify releases them with each strand
+    count's block."""
     d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
     products = 0
     real = algebra.mul_generators
@@ -599,8 +600,31 @@ def test_verify_grades_each_generator_once(monkeypatch):
     generators = sum(len(enumerate_basis(d, i)) for i in range(d.k + 1))
     info = algebra._moving_part.cache_info()
     assert (info.misses, generators, products) == (741, 1606, 3186)
-    assert algebra.expand.cache_info().currsize == 334
+    expansions = algebra.expand.cache_info()
+    assert (expansions.misses, expansions.currsize) == (334, 0)
     assert info.hits + info.misses == 3 * generators + 334
+
+
+def test_verify_releases_each_block_and_keeps_the_counts():
+    """verify walks the strand counts one block at a time and leaves every
+    cache of the block scope empty.  Their counts run on across the
+    releases: they equal what the caches counted when verify kept every
+    block to its end, and release_caches zeroes them."""
+    d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+    release_caches()
+    assert verify(d).success
+    assert all(cache.cache_info().currsize == 0 for cache in arcdiag._block_caches)
+    assert {
+        cache.__wrapped__.__name__: tuple(cache.cache_info())[:2]
+        for cache in arcdiag._block_caches
+    } == {
+        "_basis_by_triple": (692, 6),
+        "build_summand": (1792, 692),
+        "_expansions": (6038, 334),
+        "_resolving_pairs": (2718, 607),
+    }
+    release_caches()
+    assert all(tuple(cache.cache_info())[:2] == (0, 0) for cache in arcdiag._caches)
 
 
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
