@@ -181,14 +181,14 @@ def stack(
 class CATable(NamedTuple):
     """The contact category algebra on its basis of tight structures.
 
-    products holds exactly the composable pairs (x0.top == x1.bottom):
-    the stacked structure's basis index, or None when it is overtwisted.
-    A missing pair does not compose, so its product is zero; read it with
-    products.get((i, j)).
+    products has one row per basis structure.  Row i maps each j with
+    x_i.top == x_j.bottom to the stacked structure's basis index, or to
+    None when it is overtwisted.  A j missing from row i is a zero
+    product; read it with products[i].get(j).
     """
 
     basis: tuple[ContactStructure, ...]
-    products: dict  # composable (i, j) -> basis index or None
+    products: tuple[dict[int, Optional[int]], ...]  # row i: composable j -> index or None
     identities: tuple[int, ...]  # indices of the identity structures
 
 
@@ -204,13 +204,13 @@ def ca_table(d: ArcDiagram) -> CATable:
     by_bottom: dict[frozenset[int], list[int]] = {}
     for j, x1 in enumerate(basis):
         by_bottom.setdefault(x1.bottom, []).append(j)
-    products = {}
+    products = tuple({} for _ in basis)
     for i, x0 in enumerate(basis):
         for j in by_bottom.get(x0.top, ()):
             prod = stack(surface, x0, basis[j])
             if prod is not None and prod not in position:
                 raise StackNotInBasis(f"stacked {structure_json(prod)} is not in the basis")
-            products[(i, j)] = position.get(prod)
+            products[i][j] = position.get(prod)
     identities = tuple(
         i for i, xi in enumerate(basis) if xi.bottom == xi.top and not xi.used_arcs
     )

@@ -8,10 +8,10 @@ local description, and GF(2) chain homology.  It makes four passes, each
 over the objects its checks are about: the basis structures, the triples
 (dimensions, round trips, Euler-class blocks), the composable pairs (the
 full multiplication table with its zero pattern, and the unit's action)
-and the label subsets (identities and idempotents).  A product of
-generators keeps their strand count, so the last three passes run one
-strand-count block at a time, and each block's graded basis, summands
-and expansions are released before the next (arcdiag.release_block).
+and the label subsets (identities and idempotents).  A product keeps the
+strand count, so the last three passes run one block at a time.  Each
+picks its triples, left factors' product rows and subsets by size, and
+each block's caches are released before the next (arcdiag.release_block).
 The triples with |s| != |t|, which only a faulty table realises, come
 last.  Rows and the triple pass's mismatches are sorted by triple_key at
 the end, and each pass's mismatches follow the pass before it, so each
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from operator import add
 from typing import NamedTuple, Optional
 
@@ -176,19 +175,15 @@ def verify(d: ArcDiagram) -> IsoReport:
         contact_triples[trip] = xi
 
     # The other passes run one block at a time: strand count i holds the
-    # triples with |s| = |t| = i, and the composable pairs whose left
-    # factor has i labels on at its bottom.  The basis is ordered by
-    # bottom as in label_subsets, by size first, so each block's pairs
-    # are consecutive in table.products.  Last comes the block None of
-    # the triples with |s| != |t|, which only a faulty table realises:
-    # no generator lies there.
+    # triples with |s| = |t| = i, the composable pairs whose left factor
+    # has i labels on at its bottom, and the label subsets of size i.
+    # Last comes the block None of the triples with |s| != |t|, which
+    # only a faulty table realises: no generator lies there.
     form = closed_form(d)
     known: dict[Optional[int], set[Triple]] = {}
     for trip in itertools.chain(contact_triples, form):
         s, t, _ = trip
         known.setdefault(len(s) if len(s) == len(t) else None, set()).add(trip)
-    pairs = iter(table.products.items())
-    pair_counts = Counter(len(table.basis[i].bottom) for i, _ in table.products)
     subsets = label_subsets(d)
 
     summand_rows = []
@@ -287,37 +282,42 @@ def verify(d: ArcDiagram) -> IsoReport:
         # expansions whose places match (tests/oracles.dense_products pins
         # this).  An identity composes with each structure it acts on, so
         # those pairs are all here.
-        for (i, j), stacked in itertools.islice(pairs, pair_counts[block]):
-            t0j, t1j = basis_triples[i], basis_triples[j]
-            contact_side = basis_triples[stacked] if stacked is not None else None
-            for e, x, side in ((i, j, "left"), (j, i, "right")):
-                if e in units and stacked != x:
-                    unit_ok = False
-                    ring_mismatches.append(
-                        "identity structures do not act as a unit: the identity "
-                        f"of {sorted(basis_triples[e][0])} on the {side} of "
-                        f"{triple_json(basis_triples[x])} gives "
-                        f"{contact_side and triple_json(contact_side)}"
-                    )
-            closed_side = ring_product(d, t0j, t1j)
-            # a triple zero on the chain side has no representative: zero class
-            try:
-                product = mul_sums(d, reps.get(t0j, frozenset()), reps.get(t1j, frozenset()))
-                chain_side = _chain_class(d, product, t0j, t1j)
-            except (ValueError, NotInSymmetrisedSpan) as exc:
-                ring_mismatches.append(
-                    f"chain product {triple_json(t0j)} * {triple_json(t1j)} "
-                    f"raised {type(exc).__name__}: {exc}"
-                )
+        for i, x0 in enumerate(table.basis):
+            if len(x0.bottom) != block:
                 continue
-            if not (contact_side == closed_side == chain_side):
-                ring_mismatches.append(
-                    "product mismatch at "
-                    f"{triple_json(t0j)} * {triple_json(t1j)}: "
-                    f"contact={contact_side and triple_json(contact_side)} "
-                    f"closed={closed_side and triple_json(closed_side)} "
-                    f"chain={chain_side and triple_json(chain_side)}"
-                )
+            t0j = basis_triples[i]
+            # a triple zero on the chain side has no representative: zero class
+            left_rep = reps.get(t0j, frozenset())
+            for j, stacked in table.products[i].items():
+                t1j = basis_triples[j]
+                contact_side = basis_triples[stacked] if stacked is not None else None
+                for e, x, side in ((i, j, "left"), (j, i, "right")):
+                    if e in units and stacked != x:
+                        unit_ok = False
+                        ring_mismatches.append(
+                            "identity structures do not act as a unit: the identity "
+                            f"of {sorted(basis_triples[e][0])} on the {side} of "
+                            f"{triple_json(basis_triples[x])} gives "
+                            f"{contact_side and triple_json(contact_side)}"
+                        )
+                closed_side = ring_product(d, t0j, t1j)
+                try:
+                    product = mul_sums(d, left_rep, reps.get(t1j, frozenset()))
+                    chain_side = _chain_class(d, product, t0j, t1j)
+                except (ValueError, NotInSymmetrisedSpan) as exc:
+                    ring_mismatches.append(
+                        f"chain product {triple_json(t0j)} * {triple_json(t1j)} "
+                        f"raised {type(exc).__name__}: {exc}"
+                    )
+                    continue
+                if not (contact_side == closed_side == chain_side):
+                    ring_mismatches.append(
+                        "product mismatch at "
+                        f"{triple_json(t0j)} * {triple_json(t1j)}: "
+                        f"contact={contact_side and triple_json(contact_side)} "
+                        f"closed={closed_side and triple_json(closed_side)} "
+                        f"chain={chain_side and triple_json(chain_side)}"
+                    )
 
         # -- label subsets: an identity structure and a surviving idempotent
         for s in subsets:

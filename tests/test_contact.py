@@ -255,7 +255,7 @@ def test_ca_table_square():
     for i in range(2):
         for j in range(2):
             expected = i if i == j else None
-            assert table.products.get((i, j)) == expected
+            assert table.products[i].get(j) == expected
 
 
 def test_ca_unit_two_sided():
@@ -263,14 +263,14 @@ def test_ca_unit_two_sided():
         table = ca_table(d)
         for i, xi in enumerate(table.basis):
             hits_left = [
-                table.products.get((e, i))
+                table.products[e].get(i)
                 for e in table.identities
-                if table.products.get((e, i)) is not None
+                if table.products[e].get(i) is not None
             ]
             hits_right = [
-                table.products.get((i, e))
+                table.products[i].get(e)
                 for e in table.identities
-                if table.products.get((i, e)) is not None
+                if table.products[i].get(e) is not None
             ]
             assert hits_left == [i]
             assert hits_right == [i]
@@ -282,12 +282,12 @@ def test_ca_table_closed_and_associative(d):
     n = len(table.basis)
     for i in range(n):
         for j in range(n):
-            ij = table.products.get((i, j))
+            ij = table.products[i].get(j)
             assert ij is None or 0 <= ij < n
             for k in range(n):
-                jk = table.products.get((j, k))
-                lhs = table.products.get((ij, k)) if ij is not None else None
-                rhs = table.products.get((i, jk)) if jk is not None else None
+                jk = table.products[j].get(k)
+                lhs = table.products[ij].get(k) if ij is not None else None
+                rhs = table.products[i].get(jk) if jk is not None else None
                 assert lhs == rhs
 
 
@@ -308,8 +308,9 @@ def test_sparse_products_match_dense_oracle(d):
         for j, x1 in enumerate(basis)
         if x0.top == x1.bottom
     }
-    assert set(table.products) == composable
-    assert all(table.products[key] == dense[key] for key in composable)
+    assert len(table.products) == len(basis)
+    assert {(i, j) for i, row in enumerate(table.products) for j in row} == composable
+    assert all(table.products[i][j] == dense[(i, j)] for i, j in composable)
     assert all(dense[key] is None for key in dense.keys() - composable)
     triples = [phi(d, xi) for xi in basis]
     reps = [representative(build_summand(d, *trip)) for trip in triples]

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -21,12 +23,14 @@ from strandcontact.arcdiag import (
     ArcDiagram,
     InvalidDiagramError,
     is_valid,
+    label_subsets,
+    parse_arc_diagram,
     release_caches,
     surgery_circle,
     to_quad_surface,
 )
 from strandcontact.contact import ca_table
-from strandcontact.homology import build_summand, representative, summand_nonzero
+from strandcontact.homology import build_summand, representative, summand_nonzero, total_dim
 from strandcontact.isoverify import (
     NotRealizable,
     _canonical_key,
@@ -308,6 +312,59 @@ def test_cube_table_is_the_local_table():
     local = [cube_case(i) in homology.ALLOWED_CASES for i in range(64)]
     assert list(table) == local
     assert sum(table) == len(homology.ALLOWED_CASES) == 16
+
+
+def test_which_summands_decide_the_local_table(fresh_caches):
+    """The witness table of the local lemma, over every diagram of
+    corpus(3, 3), every (s, t) and every 0/1 h.  A label's case is the
+    classes of its two places and its membership in (s, t).  Each of the
+    16 allowed cases occurs in a summand whose cases are all allowed, and
+    each of the 48 excluded cases is the only excluded case of some
+    summand.  44 of those are witnessed only with |s| != |t|, where the
+    chain side has no generators; 4 have a witness with |s| = |t|, and
+    just (interior, out, both) and its mirror have a witness with
+    generators, whose homology is zero.  (neg_bdy, pos_bdy, neither) and
+    its mirror are witnessed with |s| = |t| only by empty complexes.  So
+    a GF(2) rank decides only 2 of the 48 exclusions."""
+    allowed_seen = set()
+    balanced = set()  # excluded cases with a witness where |s| = |t|
+    with_generators = set()
+    witnessed = set()
+    for d in corpus(3, 3):
+        pairs = [d.pair(lab) for lab in range(1, d.k + 1)]
+        subsets = label_subsets(d)
+        for h in itertools.product((0, 1), repeat=len(d.interior_steps)):
+            classes = [None, *(homology._place_class(d, h, p) for p in range(1, 2 * d.k + 1))]
+            for s, t in itertools.product(subsets, repeat=2):
+                cases = [
+                    (classes[v], classes[w], homology._MEMBERSHIPS[(lab in s) << 1 | (lab in t)])
+                    for lab, (v, w) in enumerate(pairs, 1)
+                ]
+                excluded = [case for case in cases if case not in homology.ALLOWED_CASES]
+                assert summand_nonzero(d, s, t, h) == (not excluded)
+                if not excluded:
+                    allowed_seen.update(cases)
+                elif len(excluded) == 1:
+                    witnessed.add(excluded[0])
+                    if len(s) == len(t):
+                        balanced.add(excluded[0])
+                        summand = build_summand(d, s, t, h)
+                        if summand.graded_basis:
+                            assert total_dim(summand) == 0
+                            with_generators.add(excluded[0])
+    place_classes = homology._PLACE_CLASSES
+    cases = set(itertools.product(place_classes, place_classes, homology._MEMBERSHIPS))
+    assert allowed_seen == homology.ALLOWED_CASES and len(allowed_seen) == 16
+    assert witnessed == cases - homology.ALLOWED_CASES and len(witnessed) == 48
+    assert (len(witnessed - balanced), len(balanced)) == (44, 4)
+    assert with_generators == {
+        (homology.INTERIOR, homology.OUT, homology.BOTH),
+        (homology.OUT, homology.INTERIOR, homology.BOTH),
+    }
+    assert balanced - with_generators == {
+        (homology.NEG_BDY, homology.POS_BDY, homology.NEITHER),
+        (homology.POS_BDY, homology.NEG_BDY, homology.NEITHER),
+    }
 
 
 def test_verify_catches_every_joint_flip(monkeypatch, fresh_caches):
@@ -627,6 +684,33 @@ def test_verify_releases_each_block_and_keeps_the_counts():
     assert all(tuple(cache.cache_info())[:2] == (0, 0) for cache in arcdiag._caches)
 
 
+def test_verify_does_not_read_the_order_of_the_contact_basis(monkeypatch, fresh_caches):
+    """verify finds a strand-count block's products through the bottoms
+    of their left factors, not through where the structures sit in the
+    basis: with enumerate_tight's structures shuffled, its report on
+    perfbench/inputs/verify-k5-a.arc is the one on the sorted basis, rows,
+    counts and mismatches alike."""
+    path = Path(__file__).resolve().parent.parent / "perfbench/inputs/verify-k5-a.arc"
+    d = parse_arc_diagram(path.read_text())
+    expected = verify(d).to_json()
+    sorted_basis = ca_table(d).basis
+    real = contact.enumerate_tight
+
+    def shuffled(surface):
+        basis = list(real(surface))
+        random.Random(1).shuffle(basis)
+        return tuple(basis)
+
+    monkeypatch.setattr(contact, "enumerate_tight", shuffled)
+    shuffled_basis = ca_table(d).basis
+    assert shuffled_basis != sorted_basis
+    assert len(shuffled_basis) == len(sorted_basis) and set(shuffled_basis) == set(sorted_basis)
+    got = verify(d).to_json()
+    del expected["elapsed_s"], got["elapsed_s"]
+    assert got == expected
+    assert expected["success"] and expected["ca_dim"] == 334
+
+
 K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 
 
@@ -759,12 +843,13 @@ def reversal_failure(d):
     ]
     if None in image or sorted(image) != list(range(len(reversed_table.basis))):
         return "not a bijection of the bases"
-    if len(table.products) != len(reversed_table.products):
+    if sum(map(len, table.products)) != sum(map(len, reversed_table.products)):
         return "the numbers of composable pairs differ"
-    for (i, j), stacked in table.products.items():
-        reversed_product = reversed_table.products.get((image[j], image[i]), "not composable")
-        if reversed_product != (None if stacked is None else image[stacked]):
-            return f"x{i} * x{j} is not sent to x{j}' * x{i}'"
+    for i, row in enumerate(table.products):
+        for j, stacked in row.items():
+            reversed_product = reversed_table.products[image[j]].get(image[i], "not composable")
+            if reversed_product != (None if stacked is None else image[stacked]):
+                return f"x{i} * x{j} is not sent to x{j}' * x{i}'"
     if sorted(image[e] for e in table.identities) != sorted(reversed_table.identities):
         return "identities are not sent to identities"
     return None
