@@ -14,14 +14,13 @@ from .arcdiag import (
     ParseError,
     parse_arc_diagram,
     read_int,
-    release_block,
     release_caches,
     surgery_circle,
     to_quad_surface,
 )
 from .algebra import NotInSymmetrisedSpan, enumerate_basis, generator_maslov2, triple
 from .contact import StackNotInBasis, enumerate_tight, structure_json
-from .homology import DegreeError, block_triples, build_summand, closed_form, homology_dims
+from .homology import DegreeError, blocks, build_summand, closed_form, homology_dims
 from .isoverify import SfhMismatch, corpus, sfh_table, triple_json, triple_key, verify
 
 OK, FAILURE, USAGE = 0, 1, 2
@@ -254,8 +253,7 @@ def _summand_dims(d, selector, method) -> dict:
     one strand count at a time, and only the closed form's nonzero ones
     for the local.  A selector S;T keeps the triples with that s and t,
     so the chain method groups block |S| alone, and none when |S| != |T|."""
-    counts = range(d.k + 1)
-    want = None
+    counts = want = None
     if selector is not None:
         s_token, _, t_token = selector.partition(";")
         if not t_token:
@@ -269,11 +267,10 @@ def _summand_dims(d, selector, method) -> dict:
             if want is None or trip[:2] == want
         }
     found = {}
-    for i in counts:
-        for trip in block_triples(d, i):
+    for _, trips in blocks(d, counts):
+        for trip in trips:
             if want is None or trip[:2] == want:
                 found[trip] = homology_dims(build_summand(d, *trip))
-        release_block()
     return found
 
 

@@ -4,13 +4,13 @@ The algebra splits over triples (start set, end set, homological
 grading), and each triple lies in one strand count.  Once per strand
 count, the basis is grouped by triple and then by doubled Maslov degree;
 that grouping is cached, and each summand holds its own group as its
-graded basis.  Both caches are in the block scope, so a verb that walks
-the strand counts frees a block's grouping and summands with
-release_block.  Each summand is a finite GF(2) chain
-complex, with the differential dropping the degree by 2 and each boundary
-map stored as a tuple of column bitmasks.  One column reduction gives
-ranks, kernels and span tests, hence dimensions, boundary tests and
-representatives.  Independently of all that, one table, built from the
+graded basis.  Both caches are in the block scope, and blocks() is the
+one walk over the strand counts: every verb on the chain side takes its
+triples from it, and it frees each block's grouping and summands before
+the next.  Each summand is a finite GF(2) chain complex, with the
+differential dropping the degree by 2 and each boundary map stored as a
+tuple of column bitmasks.  One column reduction gives ranks, kernels and
+span tests, hence dimensions, boundary tests and representatives.  Independently of all that, one table, built from the
 closed-form local classification of the data of (h, s, t) near each
 matched pair, says which summands survive and in which degree.
 """
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .arcdiag import ArcDiagram, block_cached, cached
+from .arcdiag import ArcDiagram, block_cached, cached, release_block
 from .algebra import (
     SymGenerator,
     Triple,
@@ -121,9 +121,18 @@ def _basis_by_triple(
     }
 
 
-def block_triples(d: ArcDiagram, i: int) -> list[Triple]:
-    """Every triple realised by a generator with i strands, in basis order."""
-    return list(_basis_by_triple(d, i))
+def blocks(
+    d: ArcDiagram, counts: Optional[Iterable[int]] = None
+) -> Iterator[tuple[int, list[Triple]]]:
+    """(i, every triple realised by a generator with i strands, in basis
+    order) for each strand count i in counts, 0..k by default.  The block
+    scope is released after each block, also when the walk ends early or
+    the block raises, so the memory of a walk stays that of one block."""
+    for i in range(d.k + 1) if counts is None else counts:
+        try:
+            yield i, list(_basis_by_triple(d, i))
+        finally:
+            release_block()
 
 
 @block_cached
@@ -134,10 +143,10 @@ def build_summand(
 
     DegreeError, a ValueError, when the differential of a generator leaves
     the summand or does not lower the doubled Maslov degree by exactly 2.
+    A triple with |s| != |t| has no generators: its build groups block |s|,
+    which has no entry for it.
     """
-    graded: dict[int, tuple[SymGenerator, ...]] = {}
-    if len(s) == len(t):
-        graded = _basis_by_triple(d, len(s)).get((s, t, h), {})
+    graded = _basis_by_triple(d, len(s)).get((s, t, h), {})
     boundary = {}
     for m, basis in graded.items():
         target = {g: i for i, g in enumerate(graded.get(m - 2, ()))}

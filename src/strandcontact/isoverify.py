@@ -9,14 +9,14 @@ over the objects its checks are about: the basis structures, the triples
 (dimensions, round trips, Euler-class blocks), the composable pairs (the
 full multiplication table with its zero pattern, and the unit's action)
 and the label subsets (identities and idempotents).  A product keeps the
-strand count, so the last three passes run one block at a time.  Each
-picks its triples, left factors' product rows and subsets by size, and
-each block's caches are released before the next (arcdiag.release_block).
-The triples with |s| != |t|, which only a faulty table realises, come
-last.  Rows and the triple pass's mismatches are sorted by triple_key at
-the end, and each pass's mismatches follow the pass before it, so each
-mismatch is reported once, in pass order, and in the order of the triples
-within the triple pass.
+strand count, so the last three passes run in each block of the walk
+homology.blocks, which frees a block before the next.  Each picks its
+triples and left factors' product rows by the size of s, and its subsets
+by size: a triple with |s| != |t|, which only a faulty table realises, is
+checked in block |s|.  Rows and the triple pass's mismatches are sorted
+by triple_key at the end, and each pass's mismatches follow the pass
+before it, so each mismatch is reported once, in pass order, and in the
+order of the triples within the triple pass.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional
 from .arcdiag import (
     ArcDiagram,
     label_subsets,
-    release_block,
     surgery_walk,
     to_quad_surface,
 )
@@ -49,7 +48,7 @@ from .contact import (
     structure_json,
 )
 from .homology import (
-    block_triples,
+    blocks,
     build_summand,
     closed_form,
     homology_dims,
@@ -175,21 +174,18 @@ def verify(d: ArcDiagram) -> IsoReport:
         contact_triples[trip] = xi
 
     # The other passes run one block at a time: strand count i holds the
-    # triples with |s| = |t| = i, the composable pairs whose left factor
-    # has i labels on at its bottom, and the label subsets of size i.
-    # Last comes the block None of the triples with |s| != |t|, which
-    # only a faulty table realises: no generator lies there.
+    # triples with |s| = i, the composable pairs whose left factor has i
+    # labels on at its bottom, and the label subsets of size i.
     form = closed_form(d)
-    known: dict[Optional[int], set[Triple]] = {}
+    known: dict[int, set[Triple]] = {}
     for trip in itertools.chain(contact_triples, form):
-        s, t, _ = trip
-        known.setdefault(len(s) if len(s) == len(t) else None, set()).add(trip)
+        known.setdefault(len(trip[0]), set()).add(trip)
     subsets = label_subsets(d)
 
     summand_rows = []
     bijection = []
     homology_dim = 0
-    by_i: dict[int, dict[str, int]] = {}  # the Euler-class blocks, by strand count
+    by_euler = []  # the Euler-class blocks, by strand count
     triple_mismatches: list[tuple[Triple, str]] = []
     ring_mismatches: list[str] = []
     subset_mismatches: list[str] = []
@@ -197,13 +193,13 @@ def verify(d: ArcDiagram) -> IsoReport:
     unit_ok = True
     identity_at = {table.basis[e].bottom for e in table.identities}
     zero_h = tuple(0 for _ in d.interior_steps)
-    for block in [*range(d.k + 1), None]:
+    for block, block_trips in blocks(d):
         # -- triples realised on any side: contact count vs local table vs
         # chain dimension, the local degree vs the chain's, the
         # bijection's round trips, the Euler-class blocks
-        trips = known.pop(block, set())
-        if block is not None:
-            trips.update(block_triples(d, block))
+        entry = {"i": block, "e": d.k - 2 * block, "ca_dim": 0, "h_dim": 0}
+        by_euler.append(entry)
+        trips = known.pop(block, set()).union(block_trips)
         reps: dict[Triple, frozenset[SymGenerator]] = {}
         for trip in trips:
             s, t, h = trip
@@ -264,10 +260,7 @@ def verify(d: ArcDiagram) -> IsoReport:
                             trip,
                             f"phi . phi_inv is not the identity at {triple_json(trip)}"
                         ))
-            if block is not None:
-                entry = by_i.setdefault(
-                    block, {"i": block, "e": d.k - 2 * block, "ca_dim": 0, "h_dim": 0}
-                )
+            if len(s) == len(t):
                 entry["ca_dim"] += contact
                 entry["h_dim"] += chain
             elif contact:
@@ -340,7 +333,6 @@ def verify(d: ArcDiagram) -> IsoReport:
             if killed:
                 unit_ok = False
                 subset_mismatches.append(f"idempotent of {sorted(s)} is a boundary")
-        release_block()
 
     # Rows and mismatches in triple_key order, the mismatches of each
     # pass after those of the one before it
@@ -355,7 +347,6 @@ def verify(d: ArcDiagram) -> IsoReport:
     ]
 
     # -- grading: Euler class against strand count, per summand block
-    by_euler = [by_i[i] for i in sorted(by_i)]
     for entry in by_euler:
         if entry["ca_dim"] != entry["h_dim"]:
             mismatches.append(
@@ -411,10 +402,9 @@ def sfh_table(d: ArcDiagram) -> SfhTable:
         counts[(xi.bottom, xi.top)] += 1
 
     homology_counts = {key: 0 for key in counts}
-    for i in range(d.k + 1):
-        for s, t, h in block_triples(d, i):
+    for _, trips in blocks(d):
+        for s, t, h in trips:
             homology_counts[(s, t)] += total_dim(build_summand(d, s, t, h))
-        release_block()
     for (a, b), count in counts.items():
         if count != homology_counts[(a, b)]:
             raise SfhMismatch(

@@ -204,9 +204,10 @@ def hom_grading(d: ArcDiagram, g: SymGenerator) -> tuple[int, ...]:
 
 def algebra_triples(d: ArcDiagram) -> list[Triple]:
     """Every triple realised by a basis generator, by strand count, then
-    in basis order.  Unlike the verbs, which walk one strand count at a
-    time and release it, this keeps every block's grouping cached."""
-    return [trip for i in range(d.k + 1) for trip in homology.block_triples(d, i)]
+    in basis order.  Unlike the verbs, which walk the strand counts with
+    homology.blocks and release each, this keeps every block's grouping
+    cached."""
+    return [trip for i in range(d.k + 1) for trip in homology._basis_by_triple(d, i)]
 
 
 # ---------------------------------------------------------------------------

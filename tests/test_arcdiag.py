@@ -410,7 +410,7 @@ def test_the_block_scope_holds_the_caches_keyed_by_strand_count():
 
 def test_release_block_keeps_the_counts_and_release_caches_resets_them():
     arcdiag.release_caches()
-    trip = homology.block_triples(TORUS, 1)[0]
+    trip = next(iter(homology._basis_by_triple(TORUS, 1)))
     homology.build_summand(TORUS, *trip)
     homology.build_summand(TORUS, *trip)
     arcdiag.release_block()

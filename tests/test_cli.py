@@ -315,6 +315,18 @@ def test_chain_verbs_release_each_block_and_keep_the_counts(write, capsys, verb)
     assert all(tuple(cache.cache_info())[:2] == (0, 0) for cache in arcdiag._caches)
 
 
+@pytest.mark.parametrize("verb", ["homology", "sfh-table"])
+def test_chain_verbs_release_the_block_they_fail_in(
+    monkeypatch, write, capsys, fresh_caches, verb
+):
+    """A chain-side error in the middle of a block ends the verb with exit
+    1 and still leaves every cache of the block scope empty."""
+    maslov_off_on_dotted(monkeypatch)
+    assert cli.main([verb, write(K4_SLOWEST)]) == 1
+    assert "leaves degree" in capsys.readouterr().err
+    assert all(cache.cache_info().currsize == 0 for cache in arcdiag._block_caches)
+
+
 @pytest.mark.parametrize(
     "verb, flags",
     [("contact", ["--from", "9"]), ("homology", ["--summand", "9;9"])],

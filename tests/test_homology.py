@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strandcontact import algebra, homology
+from strandcontact import algebra, arcdiag, homology
 from strandcontact.arcdiag import ArcDiagram, release_caches
 from strandcontact.algebra import (
     SymGenerator,
@@ -148,6 +148,32 @@ def test_summand_holds_its_group_of_the_basis():
     one = frozenset({1})
     assert build_summand(TORUS, one, frozenset(), (0, 0, 0)) == HomSummand({}, {})
     assert build_summand(TORUS, one, one, (1, 0, 1)) == HomSummand({}, {})
+
+
+def test_blocks_walks_the_strand_counts_and_releases_each(monkeypatch, fresh_caches):
+    """blocks(d) yields each strand count 0..k with its triples, grouping
+    each block once; blocks(d, []) yields and groups nothing, and
+    blocks(d, [i]) yields block i alone, its triples the keys of
+    _basis_by_triple(d, i) in order.  Each walk leaves the block scope
+    empty, and the counts of its caches run on across the releases."""
+    grouped = []
+    real = homology.enumerate_basis
+
+    def recording(d, i):
+        grouped.append(i)
+        return real(d, i)
+
+    monkeypatch.setattr(homology, "enumerate_basis", recording)
+    assert list(homology.blocks(K5, [])) == [] and grouped == []
+    walked = list(homology.blocks(K5))
+    assert [i for i, _ in walked] == grouped == list(range(K5.k + 1))
+    assert all(cache.cache_info().currsize == 0 for cache in arcdiag._block_caches)
+    for i, trips in walked:
+        assert trips == list(homology._basis_by_triple(K5, i))
+        assert list(homology.blocks(K5, [i])) == [(i, trips)]
+        assert all(cache.cache_info().currsize == 0 for cache in arcdiag._block_caches)
+    info = homology._basis_by_triple.cache_info()
+    assert (info.hits, info.misses) == (K5.k + 1, 2 * (K5.k + 1))
 
 
 def test_square_total_homology_dimension():

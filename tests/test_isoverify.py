@@ -393,6 +393,54 @@ def test_verify_catches_every_joint_flip(monkeypatch, fresh_caches):
     assert not missed
 
 
+def test_verify_reports_under_faults_are_pinned(monkeypatch, fresh_caches):
+    """verify's report on each diagram of corpus(2, 2), under each of the
+    64 cube-verdict flips and then each of the 64 local-case toggles, as
+    one JSON line without elapsed_s, hashes to tests/verify_faults.sha256,
+    recorded while verify still checked the triples with |s| != |t| in a
+    step of their own after the strand-count blocks.  Of the 512 reports,
+    176 have mismatches: 57 name a tight structure with |s| != |t|, 31 an
+    Euler-class block and 88 the total dimensions."""
+    real_tight, real_cases = contact.cube_tight, homology.ALLOWED_CASES
+    diagrams = corpus(2, 2)
+    faults = []
+    for i in range(64):
+
+        def flipped(c, i=i):
+            index = sum(bit << (5 - b) for b, bit in enumerate(c))
+            return real_tight(c) != (index == i)
+
+        faults.append((contact, "cube_tight", flipped))
+    for case in itertools.product(
+        homology._PLACE_CLASSES, homology._PLACE_CLASSES, homology._MEMBERSHIPS
+    ):
+        faults.append((homology, "ALLOWED_CASES", real_cases ^ {case}))
+    digest = hashlib.sha256()
+    reports = []
+    for module, name, value in faults:
+        monkeypatch.setattr(module, name, value)
+        for d in diagrams:
+            report = verify(d).to_json()
+            del report["elapsed_s"]
+            digest.update((json.dumps(report) + "\n").encode())
+            reports.append(report["mismatches"])
+        monkeypatch.undo()
+        release_caches()
+    recorded = (Path(__file__).parent / "verify_faults.sha256").read_text().split()[0]
+    assert len(reports) == 512
+    assert digest.hexdigest() == recorded
+
+    def naming(prefix):
+        return sum(any(m.startswith(prefix) for m in ms) for ms in reports)
+
+    assert (
+        sum(map(bool, reports)),
+        naming("tight structure with |s| != |t|"),
+        naming("euler-class block"),
+        naming("total dimensions disagree"),
+    ) == (176, 57, 31, 88)
+
+
 @pytest.mark.parametrize("d", corpus(3, 3), ids=lambda d: f"{d.segment_sizes}-{d.matching}")
 def test_verify_catches_a_shifted_closed_form_degree(monkeypatch, fresh_caches, d):
     """The closed form's degree of one triple, shifted by 2, is a mismatch
