@@ -22,8 +22,10 @@ expansions and generator_maslov2 alike (triple does not check them).  The
 expansions, their resolutions and their products are plain strand
 tuples sorted by start place (strands.Strands), valid by construction.
 Label sets are frozensets from one cache keyed by bitmask, so the
-summands' keys share them, and the generators of one basis share one
-dotted tuple per label set.
+summands' keys share them.  enumerate_basis walks the generators of one
+strand count alone and is in the block scope, so no cache holds the
+generators of the whole diagram; those of one strand count share one
+dotted tuple per label set and one tuple per moving strand.
 
 A result is cached only where it is read again: expand caches the
 expansions for products, which read a factor's many times, while
@@ -317,63 +319,59 @@ def generator_maslov2(d: ArcDiagram, g: SymGenerator) -> int:
     return maslov2
 
 
-@cached
-def _basis(d: ArcDiagram) -> tuple[tuple[SymGenerator, ...], ...]:
-    """Entry i: every generator with i strands, from one walk over the
-    moving parts.
+@block_cached
+def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
+    """All symmetrised generators with i strands, sorted by (moving, dotted),
+    from one walk over the moving parts of at most i strands.
 
     Moving parts are built by choosing strands in increasing start order,
     keeping starts and ends injective on labels; the walk visits a part
     before its extensions and tries strands in sorted order, so it meets
-    the parts sorted.  Each part fills every strand count from its own up
-    with the combinations of the labels it leaves untouched, so each entry
-    comes out sorted by (moving, dotted).
+    the parts sorted.  Each part is followed by the combinations of
+    i - |moving| labels it leaves untouched, so the generators come out
+    sorted.  They share the table's strand tuples and one dotted tuple per
+    label set.
     """
     k = d.k
+    if not 0 <= i <= k:
+        return ()
     total = 2 * k
     bit = d.label_bits
-    candidates = [
-        (p, q)
-        for p in range(1, total + 1)
-        for q in range(p + 1, total + 1)
-        if d.segment_of(p) == d.segment_of(q)
-    ]
-    out: list[list[SymGenerator]] = [[] for _ in range(k + 1)]
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one dotted tuple per label set
+    # (strand, start label bit, end label bit, index of the first strand
+    # that starts higher) for each strand rising within a segment, sorted
+    table: list[tuple[tuple[int, int], int, int, int]] = []
+    for p in range(1, total + 1):
+        seg = d.segment_of(p)
+        rising = [q for q in range(p + 1, total + 1) if d.segment_of(q) == seg]
+        table += [((p, q), bit[p], bit[q], len(table) + len(rising)) for q in rising]
+    out: list[SymGenerator] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def extend(pos: int, chosen: list[tuple[int, int]], starts: int, ends: int):
-        moving = tuple(chosen)
         touched = starts | ends
-        free = [lab for lab in range(1, k + 1) if not touched >> lab & 1]
-        for need in range(len(free) + 1):
-            by_count = out[len(moving) + need]
+        need = i - len(chosen)
+        if need <= k - touched.bit_count():
+            moving = tuple(chosen)
+            free = [lab for lab in range(1, k + 1) if not touched >> lab & 1]
             for dotted in itertools.combinations(free, need):
-                dotted = shared.setdefault(dotted, dotted)
-                by_count.append(_new(SymGenerator, (moving, dotted)))
-        for idx in range(pos, len(candidates)):
-            p, q = candidates[idx]
-            if chosen and p <= chosen[-1][0]:
-                continue
-            s, e = bit[p], bit[q]
+                out.append(_new(SymGenerator, (moving, shared.setdefault(dotted, dotted))))
+        if not need:
+            return
+        for strand, s, e, higher in table[pos:]:
             if starts & s or ends & e:  # distinct end labels imply distinct ends
                 continue
-            chosen.append((p, q))
-            extend(idx + 1, chosen, starts | s, ends | e)
+            if need == 1:  # the extension is one undotted generator
+                out.append(_new(SymGenerator, ((*chosen, strand), ())))
+                continue
+            chosen.append(strand)
+            extend(higher, chosen, starts | s, ends | e)
             chosen.pop()
 
     extend(0, [], 0, 0)
     # extend refers to itself through its closure; without this the cycle
     # would hold the walk's lists until the cyclic collector ran
     del extend
-    return tuple([tuple(gens) for gens in out])
-
-
-@cached
-def enumerate_basis(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
-    """All symmetrised generators with i strands, sorted by (moving, dotted)."""
-    if not 0 <= i <= d.k:
-        return ()
-    return _basis(d)[i]
+    return tuple(out)
 
 
 def idempotent(d: ArcDiagram, s: frozenset[int]) -> SymGenerator:

@@ -261,8 +261,9 @@ def validating_expand(d: ArcDiagram, g: SymGenerator) -> tuple[StrandDiagram, ..
 @functools.lru_cache(maxsize=None)
 def enumerate_basis_per_count(d: ArcDiagram, i: int) -> tuple[SymGenerator, ...]:
     """All symmetrised generators with i strands, deterministically ordered:
-    the enumeration that walks the moving parts again for each strand count
-    i, which algebra.enumerate_basis replaced by one walk per diagram.
+    a walk over the moving parts for strand count i that tries every later
+    candidate strand and skips those that do not start higher, where
+    algebra.enumerate_basis jumps to the next start place.
 
     Moving parts are built by choosing strands in increasing start order,
     keeping starts and ends injective on labels; dotted labels fill the

@@ -391,7 +391,7 @@ def test_every_cache_is_registered():
             members = vars(value).values() if isinstance(value, type) else ()
             found |= {v for v in (value, *members) if hasattr(v, "cache_clear")}
     assert found == set(arcdiag._caches)
-    assert len(arcdiag._caches) == 13
+    assert len(arcdiag._caches) == 12
     assert not hasattr(contact.ca_table, "cache_clear")
 
 
@@ -400,6 +400,7 @@ def test_the_block_scope_holds_the_caches_keyed_by_strand_count():
     of each belongs to one strand count: a strand count, a triple, a
     generator, or the end places of a strand tuple."""
     assert set(arcdiag._block_caches) == {
+        algebra.enumerate_basis,
         homology._basis_by_triple,
         homology.build_summand,
         algebra.expand,

@@ -94,10 +94,11 @@ def test_k6_slice_matches_direct_route():
     assert_direct_route(K6_A, dotted + others)
 
 
-@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5], ids=name)
-def test_basis_walk_matches_per_count_enumeration(d):
-    """One walk over the moving parts fills every strand count with the
-    generators, in the order, of a walk per strand count."""
+@pytest.mark.parametrize("d", corpus(3, 3) + [K4_SLOWEST, K5, K6_A], ids=name)
+def test_basis_walk_matches_per_count_enumeration(d, fresh_caches):
+    """The walk of block i, which goes no deeper than i strands and jumps
+    to the next start place, gives the generators, in the order, of the
+    walk per strand count that checks every strand."""
     for i in range(-1, d.k + 2):
         got = enumerate_basis(d, i)
         assert got == enumerate_basis_per_count(d, i)
@@ -140,15 +141,19 @@ def test_summands_leave_the_expansion_cache_empty(fresh_caches):
     "d, counts", [(K5, (1606, 741, 32, 226)), (K6_A, (16380, 7633, 64, 1217))], ids=["k5", "k6-a"]
 )
 def test_generators_and_records_share_equal_tuples(d, counts):
-    """The generators of one diagram hold one dotted tuple per label set,
-    and the records of their moving parts one grading tuple per distinct
-    h: equal values are one object."""
+    """The generators of one strand count hold one dotted tuple per label
+    set and one tuple per moving strand, and the records of their moving
+    parts one grading tuple per distinct h: equal values are one object."""
     gens = generators(d)
     parts = {g.moving: algebra._moving_part(d, g.moving) for g in gens}.values()
     dotted = {g.dotted for g in gens}
     gradings = {part.h for part in parts}
     assert (len(gens), len(parts), len(dotted), len(gradings)) == counts
-    assert len({id(g.dotted) for g in gens}) == len(dotted)
+    for i in range(d.k + 1):
+        block = enumerate_basis(d, i)
+        assert len({id(g.dotted) for g in block}) == len({g.dotted for g in block})
+        strands = [strand for g in block for strand in g.moving]
+        assert len({id(strand) for strand in strands}) == len(set(strands))
     assert len({id(part.h) for part in parts}) == len(gradings)
 
 

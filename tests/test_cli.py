@@ -306,6 +306,7 @@ def test_chain_verbs_release_each_block_and_keep_the_counts(write, capsys, verb)
         cache.__wrapped__.__name__: tuple(cache.cache_info())[:2]
         for cache in arcdiag._block_caches
     } == {
+        "enumerate_basis": (0, 6),
         "_basis_by_triple": (692, 6),
         "build_summand": (0, 692),
         "_expansions": (0, 0),

@@ -29,6 +29,7 @@ from strandcontact.homology import (
     total_dim,
 )
 from strandcontact.isoverify import corpus
+from strandcontact.strands import crossing_count
 from oracles import (
     algebra_triples,
     end,
@@ -370,6 +371,46 @@ def test_crossingless_generators_realise_summands(d):
         for g in gens[1:]:
             pair = frozenset({first, g}) if first != g else frozenset()
             assert is_boundary(summand, pair)
+
+
+@pytest.mark.parametrize(
+    "ds, per_j",
+    [(corpus(3, 3), {0: 486, 1: 2}), ([K5], {0: 312, 1: 21, 2: 1})],
+    ids=["corpus33", "k5"],
+)
+def test_nonzero_summands_at_the_generator_level(ds, per_j):
+    """Every nonzero summand has 1-dimensional homology in one degree and a
+    one-generator representative.  With j the labels of s & t whose two
+    places are both interior, it has 3^j generators whose moving strands
+    do not cross, and 2^j of them are cycles that bound nothing.  The
+    summands are counted by j."""
+    seen = {}
+    for d in ds:
+        for s, t, h in triples_of(d):
+            summand = build_summand(d, s, t, h)
+            if not homology_dims(summand):
+                continue
+            assert list(homology_dims(summand).values()) == [1]
+            assert len(representative(summand)) == 1
+            j = sum(
+                all(homology._place_class(d, h, p) == homology.INTERIOR for p in d.pair(lab))
+                for lab in s & t
+            )
+            crossingless = [
+                g
+                for basis in summand.graded_basis.values()
+                for g in basis
+                if crossing_count(g.moving) == 0
+            ]
+            assert len(crossingless) == 3**j
+            cycles = [
+                g
+                for g in crossingless
+                if not diff_generator(d, g) and not is_boundary(summand, frozenset({g}))
+            ]
+            assert len(cycles) == 2**j
+            seen[j] = seen.get(j, 0) + 1
+    assert seen == per_j
 
 
 @pytest.mark.parametrize("d", [TORUS, ANNULUS])

@@ -723,6 +723,7 @@ def test_verify_releases_each_block_and_keeps_the_counts():
         cache.__wrapped__.__name__: tuple(cache.cache_info())[:2]
         for cache in arcdiag._block_caches
     } == {
+        "enumerate_basis": (0, 6),
         "_basis_by_triple": (692, 6),
         "build_summand": (1792, 692),
         "_expansions": (6038, 334),
