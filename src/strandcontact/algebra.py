@@ -7,6 +7,9 @@ for the GF(2) sum of a horizontal strand at either twin place.  A
 generator with j dotted labels expands to 2^j concrete diagrams; products
 and differentials are computed on the expansions and regrouped into the
 symmetrised basis, erroring loudly if the result ever failed to regroup.
+The differential of an undotted generator is already a set of generators
+and is not regrouped; the summand build refuses any term of it that is
+not a generator of its basis.
 
 A generator is a (moving, dotted) tuple, and many generators share one
 moving part.  The record of a moving part (_moving_part, cached per
@@ -27,9 +30,11 @@ strand count alone and is in the block scope, so no cache holds the
 generators of the whole diagram; those of one strand count share one
 dotted tuple per label set and one tuple per moving strand.
 
-A result is cached only where it is read again: expand caches the
-expansions for products, which read a factor's many times, while
-diff_generator, called once per generator, builds them uncached.
+A result is cached only where it is read again: products read a
+factor's expansions many times, so expand caches them and _product_index
+caches, from them, the masks of their start and end places, while
+diff_generator, called once per generator, builds them uncached.  Both
+caches are keyed by a generator, so they are in the block scope.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -181,9 +186,30 @@ def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     ])
 
 
-# Cached for products, which read a factor's expansions at each product;
-# a generator's expansions have its strand count, so in the block scope.
+# The expansions of the generators that products read, through
+# _product_index: its misses count the generators multiplied.  A
+# generator's expansions have its strand count, so in the block scope.
 expand = block_cached(_expansions)
+
+
+@block_cached
+def _product_index(
+    d: ArcDiagram, g: SymGenerator
+) -> tuple[dict[int, Strands], tuple[tuple[int, Strands], ...]]:
+    """What a product reads of a factor g: as the right factor, its
+    expansions by start places; as the left, each expansion with its end
+    places.  A set of places is the bitmask with bit p for place p.  Built
+    once per generator from expand, in the block scope, as expand is."""
+    by_starts = {}
+    with_ends = []
+    for m in expand(d, g):
+        starts = ends = 0
+        for p, q in m:
+            starts |= 1 << p
+            ends |= 1 << q
+        by_starts[starts] = m
+        with_ends.append((ends, m))
+    return by_starts, tuple(with_ends)
 
 
 def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:
@@ -238,19 +264,12 @@ def mul_generators(
     starts), so only that pair is multiplied; both sides key a set of
     places as the bitmask with bit p for place p.  Places determine
     labels, so when the end idempotent of g1 is not the start idempotent
-    of g2 no pair matches and the product is empty.
+    of g2 no pair matches and the product is empty.  Both sides' masks
+    are read from the factors' product indexes.
     """
-    by_starts = {}
-    for n in expand(d, g2):
-        mask = 0
-        for p, _ in n:
-            mask |= 1 << p
-        by_starts[mask] = n
+    by_starts = _product_index(d, g2)[0]
     acc: set[Strands] = set()
-    for m in expand(d, g1):
-        mask = 0
-        for _, q in m:
-            mask |= 1 << q
+    for mask, m in _product_index(d, g1)[1]:
         n = by_starts.get(mask)
         if n is not None:
             prod = multiply(m, n)
@@ -261,8 +280,19 @@ def mul_generators(
 
 def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     """Differential of a generator in the symmetrised basis, from its
-    uncached expansions: each generator is differentiated once."""
+    uncached expansions: each generator is differentiated once.
+
+    An undotted generator's differential is already a set of generators:
+    resolving p1 -> q1, p2 -> q2 with p1 < p2 < q2 < q1 keeps the start
+    and end places, so each term is constrained and has no horizontal
+    strand, and is its own orbit.  Its terms skip regroup; a term that is
+    not a generator of the basis is refused where the summand is built.
+    """
     expansions = _expansions(d, g)
+    if not g.dotted:
+        return frozenset([
+            _new(SymGenerator, (term, ())) for term in differential(expansions[0])
+        ])
     acc = differential(expansions[0])
     for m in expansions[1:]:
         acc ^= differential(m)

@@ -223,25 +223,31 @@ def cmd_basis(args) -> int:
         if not 0 <= strands <= d.k:
             raise ArcDiagramError(f"--strands {strands} is out of range 0..{d.k}")
         counts = [strands]
+    # The rows hold the generators' own tuples and one sorted tuple per
+    # label set; JSON writes a tuple as the list it would write for it.
     gens = []
+    sorted_labels = {}
     for i in counts:
         for g in enumerate_basis(d, i):
             s, t, h = triple(d, g)
+            for labels in (s, t):
+                if labels not in sorted_labels:
+                    sorted_labels[labels] = tuple(sorted(labels))
             gens.append(
                 {
-                    "s": sorted(s),
-                    "t": sorted(t),
-                    "moving": [list(strand) for strand in g.moving],
-                    "dotted": list(g.dotted),
+                    "s": sorted_labels[s],
+                    "t": sorted_labels[t],
+                    "moving": g.moving,
+                    "dotted": g.dotted,
                     "strands": g.strand_count,
                     "maslov2": generator_maslov2(d, g),
-                    "hom": list(h),
+                    "hom": h,
                 }
             )
     payload = {"schema": 1, "count": len(gens), "generators": gens}
     emit(args, payload, lambda: [f"{len(gens)} generators"] + [
-        f"  s={g['s']} t={g['t']} moving={g['moving']} dotted={g['dotted']} "
-        f"maslov2={g['maslov2']} h={g['hom']}"
+        f"  s={list(g['s'])} t={list(g['t'])} moving={[list(x) for x in g['moving']]} "
+        f"dotted={list(g['dotted'])} maslov2={g['maslov2']} h={list(g['hom'])}"
         for g in gens
     ])
     return OK

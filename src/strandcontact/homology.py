@@ -196,14 +196,15 @@ def is_boundary(summand: HomSummand, cycle: frozenset[SymGenerator]) -> bool:
         return True
     first = next(iter(cycle))
     m = next((m for m, basis in summand.graded_basis.items() if first in basis), None)
-    index = {g: i for i, g in enumerate(summand.graded_basis.get(m, ()))}
-    if not cycle <= index.keys():
-        raise ValueError("element does not live in one degree of this summand")
-    columns = summand.boundary[m]
+    basis = summand.graded_basis.get(m, ())
+    columns = summand.boundary.get(m, ())
     vec = 0
     closed = 0
     for g in cycle:
-        i = index[g]
+        try:
+            i = basis.index(g)
+        except ValueError:
+            raise ValueError("element does not live in one degree of this summand") from None
         vec |= 1 << i
         closed ^= columns[i]
     if closed:

@@ -57,3 +57,27 @@ def reduce_ignoring_a_pivot(monkeypatch):
         return pivots, kernel
 
     monkeypatch.setattr(homology, "_reduce", _reduce)
+
+
+def add_a_horizontal_term(monkeypatch, dotted=False):
+    """The differential gains a term: the expansion with its first moving
+    strand p -> q made horizontal at p, which has a horizontal strand and
+    may start or end twice on a label.
+
+    By default only on expansions without horizontal strands, which are
+    those of undotted generators: their terms skip regroup, so the summand
+    build refuses the stray term (DegreeError).  With `dotted`, only on
+    the expansions of dotted generators, which regroup refuses
+    (NotInSymmetrisedSpan).
+    """
+    real = strands.differential
+
+    def differential(m):
+        out = real(m)
+        a = next((a for a, (p, q) in enumerate(m) if p != q), None)
+        if a is None or any(p == q for p, q in m) != dotted:
+            return out
+        p = m[a][0]
+        return out | {(*m[:a], (p, p), *m[a + 1:])}
+
+    monkeypatch.setattr(algebra, "differential", differential)

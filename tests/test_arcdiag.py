@@ -391,7 +391,7 @@ def test_every_cache_is_registered():
             members = vars(value).values() if isinstance(value, type) else ()
             found |= {v for v in (value, *members) if hasattr(v, "cache_clear")}
     assert found == set(arcdiag._caches)
-    assert len(arcdiag._caches) == 12
+    assert len(arcdiag._caches) == 13
     assert not hasattr(contact.ca_table, "cache_clear")
 
 
@@ -404,6 +404,7 @@ def test_the_block_scope_holds_the_caches_keyed_by_strand_count():
         homology._basis_by_triple,
         homology.build_summand,
         algebra.expand,
+        algebra._product_index,
         strands._resolving_pairs,
     }
     assert set(arcdiag._block_caches) <= set(arcdiag._caches)

@@ -310,6 +310,7 @@ def test_chain_verbs_release_each_block_and_keep_the_counts(write, capsys, verb)
         "_basis_by_triple": (692, 6),
         "build_summand": (0, 692),
         "_expansions": (0, 0),
+        "_product_index": (0, 0),
         "_resolving_pairs": (2718, 607),
     }
     arcdiag.release_caches()

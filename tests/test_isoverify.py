@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings
 
-from faults import drop_a_resolution, maslov_off_on_dotted, reduce_ignoring_a_pivot
+from faults import (
+    add_a_horizontal_term,
+    drop_a_resolution,
+    maslov_off_on_dotted,
+    reduce_ignoring_a_pivot,
+)
 from oracles import (
+    algebra_triples,
     all_arc_diagrams,
     canonical_key_all_orders,
     corpus_validate_first,
@@ -30,7 +36,13 @@ from strandcontact.arcdiag import (
     to_quad_surface,
 )
 from strandcontact.contact import ca_table
-from strandcontact.homology import build_summand, representative, summand_nonzero, total_dim
+from strandcontact.homology import (
+    DegreeError,
+    build_summand,
+    representative,
+    summand_nonzero,
+    total_dim,
+)
 from strandcontact.isoverify import (
     NotRealizable,
     _canonical_key,
@@ -714,7 +726,10 @@ def test_verify_releases_each_block_and_keeps_the_counts():
     """verify walks the strand counts one block at a time and leaves every
     cache of the block scope empty.  Their counts run on across the
     releases: they equal what the caches counted when verify kept every
-    block to its end, and release_caches zeroes them."""
+    block to its end, and release_caches zeroes them.  Products read a
+    factor's masks from its product index, which misses where expand
+    does, once per generator multiplied, and is the only reader of
+    expand."""
     d = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
     release_caches()
     assert verify(d).success
@@ -726,7 +741,8 @@ def test_verify_releases_each_block_and_keeps_the_counts():
         "enumerate_basis": (0, 6),
         "_basis_by_triple": (692, 6),
         "build_summand": (1792, 692),
-        "_expansions": (6038, 334),
+        "_expansions": (0, 334),
+        "_product_index": (6038, 334),
         "_resolving_pairs": (2718, 607),
     }
     release_caches()
@@ -771,6 +787,30 @@ K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/veri
 def test_verify_catches_a_chain_side_fault(monkeypatch, fresh_caches, inject):
     inject(monkeypatch)
     assert any(not verify(d).success for d in corpus(3, 3) + [K4_SLOWEST])
+
+
+@pytest.mark.parametrize(
+    "dotted, error",
+    [(False, DegreeError), (True, NotInSymmetrisedSpan)],
+    ids=["undotted", "dotted"],
+)
+def test_a_stray_differential_term_is_refused(monkeypatch, fresh_caches, dotted, error):
+    """An undotted generator's differential skips regroup, so a horizontal
+    or unconstrained term in it is refused by the summand build, as one
+    outside the summand's basis; in a dotted generator's, regroup still
+    refuses it.  verify reports either as a mismatch of the summand."""
+    add_a_horizontal_term(monkeypatch, dotted=dotted)
+    refused = set()
+    for trip in algebra_triples(K4_SLOWEST):
+        try:
+            build_summand(K4_SLOWEST, *trip)
+        except (ValueError, NotInSymmetrisedSpan) as exc:
+            refused.add(type(exc))
+    assert refused == {error}
+    release_caches()
+    report = verify(K4_SLOWEST)
+    assert not report.success
+    assert any(f"raised {error.__name__}: " in m for m in report.mismatches)
 
 
 def _accept_double_crossings(m, n):
