@@ -19,22 +19,22 @@ holds their start and end labels as bitmasks, their homological grading
 and their doubled Maslov degree, negated; records with equal gradings
 share one tuple (_grading).  triple and generator_maslov2 read that
 record, so they raise ValueError on moving strands that fail the check.
-The expansions (_expansions) add the check of the dotted labels.
-ArcDiagram.pair is the one check that they lie in 1..k, for the
-expansions and generator_maslov2 alike (triple does not check them).  The
-expansions, their resolutions and their products are plain strand
-tuples sorted by start place (strands.Strands), valid by construction.
+expansions adds the check of the dotted labels; ArcDiagram.pair is the
+one check that they lie in 1..k, for expansions and generator_maslov2
+alike (triple does not check them).  The expansions, their resolutions
+and their products are plain strand tuples sorted by start place
+(strands.Strands), valid by construction.
 Label sets are frozensets from one cache keyed by bitmask, so the
 summands' keys share them.  enumerate_basis walks the generators of one
 strand count alone and is in the block scope, so no cache holds the
 generators of the whole diagram; those of one strand count share one
 dotted tuple per label set and one tuple per moving strand.
 
-A result is cached only where it is read again: products read a
-factor's expansions many times, so expand caches them and _product_index
-caches, from them, the masks of their start and end places, while
-diff_generator, called once per generator, builds them uncached.  Both
-caches are keyed by a generator, so they are in the block scope.
+A result is cached only where it is read again: products read a factor
+many times, so expand caches, from its expansions, the masks of their
+start and end places, while diff_generator, called once per generator,
+reads expansions uncached.  expand is keyed by a generator, so it is in
+the block scope.
 
 Gradings: the homological grading is the multiplicity vector of interior
 steps swept by moving strands; the Maslov grading is kept doubled
@@ -158,7 +158,7 @@ def _horizontals(d: ArcDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
+def expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     """The 2^j concrete diagrams of a generator with j dotted labels, as
     strand tuples sorted by start place.
 
@@ -186,30 +186,21 @@ def _expansions(d: ArcDiagram, g: SymGenerator) -> tuple[Strands, ...]:
     ])
 
 
-# The expansions of the generators that products read, through
-# _product_index: its misses count the generators multiplied.  A
-# generator's expansions have its strand count, so in the block scope.
-expand = block_cached(_expansions)
-
-
 @block_cached
-def _product_index(
-    d: ArcDiagram, g: SymGenerator
-) -> tuple[dict[int, Strands], tuple[tuple[int, Strands], ...]]:
-    """What a product reads of a factor g: as the right factor, its
-    expansions by start places; as the left, each expansion with its end
-    places.  A set of places is the bitmask with bit p for place p.  Built
-    once per generator from expand, in the block scope, as expand is."""
-    by_starts = {}
-    with_ends = []
-    for m in expand(d, g):
+def expand(d: ArcDiagram, g: SymGenerator) -> dict[int, tuple[int, Strands]]:
+    """What a product reads of a factor g: its expansions, each keyed by
+    its start places, with its end places.  A set of places is the
+    bitmask with bit p for place p; the expansions of g differ in their
+    starts.  Its misses count the generators multiplied, and a
+    generator's expansions have its strand count, so in the block scope."""
+    index = {}
+    for m in expansions(d, g):
         starts = ends = 0
         for p, q in m:
             starts |= 1 << p
             ends |= 1 << q
-        by_starts[starts] = m
-        with_ends.append((ends, m))
-    return by_starts, tuple(with_ends)
+        index[starts] = (ends, m)
+    return index
 
 
 def regroup(d: ArcDiagram, terms: AbstractSet[Strands]) -> frozenset[SymGenerator]:
@@ -265,14 +256,14 @@ def mul_generators(
     places as the bitmask with bit p for place p.  Places determine
     labels, so when the end idempotent of g1 is not the start idempotent
     of g2 no pair matches and the product is empty.  Both sides' masks
-    are read from the factors' product indexes.
+    are read from the factors' cached indexes (expand).
     """
-    by_starts = _product_index(d, g2)[0]
+    by_starts = expand(d, g2)
     acc: set[Strands] = set()
-    for mask, m in _product_index(d, g1)[1]:
-        n = by_starts.get(mask)
-        if n is not None:
-            prod = multiply(m, n)
+    for ends, m in expand(d, g1).values():
+        right = by_starts.get(ends)
+        if right is not None:
+            prod = multiply(m, right[1])
             if prod is not None:
                 acc ^= {prod}
     return regroup(d, acc)
@@ -288,13 +279,11 @@ def diff_generator(d: ArcDiagram, g: SymGenerator) -> frozenset[SymGenerator]:
     strand, and is its own orbit.  Its terms skip regroup; a term that is
     not a generator of the basis is refused where the summand is built.
     """
-    expansions = _expansions(d, g)
+    ms = expansions(d, g)
     if not g.dotted:
-        return frozenset([
-            _new(SymGenerator, (term, ())) for term in differential(expansions[0])
-        ])
-    acc = differential(expansions[0])
-    for m in expansions[1:]:
+        return frozenset([_new(SymGenerator, (term, ())) for term in differential(ms[0])])
+    acc = differential(ms[0])
+    for m in ms[1:]:
         acc ^= differential(m)
     return regroup(d, acc)
 

@@ -159,15 +159,6 @@ class ArcDiagram(_ArcDiagramFields):
         return len(self.segment_sizes)
 
     @functools.cached_property
-    def _seg_starts(self) -> tuple[int, ...]:
-        starts = []
-        acc = 1
-        for n in self.segment_sizes:
-            starts.append(acc)
-            acc += n
-        return tuple(starts)
-
-    @functools.cached_property
     def _segment_table(self) -> tuple[int, ...]:
         """Entry p: 0-based segment index of place p (entry 0 unused)."""
         return (0,) + tuple(j for j, n in enumerate(self.segment_sizes) for _ in range(n))
@@ -184,10 +175,6 @@ class ArcDiagram(_ArcDiagramFields):
             raise ArcDiagramError(f"place {place} out of range")
         return table[place]
 
-    def segment_places(self, segment: int) -> range:
-        start = self._seg_starts[segment]
-        return range(start, start + self.segment_sizes[segment])
-
     @functools.cached_property
     def interior_steps(self) -> tuple[int, ...]:
         """The interior steps, in ascending order, each named by its start place.
@@ -196,7 +183,8 @@ class ArcDiagram(_ArcDiagramFields):
         on the same segment.  The index i is the step's coordinate in a
         homological grading and its number as a gluing arc of the surface.
         """
-        return tuple(p for j in range(self.l) for p in self.segment_places(j)[:-1])
+        table = self._segment_table
+        return tuple(p for p in range(1, 2 * self.k) if table[p] == table[p + 1])
 
     @functools.cached_property
     def step_from(self) -> tuple[Optional[int], ...]:
@@ -228,11 +216,6 @@ class ArcDiagram(_ArcDiagramFields):
             twin[v] = w
             twin[w] = v
         return tuple(twin)
-
-    def twin(self, place: int) -> int:
-        """The other place carrying the same label."""
-        self.segment_of(place)  # raises off the diagram
-        return self._twins[place]
 
     def label(self, place: int) -> int:
         self.segment_of(place)  # raises off the diagram

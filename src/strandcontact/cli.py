@@ -164,17 +164,20 @@ def read_option(flag: str, token: str) -> int:
 
 
 def parse_subset(token: str, k: int) -> frozenset[int]:
-    """Comma-separated labels in 1..k; `-` is the empty set."""
+    """Comma-separated distinct labels in 1..k; `-` is the empty set."""
     if token == "-":
         return frozenset()
     try:
-        labels = frozenset(read_int(x) for x in token.split(","))
+        labels = sorted(read_int(x) for x in token.split(","))
     except ValueError:
         raise ArcDiagramError(f"bad subset syntax: {token!r}") from None
-    for lab in sorted(labels):
+    for lab in labels:
         if not 1 <= lab <= k:
             raise ArcDiagramError(f"label {lab} in {token!r} is out of range 1..{k}")
-    return labels
+    for lab, after in zip(labels, labels[1:]):
+        if lab == after:
+            raise ArcDiagramError(f"label {lab} repeats in {token!r}")
+    return frozenset(labels)
 
 
 def cmd_validate(args) -> int:

@@ -47,6 +47,19 @@ from strandcontact.isoverify import _pairings, corpus
 from strandcontact.strands import Strands, inversions
 
 
+def twin(d: ArcDiagram, place: int) -> int:
+    """The other place carrying the same label (d.label refuses a place
+    off the diagram)."""
+    v, w = d.pair(d.label(place))
+    return w if place == v else v
+
+
+def segment_places(d: ArcDiagram, segment: int) -> range:
+    """The places of a 0-based segment, in order."""
+    start = 1 + sum(d.segment_sizes[:segment])
+    return range(start, start + d.segment_sizes[segment])
+
+
 class StrandDiagram(tuple):
     """A set of strands (p, phi(p)) with phi(p) >= p, within segments.
 
@@ -468,7 +481,7 @@ def crossingless_generators(
     # Maximal runs of used steps per segment, as place intervals.
     runs: list[tuple[int, int]] = []
     for j in range(d.l):
-        places = d.segment_places(j)
+        places = segment_places(d, j)
         run_start = None
         for a in places[:-1]:
             used = h[d.step_after(a)] > 0
@@ -535,11 +548,11 @@ def surgery_circle_by_sub_arcs(d: ArcDiagram) -> Optional[tuple[int, ...]]:
     sub-arc (j, i) is the piece of segment j ending at its local place i
     (for i < n) and starting at its local place i - 1 (for i > 0)."""
     def local_index(p: int) -> int:
-        return p - d.segment_places(d.segment_of(p)).start
+        return p - segment_places(d, d.segment_of(p)).start
 
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for p in range(1, 2 * d.k + 1):
-        q = d.twin(p)
+        q = twin(d, p)
         succ[(d.segment_of(p), local_index(p))] = (d.segment_of(q), local_index(q) + 1)
     visited: set[tuple[int, int]] = set()
     for j in range(d.l):
@@ -561,9 +574,9 @@ def surgery_circle_by_sub_arcs(d: ArcDiagram) -> Optional[tuple[int, ...]]:
     circle: list[int] = []
     arc = start
     while True:
-        in_place = d.segment_places(arc[0])[arc[1]]
+        in_place = segment_places(d, arc[0])[arc[1]]
         circle.append(in_place)
-        circle.append(d.twin(in_place))
+        circle.append(twin(d, in_place))
         arc = succ[arc]
         if arc == start:
             break
@@ -635,7 +648,7 @@ def _in_some_segment_order(d: ArcDiagram):
     return st.permutations(range(d.l)).map(
         lambda order: ArcDiagram(
             tuple(d.segment_sizes[j] for j in order),
-            tuple(d.label(p) for j in order for p in d.segment_places(j)),
+            tuple(d.label(p) for j in order for p in segment_places(d, j)),
         )
     )
 
@@ -666,7 +679,7 @@ def all_arc_diagrams(k: int, l: int):
 def canonical_key_all_orders(d: ArcDiagram):
     """Minimal (sizes, matching) encoding over all l! segment orders."""
     best = None
-    segments = [[d.label(p) for p in d.segment_places(j)] for j in range(d.l)]
+    segments = [[d.label(p) for p in segment_places(d, j)] for j in range(d.l)]
     for perm in itertools.permutations(range(d.l)):
         sizes = tuple(d.segment_sizes[j] for j in perm)
         relabel: dict[int, int] = {}

@@ -16,13 +16,14 @@ from oracles import (
     maslov2,
     sections,
     start,
+    twin,
 )
 from strandcontact.arcdiag import ArcDiagram
 from strandcontact.algebra import (
     SymGenerator,
     diff_generator,
     enumerate_basis,
-    expand,
+    expansions,
     generator_maslov2,
     idempotent,
     mul_generators,
@@ -46,7 +47,7 @@ def twin_orbit(d, m):
     orbit = set()
     for choice in itertools.product((0, 1), repeat=len(horizontals)):
         spots = [
-            p if c == 0 else d.twin(p) for p, c in zip(horizontals, choice)
+            p if c == 0 else twin(d, p) for p, c in zip(horizontals, choice)
         ]
         orbit.add(StrandDiagram(d.segment_sizes, tuple(moving) + tuple((x, x) for x in spots)))
     return frozenset(orbit)
@@ -81,13 +82,13 @@ def test_torus_basis_one_strand_count():
 def test_basis_partitions_constrained_diagrams(d):
     for i in range(d.k + 1):
         oracle = {m.strands for m in constrained_diagrams(d, i)}
-        expansions = [set(expand(d, g)) for g in enumerate_basis(d, i)]
+        orbits = [set(expansions(d, g)) for g in enumerate_basis(d, i)]
         covered = set()
-        for ex in expansions:
+        for ex in orbits:
             assert not (covered & ex), "expansions overlap"
             covered |= ex
         assert covered == oracle
-        for g, ex in zip(enumerate_basis(d, i), expansions):
+        for g, ex in zip(enumerate_basis(d, i), orbits):
             some = StrandDiagram(d.segment_sizes, next(iter(ex)))
             assert {m.strands for m in twin_orbit(d, some)} == ex
             assert from_diagram(d, some) == g
@@ -116,10 +117,10 @@ def test_maslov_single_short_strand():
 def test_maslov_twin_swap_invariant(d):
     for i in range(d.k + 1):
         for g in enumerate_basis(d, i):
-            expansions = [StrandDiagram(d.segment_sizes, m) for m in expand(d, g)]
-            values = {maslov2(d, m) for m in expansions}
+            diagrams = [StrandDiagram(d.segment_sizes, m) for m in expansions(d, g)]
+            values = {maslov2(d, m) for m in diagrams}
             assert len(values) == 1
-            homs = {hom_vector(d, m) for m in expansions}
+            homs = {hom_vector(d, m) for m in diagrams}
             assert len(homs) == 1
 
 
@@ -158,8 +159,8 @@ def test_mul_matches_diagram_level_oracle(d):
             got = mul_generators(d, g1, g2)
             # oracle: bilinear product of the expansions, regrouped by orbit
             acc = set()
-            for m in expand(d, g1):
-                for n in expand(d, g2):
+            for m in expansions(d, g1):
+                for n in expansions(d, g2):
                     from strandcontact.strands import multiply
 
                     prod = multiply(m, n)

@@ -4,8 +4,8 @@ The kernel checks a generator once, in its expansions, against the arc
 diagram itself, works on plain strand tuples from there on, counts
 crossings as an integer, resolves only the crossings that lose exactly
 one inversion and checks orbits by their size.  These tests compare it with the route
-that validates every diagram and recounts inversion sets, hold expand's
-check to that route on arbitrary generators, and pin the guards the
+that validates every diagram and recounts inversion sets, hold the
+expansions' check to that route on arbitrary generators, and pin the guards the
 kernel keeps.  mul_generators multiplies only the expansions that meet,
 and is_boundary reads degree and closedness off the built summand; both
 are compared with the routes that do neither.
@@ -40,6 +40,7 @@ from strandcontact.algebra import (
     diff_generator,
     enumerate_basis,
     expand,
+    expansions,
     generator_maslov2,
     mul_generators,
     regroup,
@@ -124,13 +125,13 @@ def test_diff_generator_differentiates_each_expansion_once(d, monkeypatch):
     for g in generators(d):
         seen.clear()
         diff_generator(d, g)
-        assert seen == list(expand(d, g))
+        assert seen == list(expansions(d, g))
 
 
 def test_summands_leave_the_expansion_cache_empty(fresh_caches):
     """Building every summand differentiates each generator once, through
-    the uncached expansions: expand's cache holds only what products read
-    again, and building summands multiplies nothing."""
+    the uncached expansions: expand's cache holds only the factors that
+    products read again, and building summands multiplies nothing."""
     for s, t, h in algebra_triples(K5):
         build_summand(K5, s, t, h)
     info = expand.cache_info()
@@ -344,7 +345,7 @@ def orbits(d, gens):
     """The GF(2) sum of the expansions of the given generators."""
     terms = set()
     for g in gens:
-        terms ^= set(expand(d, g))
+        terms ^= set(expansions(d, g))
     return frozenset(terms)
 
 
@@ -380,7 +381,7 @@ def test_regroup_rejects_a_truncated_orbit():
         (TORUS, SymGenerator(((1, 3),), (2,))),
         (K5, SymGenerator(((1, 2),), (3, 4))),
     ]:
-        orbit = frozenset(expand(d, g))
+        orbit = frozenset(expansions(d, g))
         n = 1 << len(g.dotted)
         assert len(orbit) == n
         assert regroup(d, orbit) == {g}
@@ -446,8 +447,9 @@ def test_expand_rejects_what_validation_rejects(case):
     d, g, names = REJECTED[case]
     with pytest.raises(ValueError, match=names):
         validating_expand(d, g)
-    with pytest.raises(ValueError, match=names):
-        expand(d, g)
+    for fn in (expansions, expand):
+        with pytest.raises(ValueError, match=names):
+            fn(d, g)
 
 
 @pytest.mark.parametrize("reader", [triple, generator_maslov2], ids=lambda f: f.__name__)
@@ -465,7 +467,7 @@ def test_readers_check_moving_strands(case, reader):
 @pytest.mark.parametrize("case", ["dotted-off-diagram", "dotted-zero", "dotted-negative"])
 def test_maslov2_checks_dotted_range(case):
     """generator_maslov2 reads a dotted label's first place, so it rejects
-    a label outside 1..k by name, as expand does."""
+    a label outside 1..k by name, as expansions does."""
     d, g, names = REJECTED[case]
     with pytest.raises(ValueError, match=names):
         generator_maslov2(d, g)
@@ -497,10 +499,10 @@ def expansions_or_error(fn, d, g):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of([arbitrary_generators(d) for d in (TORUS, ANNULUS, K4_SLOWEST)]))
 def test_expand_checks_like_validation(case):
-    """expand, checking a generator against the diagram, accepts exactly
+    """expansions, checking a generator against the diagram, accepts exactly
     what the StrandDiagram route accepts, and then expands it the same."""
     d, g = case
-    got = expansions_or_error(expand, d, g)
+    got = expansions_or_error(expansions, d, g)
     expected = expansions_or_error(validating_expand, d, g)
     if expected is not ValueError:
         expected = tuple(m.strands for m in expected)

@@ -309,8 +309,7 @@ def test_chain_verbs_release_each_block_and_keep_the_counts(write, capsys, verb)
         "enumerate_basis": (0, 6),
         "_basis_by_triple": (692, 6),
         "build_summand": (0, 692),
-        "_expansions": (0, 0),
-        "_product_index": (0, 0),
+        "expand": (0, 0),
         "_resolving_pairs": (2718, 607),
     }
     arcdiag.release_caches()
@@ -339,6 +338,24 @@ def test_labels_out_of_range_exit_2(write, verb, flags):
     assert proc.returncode == 2
     assert "out of range" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value, token",
+    [
+        ("homology", "--summand", "1,1;1", "1,1"),
+        ("homology", "--summand", "1;2,1,2", "2,1,2"),
+        ("contact", "--from", "2,1,2", "2,1,2"),
+        ("contact", "--to", "1,1", "1,1"),
+    ],
+    ids=["summand-s", "summand-t", "from", "to"],
+)
+def test_a_repeated_label_exits_2(write, capsys, verb, flag, value, token):
+    """A label set names each label once: a repeat is refused, not merged."""
+    assert cli.main([verb, write(TORUS), flag, value]) == 2
+    out, err = capsys.readouterr()
+    lab = token.split(",")[-1]
+    assert (out, err) == ("", f"error: label {lab} repeats in {token!r}\n")
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from strandcontact.homology import (
     total_dim,
 )
 from strandcontact.isoverify import corpus
-from strandcontact.strands import crossing_count
+from generator_facts import generator_facts
 from oracles import (
     algebra_triples,
     end,
@@ -44,6 +44,7 @@ SQUARE = ArcDiagram((1, 1), (1, 1))
 TORUS = ArcDiagram((4,), (1, 2, 1, 2))
 ANNULUS = ArcDiagram((3, 1), (1, 2, 1, 2))
 K5 = ArcDiagram((3, 7), (1, 2, 3, 1, 4, 5, 3, 5, 2, 4))  # perfbench/inputs/verify-k5-a.arc
+K4_SLOWEST = ArcDiagram((8,), (1, 2, 1, 3, 4, 3, 4, 2))  # perfbench/inputs/verify-k4-slowest.arc
 
 
 def mat(rows, cols, entries):
@@ -311,7 +312,7 @@ def test_differential_image_is_boundary():
 def test_summands_grade_each_generator_once():
     """Building every summand checks each moving part once and grades each
     generator once: the record of a moving part is built on its first use,
-    and triple, generator_maslov2 and expand each look it up once per
+    and triple, generator_maslov2 and expansions each look it up once per
     generator."""
     release_caches()
     for trip in algebra_triples(K5):
@@ -375,41 +376,22 @@ def test_crossingless_generators_realise_summands(d):
 
 @pytest.mark.parametrize(
     "ds, per_j",
-    [(corpus(3, 3), {0: 486, 1: 2}), ([K5], {0: 312, 1: 21, 2: 1})],
-    ids=["corpus33", "k5"],
+    [(corpus(3, 3), [486, 2, 0]), ([K5], [312, 21, 1]), ([K4_SLOWEST], [147, 14, 3])],
+    ids=["corpus33", "k5", "k4-slowest"],
 )
 def test_nonzero_summands_at_the_generator_level(ds, per_j):
-    """Every nonzero summand has 1-dimensional homology in one degree and a
-    one-generator representative.  With j the labels of s & t whose two
-    places are both interior, it has 3^j generators whose moving strands
-    do not cross, and 2^j of them are cycles that bound nothing.  The
-    summands are counted by j."""
-    seen = {}
+    """Every nonzero summand holds the facts that tests/generator_facts.py
+    checks, from empty caches: 1-dimensional homology in one degree, a
+    one-generator representative, and, with j the labels of s & t whose
+    two places are both interior, 3^j generators whose moving strands do
+    not cross, 2^j of them cycles that bound nothing.  The summands are
+    counted by j."""
+    seen = [0] * len(per_j)
     for d in ds:
-        for s, t, h in triples_of(d):
-            summand = build_summand(d, s, t, h)
-            if not homology_dims(summand):
-                continue
-            assert list(homology_dims(summand).values()) == [1]
-            assert len(representative(summand)) == 1
-            j = sum(
-                all(homology._place_class(d, h, p) == homology.INTERIOR for p in d.pair(lab))
-                for lab in s & t
-            )
-            crossingless = [
-                g
-                for basis in summand.graded_basis.values()
-                for g in basis
-                if crossing_count(g.moving) == 0
-            ]
-            assert len(crossingless) == 3**j
-            cycles = [
-                g
-                for g in crossingless
-                if not diff_generator(d, g) and not is_boundary(summand, frozenset({g}))
-            ]
-            assert len(cycles) == 2**j
-            seen[j] = seen.get(j, 0) + 1
+        counts, failures = generator_facts(d)
+        assert failures == []
+        for j, count in enumerate(counts):
+            seen[j] += count
     assert seen == per_j
 
 
